@@ -19,9 +19,11 @@ specific, demonstrable way (see ``benchmarks/test_ablation_predicate.py``):
 
 from __future__ import annotations
 
+from typing import FrozenSet, Optional, Tuple
+
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import EdgeIndexedPolicy, Timestamp
-from repro.types import ReplicaId
+from repro.types import Edge, ReplicaId
 
 
 class NoThirdPartyCheckPolicy(EdgeIndexedPolicy):
@@ -37,6 +39,21 @@ class NoThirdPartyCheckPolicy(EdgeIndexedPolicy):
         if own is None or incoming is None:
             return True
         return own == incoming - 1
+
+    def merge_delta(
+        self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
+    ) -> Tuple[Timestamp, Optional[FrozenSet[Edge]]]:
+        """Merge, reporting an *unknown* delta.
+
+        With the gate gone nothing holds an update back until ``tau``
+        dominates its third-party counters, so merging it can raise
+        another sender's edge ``e_ji`` -- and with it that sender's
+        expected sequence number, which the delivery engine assumes only
+        the sender's own applies move.  ``None`` makes the engine
+        re-examine every queue, so the ablation keeps violating in
+        exactly the naive rescan loop's order.
+        """
+        return super().merge_delta(ts, sender, sender_ts)[0], None
 
 
 class LaxSenderEdgePolicy(EdgeIndexedPolicy):
@@ -65,6 +82,10 @@ class LaxSenderEdgePolicy(EdgeIndexedPolicy):
             if other is not None and ts[e] < other:
                 return False
         return True
+
+    # No sequence conjunct here, so the base answer (``e_ki`` first)
+    # could name a counter this predicate never reads.
+    blocking_edge = EdgeIndexedPolicy._third_party_block
 
 
 def no_third_party_factory(graph: ShareGraph, rid: ReplicaId):

@@ -74,10 +74,16 @@ class VectorClockPolicy:
             sender_ts[j] <= ts[j] for j in self._keys if j != sender
         )
 
-    def readiness_deps(self, sender: ReplicaId, sender_ts: Timestamp):
-        """The causal-multicast predicate reads every local counter
-        (including our own entry, which a local write advances)."""
-        return frozenset(self._keys)
+    def blocking_edge(
+        self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
+    ) -> ReplicaId:
+        """The entry the first false conjunct reads (``sender``'s own
+        when the update is not its exact next one)."""
+        if sender_ts[sender] != ts[sender] + 1:
+            return sender
+        return next(
+            j for j in self._keys if j != sender and sender_ts[j] > ts[j]
+        )
 
     # The predicate accepts only the sender's exact-next update
     # (``T[sender] == tau[sender] + 1``), like the edge-indexed J.

@@ -6,7 +6,7 @@ re-derives the bump set from the share graph on every write, ``merge``
 walks every edge of ``E_i`` through tolerant ``get`` reads, and ``J``
 re-resolves the sender edge each call.  It exercises none of the
 precomputed position plans of :class:`~repro.core.timestamp.EdgeIndexedPolicy`
-and exposes no :meth:`readiness_deps` hint, so a replica running it also
+and exposes no :meth:`blocking_edge` hook, so a replica running it also
 falls back to the conservative wake-everything delivery path.
 
 The differential tests drive the same seeded trace through both policies

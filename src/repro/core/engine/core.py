@@ -14,10 +14,12 @@ Delivery engine
 ---------------
 Step 4 of the prototype used to be a full rescan of one flat pending
 list after every apply -- O(pending^2) under load.  The buffer is a FIFO
-queue per sender plus a *wake set*: a sender's queue is re-examined only
-when a local counter its predicate ``J`` actually reads has changed (the
-policy advertises those counters through the optional ``readiness_deps``
-hook; policies without the hook fall back to conservative
+queue per sender plus a *blocking-counter index*: ``J`` is a conjunction
+of per-counter tests and counters only grow, so an update that failed
+``J`` stays unready until the counter its false conjunct reads changes.
+The policy names that counter through the optional ``blocking_edge``
+hook, the sender is filed under it, and only a change to it re-examines
+the sender's queue (policies without the hook fall back to conservative
 wake-everything, which reproduces the historical behaviour exactly).
 Among all ready updates the engine still applies the globally
 earliest-arrived first, so apply order -- and therefore every recorded
@@ -89,7 +91,8 @@ _MergeDelta = Callable[
     [Timestamp, ReplicaId, Timestamp],
     Tuple[Timestamp, Optional[FrozenSet[Edge]]],
 ]
-_ReadinessDeps = Callable[[ReplicaId, Timestamp], FrozenSet[Edge]]
+#: The local counter the first false conjunct of ``J`` reads.
+_BlockingEdge = Callable[[Timestamp, ReplicaId, Timestamp], Edge]
 #: Whole-queue readiness: index of the first ready timestamp, or None.
 _ReadyMany = Callable[
     [Timestamp, ReplicaId, Sequence[Timestamp]], Optional[int]
@@ -200,13 +203,15 @@ class ProtocolCore:
         self._arrival = 0
         self._dirty: Set[ReplicaId] = set()
         self._candidates: Dict[ReplicaId, int] = {}
-        self._deps: Dict[ReplicaId, Optional[FrozenSet[Edge]]] = {}
+        # Blocking-counter index: counter -> senders to re-examine when it
+        # changes (popped on wake; the re-examination files them again).
+        self._blocked_on: Dict[Edge, Set[ReplicaId]] = {}
         # Per-sender map: sender-edge sequence -> arrival key.  ``None``
         # marks a sender whose queue cannot be seq-indexed (an update
         # without a sequence, or a duplicate) and falls back to scanning.
         self._seqmaps: Dict[ReplicaId, Optional[Dict[int, int]]] = {}
-        self._readiness_deps: Optional[_ReadinessDeps] = getattr(
-            policy, "readiness_deps", None
+        self._blocking_edge: Optional[_BlockingEdge] = getattr(
+            policy, "blocking_edge", None
         )
         self._advance_delta: Optional[_AdvanceDelta] = getattr(
             policy, "advance_delta", None
@@ -585,7 +590,7 @@ class ProtocolCore:
                     total = self._pending_total + count
                     if total > self.metrics.pending_high_water:
                         self.metrics.pending_high_water = total
-                    self._apply_run(src, updates, arrived, run[0])
+                    self._apply_run(src, updates, arrived, *run)
                     return
         if self.sync_armed and self._fifo:
             assert self._sender_seq is not None and self._next_seq is not None
@@ -805,12 +810,6 @@ class ProtocolCore:
                     self._seqmaps[src] = None
                 else:
                     seqmap[seq] = arrival
-        if self._readiness_deps is None:
-            self._deps[src] = None
-        else:
-            deps = self._readiness_deps(src, update.timestamp)
-            prev = self._deps.get(src, deps)
-            self._deps[src] = None if prev is None else prev | deps
         self._dirty.add(src)
 
     def _wake_after_change(
@@ -824,14 +823,16 @@ class ProtocolCore:
     def _wake_on_changed(self, changed: Optional[FrozenSet[Edge]]) -> None:
         if not self._queues:
             return
-        if changed is None:
-            # Unknown delta (incomparable representations): conservatively
-            # recheck every sender.
+        blocked = self._blocked_on
+        if changed is None or (changed and self._blocking_edge is None):
+            # Unknown delta (incomparable representations), or a policy
+            # that cannot name the counter a blocked update waits on:
+            # conservatively recheck every sender.
             self._dirty.update(self._queues)
-        elif changed:
-            for sender, deps in self._deps.items():
-                if deps is None or deps & changed:
-                    self._dirty.add(sender)
+            blocked.clear()
+        else:
+            for edge in blocked.keys() & changed:
+                self._dirty.update(blocked.pop(edge))
 
     def _find_candidate(self, sender: ReplicaId) -> Optional[int]:
         """Arrival key of this sender's (unique) ready update, if any.
@@ -842,37 +843,66 @@ class ProtocolCore:
         be seq-indexed (no hooks, lax predicates, unindexable entries)
         scan their queue in arrival order, which preserves the historical
         semantics for arbitrary predicates.
+
+        Each entry that failed ``J`` on the way files the sender under
+        the counter its false conjunct reads: one for a seq-indexed
+        sender, one per scanned entry otherwise (an earlier entry turning
+        ready must pre-empt a later candidate).  Filings are dropped by
+        :meth:`_wake_on_changed` when their counter changes, never here:
+        an entry that failed before and fails again names the same
+        counter (it has not changed), so there is nothing stale to purge.
         """
+        self.metrics.candidate_probes += 1
         queue = self._queues.get(sender)
         if not queue:
             return None
         ts = self.timestamp
         ready = self.policy.ready
         seqmap = self._seqmaps.get(sender) if self._fifo else None
+        want: Optional[int] = None
         if seqmap is not None:
             assert self._next_seq is not None
+            # None: sender edge untracked locally, scan instead.
             want = self._next_seq(ts, sender)
-            if want is not None:
-                arrival = seqmap.get(want)
-                if arrival is not None and ready(
-                    ts, sender, queue[arrival][0].timestamp
-                ):
-                    return arrival
+        found: Optional[int] = None
+        if seqmap is not None and want is not None:
+            arrival = seqmap.get(want)
+            if arrival is None:
+                # Not arrived yet: nothing to file.  Its enqueue marks
+                # the sender dirty, and so does each of the sender's own
+                # applies (``_drain``, ``_apply_run``) -- the only thing
+                # that moves the counter ``next_seq`` reads while ``J``
+                # gates third parties (a policy whose merges can raise
+                # another sender's edge must report an unknown delta).
                 return None
-            # Sender edge untracked locally: fall through to scanning.
-        if self._ready_many is not None and len(queue) > 1:
+            if ready(ts, sender, queue[arrival][0].timestamp):
+                return arrival
+            failed = [arrival]
+        elif self._ready_many is not None and len(queue) > 1:
             # Whole-queue readiness in one comparison (vectorized
             # policies); returns the first ready entry in arrival order,
             # exactly like the scalar scan below.
-            arrivals = list(queue)
+            failed = list(queue)
             index = self._ready_many(
-                ts, sender, [queue[a][0].timestamp for a in arrivals]
+                ts, sender, [queue[a][0].timestamp for a in failed]
             )
-            return None if index is None else arrivals[index]
-        for arrival, entry in queue.items():
-            if ready(ts, sender, entry[0].timestamp):
-                return arrival
-        return None
+            if index is not None:
+                found = failed[index]
+                del failed[index:]
+        else:
+            failed = []
+            for arrival, entry in queue.items():
+                if ready(ts, sender, entry[0].timestamp):
+                    found = arrival
+                    break
+                failed.append(arrival)
+        blocking = self._blocking_edge
+        if blocking is not None:
+            blocked = self._blocked_on
+            for arrival in failed:
+                edge = blocking(ts, sender, queue[arrival][0].timestamp)
+                blocked.setdefault(edge, set()).add(sender)
+        return found
 
     def _drain(self) -> None:
         """Apply pending updates whose predicate J holds, to fixpoint."""
@@ -900,7 +930,6 @@ class ProtocolCore:
             if not queue:
                 del queues[best_sender]
                 self._seqmaps.pop(best_sender, None)
-                self._deps.pop(best_sender, None)
             else:
                 if seq is not None:
                     seqmap = self._seqmaps.get(best_sender)
@@ -980,6 +1009,7 @@ class ProtocolCore:
         updates: Sequence[Update],
         arrived: float,
         new_ts: Timestamp,
+        changed: Optional[FrozenSet[Edge]],
     ) -> None:
         """Apply a consecutively-ready frame under one merged timestamp.
 
@@ -988,14 +1018,22 @@ class ProtocolCore:
         caller has proved no buffered update can become ready at any
         frontier the run passes through (empty buffer, or the
         ``blocked_many`` proof), so the generic drain would never have
-        interleaved another sender's update and there is nothing to
-        wake; store writes, metrics, and per-member effects are emitted
-        in exactly the generic order.  The only observable difference is
-        that an effect handler re-entering the core mid-frame reads the
-        post-frame timestamp instead of a mid-frame one -- still a valid
-        causal frontier, and no in-tree adapter does so.
+        interleaved another sender's update.  Waiters of the counters
+        the run raised are woken all the same -- the conjunct they were
+        filed under may now hold while another still blocks them -- and
+        so is ``src`` itself when it has updates buffered past the run
+        (its expected sequence number moved, as after any apply); the
+        closing drain re-files them.  Store writes, metrics, and
+        per-member effects are emitted in exactly the generic order.
+        The only observable difference is that an effect handler
+        re-entering the core mid-frame reads the post-frame timestamp
+        instead of a mid-frame one -- still a valid causal frontier, and
+        no in-tree adapter does so.
         """
         self.timestamp = new_ts
+        self._wake_on_changed(changed)
+        if src in self._queues:
+            self._dirty.add(src)
         self._note_timestamp()
         store = self.store
         dummies = self.dummy_registers
@@ -1065,7 +1103,7 @@ class ProtocolCore:
         self._queues.clear()
         self._candidates.clear()
         self._dirty.clear()
-        self._deps.clear()
+        self._blocked_on.clear()
         self._seqmaps.clear()
         self._pending_total = 0
 
@@ -1075,6 +1113,9 @@ class ProtocolCore:
 
     def queue_stats(self) -> QueueStats:
         """Point-in-time delivery-queue statistics (see :class:`QueueStats`)."""
+        filed: Set[ReplicaId] = set()
+        for waiters in self._blocked_on.values():
+            filed |= waiters
         return QueueStats(
             pending_total=self._pending_total,
             senders=len(self._queues),
@@ -1082,7 +1123,45 @@ class ProtocolCore:
                 1 for seqmap in self._seqmaps.values() if seqmap is not None
             ),
             dirty=len(self._dirty),
+            blocked_senders=len(filed),
         )
+
+    def blocked_on(self) -> Dict[ReplicaId, Tuple[Edge, int, int]]:
+        """Why each blocked sender's head-of-line update is still pending:
+        ``sender -> (counter, value held, value needed)``.  Asks the
+        policy what the blocking-counter index asked when it filed the
+        sender (the filed counter has not changed since, so the answer
+        is the same), which also covers a sender waiting for a sequence
+        number that has not arrived and is filed nowhere.  Needed is
+        what the update carries for the counter, or one less when the
+        update is beyond the sender's expected sequence number (``J``
+        wants its exact predecessor)."""
+        ts = self.timestamp
+        blocking = self._blocking_edge
+        view: Dict[ReplicaId, Tuple[Edge, int, int]] = {}
+        if blocking is None:
+            return view
+        for sender, queue in self._queues.items():
+            if sender in self._dirty or sender in self._candidates:
+                continue  # not examined since its last wake-up, or ready
+            want = (
+                self._next_seq(ts, sender)
+                if self._next_seq is not None
+                else None
+            )
+            seqmap = self._seqmaps.get(sender)
+            arrival = (
+                seqmap.get(want) if seqmap and want is not None else None
+            )
+            if arrival is None:
+                arrival = next(iter(queue))
+            update, _, seq = queue[arrival]
+            edge = blocking(ts, sender, update.timestamp)
+            needed = update.timestamp[edge]
+            if seq is not None and want is not None and seq != want:
+                needed -= 1
+            view[sender] = (edge, ts[edge], needed)
+        return view
 
     # ------------------------------------------------------------------
     # Anti-entropy: shedding and snapshot installation (repro.sync)

@@ -17,6 +17,9 @@ class ReplicaMetrics:
     issued: int = 0
     applied_remote: int = 0
     pending_high_water: int = 0
+    # Per-sender readiness probes (``_find_candidate`` calls): divided by
+    # ``applied_remote`` it prices the delivery engine's wake precision.
+    candidate_probes: int = 0
     apply_delay_total: float = 0.0
     apply_delay_max: float = 0.0
     # Anti-entropy counters (zero unless the sync layer is wired in):
@@ -64,10 +67,13 @@ class QueueStats:
 
     ``indexed_senders`` counts the sender queues currently resolvable in
     O(1) via the sender-edge sequence index (the rest scan in arrival
-    order); ``dirty`` is the size of the wake set awaiting re-examination.
+    order); ``dirty`` is the size of the wake set awaiting re-examination;
+    ``blocked_senders`` counts the senders filed in the blocking-counter
+    index (see :meth:`ProtocolCore.blocked_on`).
     """
 
     pending_total: int
     senders: int
     indexed_senders: int
     dirty: int
+    blocked_senders: int

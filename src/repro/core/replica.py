@@ -416,10 +416,6 @@ class Replica:
         return self._core._merge_delta
 
     @property
-    def _readiness_deps(self) -> Optional[Callable]:
-        return self._core._readiness_deps
-
-    @property
     def _ready_many(self) -> Optional[Callable]:
         return self._core._ready_many
 

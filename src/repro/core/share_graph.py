@@ -73,6 +73,10 @@ class ShareGraph:
         self._edges: FrozenSet[Edge] = frozenset(
             (i, j) for i in self._replicas for j in self._neighbors[i]
         )
+        # recipients() memo; never invalidated (the graph is immutable).
+        self._recipients: Dict[
+            Tuple[ReplicaId, RegisterName], Tuple[ReplicaId, ...]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -151,13 +155,20 @@ class ShareGraph:
         """Replicas (other than the issuer) that must receive updates on *x*.
 
         Mirrors step 2(iii) of the prototype: ``k != i`` with ``x in X_k``.
+        Memoized per ``(issuer, x)``: the simulator samples channel
+        delays in this tuple's order, so it must be the same every call.
         """
-        if x not in self.registers_at(issuer):
-            # Callers validate this; keep the message precise anyway.
-            raise ConfigurationError(
-                f"replica {issuer!r} does not store register {x!r}"
+        out = self._recipients.get((issuer, x))
+        if out is None:
+            if x not in self.registers_at(issuer):
+                # Callers validate this; keep the message precise anyway.
+                raise ConfigurationError(
+                    f"replica {issuer!r} does not store register {x!r}"
+                )
+            out = self._recipients[(issuer, x)] = tuple(
+                k for k in self.replicas_storing(x) if k != issuer
             )
-        return tuple(k for k in self.replicas_storing(x) if k != issuer)
+        return out
 
     # ------------------------------------------------------------------
     # Transformations (used by the Appendix D optimizations)

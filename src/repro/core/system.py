@@ -95,6 +95,8 @@ class SystemMetrics:
     visible_count: int = 0
     mean_visible_lag: float = 0.0
     max_visible_lag: float = 0.0
+    # Delivery-engine readiness probes (see ReplicaMetrics).
+    candidate_probes: int = 0
 
     @property
     def total_counters(self) -> int:
@@ -149,6 +151,9 @@ def aggregate_metrics(
         max_visible_lag=max(
             (r.metrics.visible_lag_max for r in replicas.values()),
             default=0.0,
+        ),
+        candidate_probes=sum(
+            r.metrics.candidate_probes for r in replicas.values()
         ),
     )
 

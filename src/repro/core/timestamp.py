@@ -232,8 +232,16 @@ class TimestampPolicy(Protocol):
         ``exact_sender_fifo: bool`` plus ``sender_seq(k, T)`` /
         ``next_seq(ts, k)`` let the engine index each sender's queue by
         its strictly-increasing sender-edge counter.  Fallback: linear
-        queue scans.  ``readiness_deps(k, T)`` names the local counters
-        ``J`` reads (wake-set precision); fallback: wake on any change.
+        queue scans.  ``blocking_edge(ts, k, T)`` -- consulted only when
+        ``ready(ts, k, T)`` is false -- names the local counter the first
+        false conjunct of ``J`` reads (sequence conjunct first); the
+        engine re-examines the sender only when it changes, which is
+        complete because ``J`` is a conjunction and counters only grow.
+        Fallback: wake on any change.  With ``exact_sender_fifo`` the
+        engine also assumes that only ``k``'s own applies move the
+        counter ``next_seq(ts, k)`` reads (true whenever ``J`` gates
+        third parties); a policy whose merges can raise it for another
+        sender must report an unknown delta from ``merge_delta``.
 
     Stabilization (the GST layer, :mod:`repro.gst`)
         ``stabilizing: bool`` -- when true the engine splits *applied*
@@ -296,11 +304,15 @@ class EdgeIndexedPolicy:
 
     Subclassing note
     ----------------
-    The delivery engine consults :meth:`readiness_deps` to learn which of
-    this replica's counters predicate ``J`` reads for a given sender; a
-    subclass whose overridden :meth:`ready` reads *more* of ``tau`` than
-    the base predicate must override :meth:`readiness_deps` to match
-    (reading a subset, as the ablation policies do, is always safe).
+    The delivery engine consults :meth:`blocking_edge` to learn which of
+    this replica's counters a failed predicate ``J`` is waiting on; a
+    subclass whose overridden :meth:`ready` can be false while the base
+    predicate's sequence conjunct is not the reason must override
+    :meth:`blocking_edge` to match.  Dropping the third-party clause, as
+    :class:`~repro.baselines.ablations.NoThirdPartyCheckPolicy` does,
+    leaves the hook right (the sequence conjunct is tested first) but
+    lets a merge raise another sender's ``e_ji``, so that subclass
+    reports an unknown :meth:`merge_delta`.
     ``advance``/``merge`` delegate to :meth:`advance_delta` /
     :meth:`merge_delta` (which additionally report the changed keys), so
     a subclass that wants different update semantics overrides the
@@ -411,8 +423,13 @@ class EdgeIndexedPolicy:
             Tuple[ReplicaId, EdgeIndex],
             Tuple[Optional[int], Optional[int], Tuple[Tuple[int, int], ...]],
         ] = {}
-        self._deps_cache: Dict[
-            Tuple[ReplicaId, EdgeIndex], FrozenSet[Edge]
+        # next_seq / sender_seq: where the sender edge sits on each side
+        # (the sender's side is compiled on its first message).
+        self._seq_pos: Dict[ReplicaId, int] = {
+            e[0]: eindex.position[e] for e in self._incoming
+        }
+        self._sender_seq_pos: Dict[
+            ReplicaId, Tuple[EdgeIndex, Optional[int]]
         ] = {}
 
     def _merge_plan(
@@ -578,26 +595,31 @@ class EdgeIndexedPolicy:
                 return False
         return True
 
-    def readiness_deps(
-        self, sender: ReplicaId, sender_ts: Timestamp
-    ) -> FrozenSet[Edge]:
-        """The local counters predicate ``J`` reads for this sender.
+    def blocking_edge(
+        self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
+    ) -> Edge:
+        """The counter the first false conjunct of ``J`` reads.
 
-        ``J(i, tau, k, T)`` touches ``tau[e_ki]`` (when both sides track
-        the sender edge) and ``tau[e_ji]`` for incoming edges the sender
-        also carries -- so exactly the incoming edges present in the
-        sender's index.  The delivery engine re-evaluates a sender's queue
-        only when one of these counters changes.
+        Only defined while :meth:`ready` is false, and walked in
+        :meth:`ready`'s order: ``e_ki`` when the sequence conjunct fails,
+        else the first third-party edge ``tau`` does not dominate.  Off
+        the hot path (the engine asks once per blocked sender), so one
+        edge-keyed walk serves native and foreign indexes alike.
         """
-        sender_index = sender_ts._eindex
-        key = (sender, sender_index)
-        deps = self._deps_cache.get(key)
-        if deps is None:
-            sender_position = sender_index.position
-            deps = self._deps_cache[key] = frozenset(
-                e for e in self._incoming if e in sender_position
-            )
-        return deps
+        e_ki = (sender, self.replica_id)
+        own, incoming = ts.get(e_ki), sender_ts.get(e_ki)
+        if own is not None and incoming is not None and own != incoming - 1:
+            return e_ki
+        return self._third_party_block(ts, sender, sender_ts)
+
+    def _third_party_block(
+        self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
+    ) -> Edge:
+        """First third-party edge ``tau`` does not dominate."""
+        return next(
+            e for e in self._incoming
+            if e[0] != sender and ts[e] < (sender_ts.get(e) or 0)
+        )
 
     def sender_seq(
         self, sender: ReplicaId, sender_ts: Timestamp
@@ -609,10 +631,20 @@ class EdgeIndexedPolicy:
         delivery engine's per-sender queue index.  ``None`` when the edge
         is untracked (crippled policies only).
         """
-        return sender_ts.get((sender, self.replica_id))
+        cached = self._sender_seq_pos.get(sender)
+        if cached is None or cached[0] is not sender_ts._eindex:
+            cached = self._sender_seq_pos[sender] = (
+                sender_ts._eindex,
+                sender_ts._eindex.position.get((sender, self.replica_id)),
+            )
+        pos = cached[1]
+        return None if pos is None else sender_ts._values[pos]
 
     def next_seq(self, ts: Timestamp, sender: ReplicaId) -> Optional[int]:
         """Sender-edge value the next applicable update must carry."""
+        if ts._eindex is self._eindex:
+            pos = self._seq_pos.get(sender)
+            return None if pos is None else ts._values[pos] + 1
         own = ts.get((sender, self.replica_id))
         return None if own is None else own + 1
 

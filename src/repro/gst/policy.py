@@ -90,9 +90,6 @@ class GstPolicy:
         self._wire_eindex: Dict[ReplicaId, EdgeIndex] = {
             k: EdgeIndex.of([(CLOCK, i), (i, k)]) for k in self._neighbors
         }
-        self._deps: Dict[ReplicaId, FrozenSet[Edge]] = {
-            k: frozenset({(k, i)}) for k in self._neighbors
-        }
 
     # -- required surface ----------------------------------------------
     def initial(self) -> Timestamp:
@@ -164,10 +161,11 @@ class GstPolicy:
         return len(self._eindex)
 
     # -- seq-indexed delivery ------------------------------------------
-    def readiness_deps(
-        self, sender: ReplicaId, sender_ts: Timestamp
-    ) -> FrozenSet[Edge]:
-        return self._deps.get(sender, frozenset())
+    def blocking_edge(
+        self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
+    ) -> Edge:
+        """``J`` has one conjunct: the channel's receive frontier."""
+        return (sender, self.replica_id)
 
     def sender_seq(
         self, sender: ReplicaId, sender_ts: Timestamp

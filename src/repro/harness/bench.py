@@ -443,13 +443,20 @@ def _run_tcp_once(
                     for server in cluster.servers.values()
                     for link in server.links.values()
                 )
+                # Engine events: issues plus remote applies, the TCP
+                # analogue of the simulator's agenda counter.
+                events = sum(
+                    server.core.metrics.issued
+                    + server.core.metrics.applied_remote
+                    for server in cluster.servers.values()
+                )
                 return BenchResult(
                     name=scenario.name,
                     writes=writes,
                     replicas=len(graph),
                     wall_s=wall,
                     ops_per_s=writes / wall,
-                    events_per_s=0.0,
+                    events_per_s=events / wall,
                     messages=messages,
                     pending_high_water=0,
                     memory_deterministic=False,

@@ -11,22 +11,24 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class Event:
-    """A scheduled callback.  Ordered by ``(time, seq)``."""
+    """A scheduled callback.  Not orderable: the agenda holds ``(time,
+    seq, event)`` tuples, so the heap compares two numbers in C and never
+    reaches the event (``seq`` is unique)."""
 
     time: float
     seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    done: bool = field(compare=False, default=False)
+    callback: Callable[..., None]
+    args: tuple = ()
+    cancelled: bool = False
+    done: bool = False
 
 
 class EventHandle:
@@ -73,7 +75,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
-        self._agenda: List[Event] = []
+        self._agenda: List[Tuple[float, int, Event]] = []
         self._now: float = 0.0
         self._seq: int = 0
         self._events_executed: int = 0
@@ -110,7 +112,7 @@ class Simulator:
             self._cancelled_pending >= self._COMPACT_MIN
             and self._cancelled_pending * 2 > len(self._agenda)
         ):
-            self._agenda = [e for e in self._agenda if not e.cancelled]
+            self._agenda = [e for e in self._agenda if not e[2].cancelled]
             heapq.heapify(self._agenda)
             self._cancelled_pending = 0
 
@@ -121,8 +123,8 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         event = Event(self._now + delay, self._seq, callback, args)
+        heapq.heappush(self._agenda, (event.time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._agenda, event)
         self._live += 1
         return EventHandle(event, self)
 
@@ -135,7 +137,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next event.  Returns False when the agenda is empty."""
         while self._agenda:
-            event = heapq.heappop(self._agenda)
+            event = heapq.heappop(self._agenda)[2]
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue
@@ -171,7 +173,7 @@ class Simulator:
             while self._agenda:
                 if max_events is not None and executed >= max_events:
                     return
-                head = self._agenda[0]
+                head = self._agenda[0][2]
                 if head.cancelled:
                     heapq.heappop(self._agenda)
                     self._cancelled_pending -= 1

@@ -241,6 +241,91 @@ class TestRunApplyFastPath:
         # the fold must report the same high-water mark.
         assert receiver.core.metrics.pending_high_water == 5
 
+    def test_run_fold_rewakes_waiters_of_the_counters_it_raised(self):
+        """A buffered update waits on two third-party writes and is filed
+        under the first.  A folded frame delivers that first one past a
+        non-empty buffer (the ``blocked_many`` proof holds: the second is
+        still missing); the waiter must move to the second counter, or
+        the delivery that raises it would wake nobody."""
+        graph = ShareGraph(
+            {
+                1: {"a", "as"},
+                2: {"b", "bs"},
+                3: {"s", "as", "bs"},
+                4: {"a", "b", "s"},
+            }
+        )
+        cores = {
+            r: _Harness(r, graph, EdgeIndexedPolicy(graph, r)) for r in (1, 2, 3)
+        }
+
+        def write(rid, register):
+            cores[rid].core.local_write(register, register)
+            sends = [e for e in cores[rid].effects if isinstance(e, Send)]
+            del cores[rid].effects[:]
+            return {e.dst: e.update for e in sends}
+
+        a1 = write(1, "a")[4]
+        b1 = write(2, "b")[4]
+        cores[3].core.remote_update(1, write(1, "as")[3])
+        cores[3].core.remote_update(2, write(2, "bs")[3])
+        s1 = write(3, "s")[4]  # depends on a1 and b1
+
+        policy = _CountingVectorized(graph, 4)
+        receiver = _Harness(4, graph, policy, emit_applied=True)
+        receiver.core.remote_update(3, s1)
+        assert receiver.core.blocked_on() == {3: ((1, 4), 0, 1)}
+        receiver.core.remote_batch(1, [a1])
+        assert policy.run_hits == 1  # folded past the buffered s1
+        assert receiver.core.blocked_on() == {3: ((2, 4), 0, 1)}
+        receiver.core.remote_update(2, b1)
+        assert receiver.applied_uids() == [a1.uid, b1.uid, s1.uid]
+        assert receiver.core.pending_count == 0
+
+    def test_run_fold_reexamines_its_own_sender(self):
+        """A sender's third update is buffered ahead of its first two, so
+        the sender waits for a sequence number and is filed nowhere.  The
+        frame carrying the first two folds past it (the ``blocked_many``
+        proof holds: the third also needs a third party's write).  The
+        fold must look at the sender again, as any apply does: its third
+        update is now the expected one and has to be filed under the
+        third party's counter, or that write's arrival wakes nobody."""
+        graph = ShareGraph(
+            {
+                1: {"a", "as"},
+                2: {"b", "bs"},
+                3: {"s", "as", "bs"},
+                4: {"a", "b", "s"},
+            }
+        )
+        cores = {
+            r: _Harness(r, graph, EdgeIndexedPolicy(graph, r)) for r in (2, 3)
+        }
+
+        def write(rid, register):
+            cores[rid].core.local_write(register, register)
+            sends = [e for e in cores[rid].effects if isinstance(e, Send)]
+            del cores[rid].effects[:]
+            return {e.dst: e.update for e in sends}
+
+        s1 = write(3, "s")[4]
+        s2 = write(3, "s")[4]
+        b1 = write(2, "b")[4]
+        cores[3].core.remote_update(2, write(2, "bs")[3])
+        s3 = write(3, "s")[4]  # depends on b1
+
+        policy = _CountingVectorized(graph, 4)
+        receiver = _Harness(4, graph, policy, emit_applied=True)
+        receiver.core.remote_update(3, s3)
+        assert receiver.core.queue_stats().blocked_senders == 0
+        assert receiver.core.blocked_on() == {3: ((3, 4), 0, 2)}
+        receiver.core.remote_batch(3, [s1, s2])
+        assert policy.run_hits == 1  # folded past the buffered s3
+        assert receiver.core.queue_stats().blocked_senders == 1
+        assert receiver.core.blocked_on() == {3: ((2, 4), 0, 1)}
+        receiver.core.remote_update(2, b1)
+        assert receiver.applied_uids() == [s1.uid, s2.uid, b1.uid, s3.uid]
+        assert receiver.core.pending_count == 0
 
 # ----------------------------------------------------------------------
 # Simulated systems: flush windows, differentials, config guards

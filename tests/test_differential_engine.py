@@ -3,7 +3,7 @@
 :class:`~repro.baselines.legacy.LegacyEdgeIndexedPolicy` is the verbatim
 dict-walking policy from before the plan-compiled fast paths, and --
 because it defines none of the optional engine hooks (``*_delta``,
-``readiness_deps``, ``sender_seq``) -- it also drives the replica's
+``blocking_edge``, ``sender_seq``) -- it also drives the replica's
 conservative full-rescan delivery path.  Running both policies over
 identical seeded traces must produce *byte-identical* histories and
 final timestamps: every optimization is a pure strength reduction, never
@@ -143,7 +143,7 @@ def test_legacy_policy_uses_conservative_path() -> None:
     replica = next(iter(system.replicas.values()))
     assert replica._advance_delta is None
     assert replica._merge_delta is None
-    assert replica._readiness_deps is None
+    assert replica._core._blocking_edge is None
     assert not replica._fifo
 
 
@@ -152,7 +152,7 @@ def test_optimized_policy_uses_fast_path() -> None:
     replica = next(iter(system.replicas.values()))
     assert replica._advance_delta is not None
     assert replica._merge_delta is not None
-    assert replica._readiness_deps is not None
+    assert replica._core._blocking_edge is not None
     assert replica._fifo
 
 

@@ -15,6 +15,10 @@ import random
 
 import pytest
 
+from repro.baselines.ablations import (
+    LaxSenderEdgePolicy,
+    NoThirdPartyCheckPolicy,
+)
 from repro.baselines.legacy import LegacyEdgeIndexedPolicy, LegacyReplicaCore
 from repro.core.engine import (
     Applied,
@@ -28,9 +32,14 @@ from repro.core.engine import (
     Send,
     Tick,
 )
+from repro.core.replica import Replica
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import EdgeIndexedPolicy
+from repro.core.timestamp_graph import all_timestamp_graphs
 from repro.errors import ProtocolError, UnknownRegisterError
+from repro.network.faults import ChannelFaults, FaultPlan, FaultyNetwork
+from repro.sim import Simulator
+from repro.workloads import random_placements
 
 
 class Harness:
@@ -55,6 +64,52 @@ class Harness:
             e for e in self.effects if not isinstance(e, effect_type)
         ]
         return taken
+
+
+def assert_index_consistent(core):
+    """The blocking-counter index agrees with the queues.
+
+    No waiter without a queue; every filing is fresh (some queued update
+    of that sender fails ``J`` on exactly that counter, now); and no
+    queued sender is forgotten: each is awaiting re-examination, holds a
+    candidate, is filed under the counter its head-of-line update waits
+    on, or waits for a sequence number that has not arrived.
+    """
+    queues, blocked = core._queues, core._blocked_on
+    ts, policy = core.timestamp, core.policy
+    filed = {}
+    for edge, senders in blocked.items():
+        assert senders, f"empty waiter set left under {edge!r}"
+        for sender in senders:
+            filed.setdefault(sender, set()).add(edge)
+    for sender, edges in filed.items():
+        assert queues.get(sender), f"waiter {sender!r} has no queue"
+        fresh = {
+            policy.blocking_edge(ts, sender, update.timestamp)
+            for update, _, _ in queues[sender].values()
+            if not policy.ready(ts, sender, update.timestamp)
+        }
+        assert edges <= fresh, f"stale filing for {sender!r}: {edges - fresh}"
+    if core._blocking_edge is not None:
+        for sender, queue in queues.items():
+            if sender in core._dirty or sender in core._candidates:
+                continue
+            seqmap = core._seqmaps.get(sender)
+            want = core._next_seq(ts, sender)
+            if seqmap is not None and want is not None:
+                if want not in seqmap:
+                    continue  # its enqueue (or its own apply) wakes it
+                heads = [queue[seqmap[want]][0]]
+            else:
+                heads = [update for update, _, _ in queue.values()]
+            for update in heads:
+                assert not policy.ready(ts, sender, update.timestamp)
+                assert policy.blocking_edge(
+                    ts, sender, update.timestamp
+                ) in filed.get(sender, ()), (
+                    f"queued sender {sender!r} would never be re-examined"
+                )
+    assert core.queue_stats().blocked_senders == len(filed)
 
 
 @pytest.fixture
@@ -106,11 +161,19 @@ def test_out_of_order_delivery_buffers_then_applies_in_issue_order(triangle):
     assert receiver.core.pending_count == 1
     stats = receiver.core.queue_stats()
     assert (stats.pending_total, stats.senders, stats.indexed_senders) == (1, 1, 1)
+    # "Why is u2 still pending": e_12 holds 0 and must reach 1 first
+    # (answered by the policy on demand: a sender waiting for a sequence
+    # number is not filed, its next enqueue re-examines it).
+    assert stats.blocked_senders == 0
+    assert receiver.core.blocked_on() == {1: ((1, 2), 0, 1)}
+    assert_index_consistent(receiver.core)
     receiver.core.remote_update(1, u1)  # gap closes: both apply, in order
     assert [a.update.uid for a in receiver.take(Applied)] == [u1.uid, u2.uid]
     assert receiver.core.read("x") == 2
     assert receiver.core.pending_count == 0
     assert receiver.core.queue_stats().senders == 0
+    assert receiver.core.blocked_on() == {}
+    assert_index_consistent(receiver.core)
 
 
 def test_paused_core_defers_drain_until_tick(triangle):
@@ -174,8 +237,74 @@ def test_pending_cap_sheds_buffer_and_escalates(triangle):
     assert [e.shed for e in receiver.take(RollbackChannels)] == [2]
     assert receiver.core.pending_count == 0
     assert receiver.core.metrics.updates_shed == 2
+    assert_index_consistent(receiver.core)
     receiver.core.remote_update(1, u1)  # redelivery proceeds normally
     assert receiver.core.metrics.applied_remote == 1
+
+
+def _third_party_blocked(graph):
+    """Replica 3 holding an update from 2 that waits on a write of 1."""
+    one, two = Harness(1, graph), Harness(2, graph)
+    three = Harness(3, graph, emit_applied=True)
+    one.core.local_write("y", "dep")  # 1 -> 3
+    (dep,) = (s.update for s in one.take(Send))
+    one.core.local_write("x", "seen")  # 1 -> 2, carries e_13 = 1
+    (seen,) = (s.update for s in one.take(Send))
+    two.core.remote_update(1, seen)
+    two.core.local_write("z", "after")  # 2 -> 3, depends on `dep`
+    (after,) = (s.update for s in two.take(Send))
+    three.core.remote_update(2, after)
+    assert three.core.queue_stats().blocked_senders == 1
+    assert three.core.blocked_on() == {2: ((1, 3), 0, 1)}
+    assert_index_consistent(three.core)
+    return three, dep, after
+
+
+def test_blocked_sender_is_filed_under_the_third_party_counter(triangle):
+    """An update that is next in its sender's sequence but depends on a
+    third party's write is filed under that third party's edge, and only
+    a change to that counter looks at its queue again."""
+    three, dep, after = _third_party_blocked(triangle)
+    assert three.take(Applied) == []
+    assert three.core.metrics.candidate_probes == 1
+    three.core.local_write("z", "mine")  # raises e_31, e_32: wakes nobody
+    three.core.tick()
+    assert three.core.metrics.candidate_probes == 1
+    three.core.remote_update(1, dep)  # raises e_13: wakes sender 2
+    assert [a.update.value for a in three.take(Applied)] == ["dep", "after"]
+    assert three.core.blocked_on() == {}
+    assert three.core.metrics.candidate_probes == 3
+    assert_index_consistent(three.core)
+
+
+def test_buffer_resets_keep_the_wake_index_consistent(triangle):
+    """clear/shed/install_sync/the pending setter must not leave a waiter
+    behind for a sender whose queue is gone."""
+    three, dep, after = _third_party_blocked(triangle)
+    three.core.clear_pending()
+    assert three.core.blocked_on() == {}
+    assert_index_consistent(three.core)
+
+    three, dep, after = _third_party_blocked(triangle)
+    assert three.core.shed_pending() == 1
+    assert three.core.queue_stats().blocked_senders == 0
+    assert_index_consistent(three.core)
+
+    three, dep, after = _third_party_blocked(triangle)
+    snapshot = list(three.core.pending)
+    three.core.pending = snapshot  # re-buffered: filed again on the drain
+    assert three.core.queue_stats().blocked_senders == 0
+    assert_index_consistent(three.core)
+    three.core.tick()
+    assert three.core.blocked_on() == {2: ((1, 3), 0, 1)}
+    assert_index_consistent(three.core)
+    # A snapshot covering `dep` sheds the buffer; redelivery then applies.
+    three.core.install_sync(dep.timestamp, {"y": "dep"}, {})
+    assert three.core.queue_stats().blocked_senders == 0
+    assert three.core.blocked_on() == {}
+    assert_index_consistent(three.core)
+    three.core.remote_update(2, after)
+    assert [a.update.value for a in three.take(Applied)] == ["after"]
 
 
 def test_gating_flags_suppress_effect_allocation(triangle):
@@ -197,6 +326,24 @@ def test_gating_flags_suppress_effect_allocation(triangle):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 7, 23, 91])
 def test_engine_matches_naive_rescan_oracle(seed):
+    _run_against_naive_rescan(seed, EdgeIndexedPolicy)
+
+
+@pytest.mark.parametrize(
+    "policy_cls",
+    [NoThirdPartyCheckPolicy, LaxSenderEdgePolicy],
+    ids=["no-third-party", "lax-sender-edge"],
+)
+@pytest.mark.parametrize("seed", [0, 7, 23, 91])
+def test_ablations_match_naive_rescan_oracle(seed, policy_cls):
+    """The ablation policies violate safety, and must keep violating it
+    in exactly the naive loop's apply order (a merge without the
+    third-party gate can raise *another* sender's edge, which the wake
+    index has to survive)."""
+    _run_against_naive_rescan(seed, policy_cls)
+
+
+def _run_against_naive_rescan(seed, policy_cls):
     placements = {
         1: {"x", "y"},
         2: {"x", "z"},
@@ -220,7 +367,7 @@ def test_engine_matches_naive_rescan_oracle(seed):
         return ProtocolCore(
             rid,
             graph,
-            EdgeIndexedPolicy(graph, rid),
+            policy_cls(graph, rid),
             emit,
             clock=lambda: 0.0,
             emit_applied=True,
@@ -228,7 +375,13 @@ def test_engine_matches_naive_rescan_oracle(seed):
 
     cores = {rid: make_core(rid) for rid in placements}
     oracles = {
-        rid: LegacyReplicaCore(rid, graph, LegacyEdgeIndexedPolicy(graph, rid))
+        rid: LegacyReplicaCore(
+            rid,
+            graph,
+            LegacyEdgeIndexedPolicy(graph, rid)
+            if policy_cls is EdgeIndexedPolicy
+            else policy_cls(graph, rid),
+        )
         for rid in placements
     }
     replicas = sorted(placements)
@@ -238,6 +391,7 @@ def test_engine_matches_naive_rescan_oracle(seed):
         l_dst, l_src, l_update = legacy_pool.pop(index)
         assert (dst, src, update.uid) == (l_dst, l_src, l_update.uid)
         cores[dst].remote_update(src, update)
+        assert_index_consistent(cores[dst])
         for sender, applied_update in oracles[dst].remote_update(l_src, l_update):
             legacy_applied[dst].append((sender, applied_update.uid))
 
@@ -258,5 +412,106 @@ def test_engine_matches_naive_rescan_oracle(seed):
         assert applied[rid] == legacy_applied[rid]
         assert cores[rid].store == oracles[rid].store
         assert cores[rid].timestamp == oracles[rid].timestamp
-        assert cores[rid].pending_count == 0
-        assert not oracles[rid].pending
+        # An ablation can strand an update it overtook; the safe policy
+        # never does.
+        assert cores[rid].pending_count == len(oracles[rid].pending)
+        if policy_cls is EdgeIndexedPolicy:
+            assert cores[rid].pending_count == 0
+
+
+def _record_inputs(replica, log):
+    """Log every input the replica's core receives, in order."""
+    core = replica._core
+    local_write, remote_update = core.local_write, core.remote_update
+
+    def logged_write(register, value, **kwargs):
+        log.append(("write", register, value))
+        return local_write(register, value, **kwargs)
+
+    def logged_update(src, update):
+        log.append(("recv", src, update))
+        remote_update(src, update)
+        assert_index_consistent(core)
+
+    core.local_write, core.remote_update = logged_write, logged_update
+
+
+@pytest.mark.parametrize("duplication", [0.0, 0.25], ids=["reliable", "dups"])
+def test_dense_engine_matches_naive_rescan_oracle(duplication):
+    """The bench's dense shape (24 replicas, 80 registers x 10 holders,
+    150 writes per virtual time unit: deep queues, most senders waiting
+    on a gap) against the naive rescan, per replica and byte for byte.
+
+    With ``duplication`` the raw faulty transport hands the engine
+    duplicate sequence numbers, which degrade those senders' queues to
+    the scan path (every scanned entry files its own counter).  Each
+    replica's recorded inputs are replayed through the oracle: applies
+    are a function of one replica's input order alone.
+    """
+    graph = ShareGraph(random_placements(24, 80, 10, seed=11))
+    edges = {r: tg.edges for r, tg in all_timestamp_graphs(graph).items()}
+    simulator = Simulator(seed=7)
+    network = FaultyNetwork(
+        simulator,
+        plan=FaultPlan(
+            seed=99,
+            default=ChannelFaults(duplication=duplication),
+            horizon=1e9,
+        ),
+    )
+    applied = {r: [] for r in graph.replicas}
+    inputs = {r: [] for r in graph.replicas}
+    replicas = {}
+    for rid in graph.replicas:
+        replicas[rid] = Replica(
+            rid,
+            graph,
+            EdgeIndexedPolicy(graph, rid, edges=edges[rid]),
+            network,
+            on_apply=lambda rep, src, update: applied[rep.replica_id].append(
+                (src, update.uid)
+            ),
+        )
+        _record_inputs(replicas[rid], inputs[rid])
+    rng = random.Random(5)
+    now = 0.0
+    for step in range(300):
+        now += rng.expovariate(150.0)
+        writer = rng.choice(graph.replicas)
+        shared = sorted(
+            x
+            for x in graph.registers_at(writer)
+            if len(graph.replicas_storing(x)) > 1
+        )
+        simulator.schedule_at(now, replicas[writer].write, rng.choice(shared), step)
+    simulator.run()
+
+    scanned = probes = applies = 0
+    for rid, replica in replicas.items():
+        oracle = LegacyReplicaCore(
+            rid, graph, LegacyEdgeIndexedPolicy(graph, rid, edges=edges[rid])
+        )
+        legacy_applied = []
+        for kind, a, b in inputs[rid]:
+            if kind == "write":
+                oracle.local_write(a, b)
+            else:
+                legacy_applied += [
+                    (src, u.uid) for src, u in oracle.remote_update(a, b)
+                ]
+        assert applied[rid] == legacy_applied
+        assert replica.timestamp == oracle.timestamp
+        assert replica.pending_count == len(oracle.pending)
+        stats = replica.queue_stats()
+        scanned += stats.senders - stats.indexed_senders
+        probes += replica.metrics.candidate_probes
+        applies += replica.metrics.applied_remote
+    if duplication:
+        # Late duplicates stay buffered (nothing discards them without
+        # the sync layer), so scan-path queues must survive to the end.
+        assert scanned > 0
+    else:
+        assert all(r.pending_count == 0 for r in replicas.values())
+        # Wake precision: the coarse wake set probed ~7.9 queues per apply
+        # here; one counter per blocked sender brings it to ~1.5.
+        assert probes / applies <= 2.0

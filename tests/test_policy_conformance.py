@@ -4,10 +4,13 @@ Parametrizes over :func:`repro.core.policy_registry.registered_policies`
 so a policy added to the registry is automatically held to the extended
 surface documented on :class:`repro.core.timestamp.TimestampPolicy`:
 identification, delta hooks consistent with their plain counterparts,
-seq-indexed delivery when ``exact_sender_fifo`` is claimed, the
+seq-indexed delivery when ``exact_sender_fifo`` is claimed, a
+``blocking_edge`` that makes single-counter wake-ups complete, the
 stabilization hooks when ``stabilizing`` is claimed, and (for safe
 policies) a clean end-to-end run through the real engine + checker.
 """
+
+import random
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.core.share_graph import ShareGraph
 from repro.core.system import DSMSystem
 from repro.workloads import (
     clique_placements,
+    random_placements,
     ring_placements,
     run_workload,
     uniform_writes,
@@ -116,6 +120,113 @@ def test_seq_indexed_delivery_contract(tag):
     # The receiver's next expected seq starts at 1 and follows merges.
     mine = policy.initial()
     assert policy.next_seq(mine, peer) == 1
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_blocking_edge_makes_single_counter_wakeups_complete(tag):
+    """On random timestamp pairs where ``J`` is false, ``blocking_edge``
+    names a counter of the local timestamp, and raising *only other*
+    counters never makes ``J`` true -- so the engine may sleep until
+    that one counter changes."""
+    entry = policy_entry(tag)
+    graph, rid, policy = _build(entry)
+    if not hasattr(policy, "blocking_edge"):
+        pytest.skip("no hook: the engine wakes on any change")
+    rng = random.Random(tag)
+    blocked = 0
+    for _ in range(400):
+        peer = rng.choice(graph.neighbors(rid))
+        sender = entry.factory(graph, peer)
+        ts = policy.initial()
+        ts = ts.replace({e: rng.randint(0, 3) for e in ts.index})
+        sender_ts = sender.initial()
+        sender_ts = sender_ts.replace(
+            {e: rng.randint(0, 3) for e in sender_ts.index}
+        )
+        if sender.stabilizing:
+            sender_ts = sender.update_timestamp(sender_ts, rid)
+        if policy.ready(ts, peer, sender_ts):
+            continue  # the hook is only defined while J is false
+        blocked += 1
+        edge = policy.blocking_edge(ts, peer, sender_ts)
+        assert edge in ts.index
+        if tag == "no-third-party":
+            assert edge == (peer, rid), "only the sequence conjunct exists"
+        raised = ts.replace(
+            {e: ts[e] + rng.randint(0, 3) for e in ts.index if e != edge}
+        )
+        assert not policy.ready(raised, peer, sender_ts)
+    assert blocked > 50
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_only_a_senders_own_merge_moves_its_expected_sequence(tag):
+    """The engine files nothing for a sender waiting on a sequence number
+    that has not arrived: it relies on merging a *ready* update from one
+    sender leaving every other sender's ``next_seq`` alone.  A policy
+    that cannot promise that (no third-party gate) must report an
+    unknown delta, which re-examines every queue."""
+    entry = policy_entry(tag)
+    graph, rid, policy = _build(entry)
+    if not policy.exact_sender_fifo or not hasattr(policy, "blocking_edge"):
+        pytest.skip("no seq-indexed queues, or woken on any change anyway")
+    rng = random.Random(tag)
+    merged = moved = 0
+    for _ in range(2000):
+        peer = rng.choice(graph.neighbors(rid))
+        sender = entry.factory(graph, peer)
+        ts = policy.initial()
+        ts = ts.replace({e: rng.randint(0, 2) for e in ts.index})
+        sender_ts = sender.initial()
+        sender_ts = sender_ts.replace(
+            {e: rng.randint(0, 2) for e in sender_ts.index}
+        )
+        if sender.stabilizing:
+            sender_ts = sender.update_timestamp(sender_ts, rid)
+        if not policy.ready(ts, peer, sender_ts):
+            continue
+        merged += 1
+        if hasattr(policy, "merge_delta"):
+            after, changed = policy.merge_delta(ts, peer, sender_ts)
+        else:  # the engine diffs the two timestamps: always known
+            after, changed = policy.merge(ts, peer, sender_ts), frozenset()
+        others = [k for k in graph.neighbors(rid) if k != peer]
+        if any(policy.next_seq(after, k) != policy.next_seq(ts, k) for k in others):
+            moved += 1
+            assert changed is None
+    assert merged > 20
+    assert (moved > 0) == (tag == "no-third-party")
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_engine_consults_blocking_edge_only_when_not_ready(tag):
+    entry = policy_entry(tag)
+    calls = []
+
+    def factory(graph, rid):
+        policy = entry.factory(graph, rid)
+        hook = getattr(policy, "blocking_edge", None)
+        if hook is not None:
+
+            def checked(ts, sender, sender_ts):
+                assert not policy.ready(ts, sender, sender_ts)
+                calls.append(sender)
+                return hook(ts, sender, sender_ts)
+
+            policy.blocking_edge = checked
+        return policy
+
+    placements = (
+        clique_placements(4)
+        if entry.requires_full_replication
+        else random_placements(8, 12, 4, seed=3)
+    )
+    system = DSMSystem(placements, seed=11, policy_factory=factory)
+    run_workload(system, uniform_writes(system.graph, 200, rate=50.0, seed=5))
+    # Policies whose J is the sequence conjunct alone never get asked by
+    # the engine (a sender waiting for a sequence number is not filed).
+    if tag in ("edge", "lax-sender-edge"):
+        assert calls, "workload never blocked: nothing was checked"
 
 
 @pytest.mark.parametrize("tag", TAGS)

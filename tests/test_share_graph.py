@@ -124,3 +124,16 @@ def test_to_networkx(fig3_graph):
     assert g.number_of_nodes() == 4
     assert g.number_of_edges() == 3
     assert g.edges[2, 3]["registers"] == {"y"}
+
+
+def test_recipients_is_memoized_in_a_stable_order():
+    """The simulator samples channel delays in recipient order, so every
+    call must hand back the same tuple."""
+    graph = ShareGraph({r: {"x"} for r in range(1, 9)})
+    first = graph.recipients(3, "x")
+    assert first == tuple(k for k in graph.replicas_storing("x") if k != 3)
+    assert graph.recipients(3, "x") is first
+    # A derived graph is a new object with its own memo.
+    wider = graph.with_additional_placements({1: {"y"}, 3: {"y"}})
+    assert wider.recipients(3, "y") == (1,)
+    assert graph.recipients(3, "x") is first

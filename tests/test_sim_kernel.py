@@ -202,3 +202,55 @@ def test_cancelled_head_popped_without_execution():
     sim.run()
     assert seen == ["alive"]
     assert sim.pending_events == 0
+
+
+class _Uncomparable:
+    """Stands in for callbacks/arguments that define no ordering."""
+
+    def __init__(self, seen, label):
+        self.seen, self.label = seen, label
+
+    def __call__(self, *args):
+        self.seen.append((self.label, len(args)))
+
+    def __lt__(self, other):  # pragma: no cover - must never be reached
+        raise AssertionError("the agenda compared two callbacks")
+
+    __gt__ = __le__ = __ge__ = __eq__ = __lt__
+    __hash__ = None
+
+
+def test_equal_time_events_never_compare_callbacks_or_args():
+    """Agenda entries are ``(time, seq, event)``: ties are settled by the
+    unique sequence number in C, before the event is ever looked at."""
+    sim = Simulator()
+    seen = []
+    for n in range(50):
+        sim.schedule(1.0, _Uncomparable(seen, n), _Uncomparable(seen, "arg"))
+    sim.run()
+    assert seen == [(n, 1) for n in range(50)]
+
+
+def test_compaction_purges_tuple_entries_and_keeps_order():
+    sim = Simulator()
+    seen = []
+    keep = [sim.schedule(5.0, seen.append, n) for n in range(3)]
+    doomed = [sim.schedule(2.0, seen.append, "dead") for _ in range(200)]
+    for handle in doomed:
+        handle.cancel()
+    assert sim.pending_events <= len(keep) + Simulator._COMPACT_MIN
+    late = sim.schedule(5.0, seen.append, "late")
+    keep[1].cancel()
+    sim.run()
+    assert seen == [0, 2, "late"]
+    assert sim.pending_events == 0 and sim.drained()
+    assert not late.cancelled
+
+
+def test_events_are_not_orderable():
+    from repro.sim import Event
+
+    a, b = Event(1.0, 0, print), Event(2.0, 1, print)
+    with pytest.raises(TypeError):
+        a < b  # noqa: B015
+    assert a != Event(1.0, 0, print)  # identity, not field, equality

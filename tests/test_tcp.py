@@ -478,3 +478,16 @@ class TestShutdown:
                 assert cluster.replica("b").store["x"] == "v49"
 
         drive(scenario())
+
+
+# ----------------------------------------------------------------------
+# Bench row
+# ----------------------------------------------------------------------
+def test_bench_tcp_row_reports_engine_events():
+    """``events_per_s`` on the tcp rows counts issues plus remote applies
+    (it used to be a hard-coded 0.0)."""
+    from repro.harness.bench import SCENARIOS, run_scenario
+
+    row = run_scenario(SCENARIOS["tcp-8"], quick=True, repeats=1)
+    # Every write is one issue and, on a ring, at least some applies.
+    assert row.events_per_s > row.ops_per_s > 0
