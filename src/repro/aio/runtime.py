@@ -3,10 +3,11 @@
 Each replica is an ``asyncio`` task consuming an inbox queue; sends go
 through per-message ``asyncio.sleep`` with jittered delays, so channels
 are reliable but non-FIFO exactly as in Section 2's model.  Replicas are
-thin adapters over the shared sans-I/O
-:class:`~repro.core.engine.ProtocolCore` -- the same delivery engine
-(per-sender queues, wake sets, seq-indexed candidates) and the same
-policy objects as the simulator runtime; only the transport differs.
+:class:`~repro.core.engine.CoreAdapter` subclasses over the shared
+sans-I/O :class:`~repro.core.engine.ProtocolCore` -- the same delivery
+engine (per-sender queues, wake sets, seq-indexed candidates), the same
+effect dispatcher and batch window, and the same policy objects as the
+simulator runtime; only the transport (the inbox task) differs.
 
 Wall-clock timestamps recorded into the :class:`History` are only used
 for reporting; happened-before is derived from event order, which the
@@ -18,31 +19,19 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Set, Tuple
 
 from repro.core.causality import History
-from repro.core.engine import (
-    Applied,
-    BatchAccumulator,
-    Effect,
-    ProtocolCore,
-    QueueStats,
-    RecordHistory,
-    ReplicaMetrics,
-    Send,
-    SendBatch,
-    SendStabilize,
-    StabilizeFrame,
-    UpdateBatch,
-)
+from repro.core.engine import CoreAdapter, UpdateBatch
+from repro.core.engine.adapter import _AdapterSet
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import EdgeIndexedPolicy, Timestamp, TimestampPolicy
+from repro.core.timestamp import EdgeIndexedPolicy, TimestampPolicy
 from repro.core.timestamp_graph import all_timestamp_graphs
 from repro.errors import ConfigurationError, ProtocolError
 from repro.types import RegisterName, ReplicaId, Update, UpdateId
 
 
-class AioReplica:
+class AioReplica(CoreAdapter):
     """One replica task: the shared protocol core behind an asyncio inbox."""
 
     def __init__(
@@ -52,151 +41,51 @@ class AioReplica:
         policy: TimestampPolicy,
         system: "AioDSMSystem",
     ) -> None:
-        self.replica_id = replica_id
-        self.graph = graph
-        self.policy = policy
         self.system = system
-        self.core = ProtocolCore(
+        super().__init__(
             replica_id,
             graph,
             policy,
-            self._on_effect,
-            clock=system.clock,
-            record_history=True,
+            system.clock,
+            history=system.history,
+            # Flush window in loop seconds; 0 disables it.
+            batch_window=system.batch_window,
+            batch_max=system.batch_max,
             size_wire=False,
         )
         self.inbox: "asyncio.Queue[Tuple[ReplicaId, Any]]" = asyncio.Queue()
-        self._on_apply = None
-        # Send-side batching: coalesce per destination for the system's
-        # flush window (loop seconds); 0 disables it.
-        self._batcher = (
-            BatchAccumulator(system.batch_max)
-            if system.batch_window > 0
-            else None
-        )
-        self._flush_handle: Any = None
 
-    # -- effect dispatch -------------------------------------------------
-    def _on_effect(self, eff: Effect) -> None:
-        cls = eff.__class__
-        if cls is Send:
-            if self._batcher is not None:
-                frame = self._batcher.add(eff.dst, eff.update)
-                if frame is not None:
-                    self._post_frame(frame)
-                if self._batcher.pending and self._flush_handle is None:
-                    loop = asyncio.get_running_loop()
-                    self._flush_handle = loop.call_later(
-                        self.system.batch_window, self._flush_batches
-                    )
-                return
-            self.system.post(self.replica_id, eff.dst, eff.update)
-        elif cls is Applied:
-            if self._on_apply is not None:
-                self._on_apply(self, eff.src, eff.update)
-        elif cls is RecordHistory:
-            if eff.kind == "apply":
-                self.system.history.record_apply(
-                    self.replica_id, eff.uid, eff.time
-                )
-            elif eff.kind == "visible":
-                self.system.history.record_visible(
-                    self.replica_id, eff.uid, eff.time
-                )
-            else:
-                self.system.history.record_issue(
-                    self.replica_id, eff.uid, eff.register, eff.time
-                )
-        elif cls is SendStabilize:
-            # Stabilize frames bypass the batcher: the cut should advance
-            # promptly, and frames are tiny.
-            self.system.post(self.replica_id, eff.dst, eff.frame)
-        else:  # pragma: no cover - no other effects are enabled
-            raise ProtocolError(f"unexpected effect {eff!r}")
+    # -- the skeleton's two primitives -----------------------------------
+    def _transmit(
+        self,
+        dst: ReplicaId,
+        message: Any,
+        metadata_counters: int,
+        wire_bytes: int,
+    ) -> None:
+        self.system.post(self.replica_id, dst, message)
 
-    # -- send-side batching ----------------------------------------------
-    def _post_frame(self, frame: SendBatch) -> None:
-        self.system.post(
-            self.replica_id, frame.dst, UpdateBatch(frame.updates)
-        )
-
-    def _flush_batches(self) -> None:
-        self._flush_handle = None
-        if self._batcher is None:
-            return
-        for frame in self._batcher.flush():
-            self._post_frame(frame)
-
-    @property
-    def outbox_pending(self) -> int:
-        """Updates buffered in the send-side batcher (0 when batching is off)."""
-        return 0 if self._batcher is None else self._batcher.pending
-
-    # -- core state views ------------------------------------------------
-    @property
-    def store(self) -> Dict[RegisterName, Any]:
-        return self.core.store
-
-    @property
-    def timestamp(self) -> Timestamp:
-        return self.core.timestamp
+    def _call_later(self, delay: float, fn: Callable[[], None]) -> Any:
+        return asyncio.get_running_loop().call_later(delay, fn)
 
     @property
     def pending(self) -> List[Tuple[ReplicaId, Update]]:
         """Buffered updates as ``(sender, update)`` in arrival order."""
         return [(src, update) for src, update, _ in self.core.pending]
 
-    @property
-    def metrics(self) -> ReplicaMetrics:
-        return self.core.metrics
-
-    def queue_stats(self) -> QueueStats:
-        return self.core.queue_stats()
-
-    @property
-    def on_apply(self):
-        """Post-apply hook ``(replica, src, update)``, as in the simulator."""
-        return self._on_apply
-
-    @on_apply.setter
-    def on_apply(self, hook) -> None:
-        self._on_apply = hook
-        self.core.emit_applied = hook is not None
-
     # -- client operations ---------------------------------------------
-    def read(self, register: RegisterName) -> Any:
-        return self.core.read(register)
-
     async def write(self, register: RegisterName, value: Any) -> UpdateId:
         return self.core.local_write(register, value)
-
-    # -- global stabilization (repro.gst) --------------------------------
-    def stabilize(self) -> None:
-        """One stabilization round (no-op for non-stabilizing policies)."""
-        self.core.stabilize()
-
-    @property
-    def stabilizing(self) -> bool:
-        return self.core.visible_store is not None
-
-    @property
-    def unstable_count(self) -> int:
-        return self.core.unstable_count
 
     # -- update delivery -------------------------------------------------
     async def run(self) -> None:
         """Consume the inbox forever (cancelled by the system)."""
         while True:
             src, message = await self.inbox.get()
-            if isinstance(message, StabilizeFrame):
-                self.core.receive_stabilize(src, message)
-                self.system.events_processed += 1
-            elif isinstance(message, UpdateBatch):
-                self.core.remote_batch(src, message.updates)
-                self.system.events_processed += len(message.updates)
-            else:
-                self.core.remote_update(src, message)
-                self.system.events_processed += 1
+            self._deliver(src, message)
+            self.system.events_processed += (
+                len(message) if isinstance(message, UpdateBatch) else 1
+            )
             self.system.note_progress()
 
 
@@ -219,7 +108,7 @@ class AioSystemMetrics:
     events_processed: int = 0
 
 
-class AioDSMSystem:
+class AioDSMSystem(_AdapterSet):
     """A live asyncio DSM: create inside a running event loop.
 
     Usage::
@@ -286,7 +175,10 @@ class AioDSMSystem:
             rid: AioReplica(rid, self.graph, policy_factory(self.graph, rid), self)
             for rid in self.graph.replicas
         }
-        self._tasks: List[asyncio.Task] = []
+        self._tasks: List[asyncio.Task] = []  # the replicas' run() loops
+        # In-flight deliveries; each discards itself on completion, so a
+        # long run does not retain one finished Task per message.
+        self._deliveries: Set[asyncio.Task] = set()
         self._in_flight = 0
         self._progress = asyncio.Event()
         self.messages_sent = 0
@@ -304,9 +196,10 @@ class AioDSMSystem:
 
     async def __aexit__(self, *exc) -> None:
         await self.settle()
-        for task in self._tasks:
+        tasks = [*self._tasks, *self._deliveries]
+        for task in tasks:
             task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     def clock(self) -> float:
         loop = asyncio.get_running_loop()
@@ -327,7 +220,9 @@ class AioDSMSystem:
                 self._in_flight -= 1
                 self.note_progress()
 
-        self._tasks.append(asyncio.ensure_future(deliver()))
+        task = asyncio.ensure_future(deliver())
+        self._deliveries.add(task)
+        task.add_done_callback(self._deliveries.discard)
 
     def note_progress(self) -> None:
         self._progress.set()
@@ -368,14 +263,6 @@ class AioDSMSystem:
                 continue
 
     # -- global stabilization (repro.gst) --------------------------------
-    @property
-    def stabilizing(self) -> bool:
-        return any(r.stabilizing for r in self.replicas.values())
-
-    def stabilize_all(self) -> None:
-        for replica in self.replicas.values():
-            replica.stabilize()
-
     async def settle_visibility(self, max_rounds: int = 0) -> int:
         """Settle, then drive stabilization rounds until all updates are
         visible (asyncio analogue of ``DSMSystem.settle_visibility``)."""
@@ -385,7 +272,7 @@ class AioDSMSystem:
         if max_rounds <= 0:
             max_rounds = 3 * len(self.replicas) + 5
         rounds = 0
-        while any(r.unstable_count for r in self.replicas.values()):
+        while not self.stable():
             if rounds >= max_rounds:
                 raise ProtocolError(
                     f"visibility did not settle in {max_rounds} rounds"
@@ -412,16 +299,4 @@ class AioDSMSystem:
                 (r.metrics.apply_delay_max for r in replicas), default=0.0
             ),
             events_processed=self.events_processed,
-        )
-
-    def check(self, require_liveness: bool = True, visibility=None):
-        from repro.checker import check_history
-
-        if visibility is None:
-            visibility = self.stabilizing
-        return check_history(
-            self.history,
-            self.graph,
-            require_liveness=require_liveness,
-            visibility=visibility,
         )

@@ -16,12 +16,13 @@ specified in Appendix E.5:
 Clients are sequential: one outstanding operation, the next is sent only
 after the response arrives (plus an optional think time).
 
-Replicas are adapters over the shared sans-I/O
-:class:`~repro.core.engine.ProtocolCore`: ``J3`` and ``merge3`` are the
-base :class:`~repro.core.timestamp.EdgeIndexedPolicy` predicate and merge
-over the augmented edge set, and the client-floored ``advance`` is the
-:class:`AugmentedServerPolicy` extension below.  Only the session layer
-(request buffering behind ``J1``/``J2``, dedup, responses) lives here.
+Replicas are :class:`~repro.core.engine.CoreAdapter` subclasses over the
+shared sans-I/O :class:`~repro.core.engine.ProtocolCore`: ``J3`` and
+``merge3`` are the base :class:`~repro.core.timestamp.EdgeIndexedPolicy`
+predicate and merge over the augmented edge set, and the client-floored
+``advance`` is the :class:`AugmentedServerPolicy` extension below.  Only
+the session layer (request buffering behind ``J1``/``J2``, dedup,
+responses) lives here.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -44,19 +45,8 @@ from repro.clientserver.augmented import (
     all_augmented_timestamp_graphs,
 )
 from repro.core.causality import AccessToken, History
-from repro.core.engine import (
-    BatchAccumulator,
-    Effect,
-    ProtocolCore,
-    QueueStats,
-    RecordHistory,
-    ReplicaMetrics,
-    Send,
-    SendBatch,
-    SendStabilize,
-    StabilizeFrame,
-    UpdateBatch,
-)
+from repro.core.engine import CoreAdapter, ReplicaMetrics
+from repro.core.engine.adapter import _AdapterSet
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import EdgeIndexedPolicy, Timestamp
 from repro.errors import (
@@ -169,7 +159,7 @@ class AugmentedServerPolicy(EdgeIndexedPolicy):
         return Timestamp(counters)
 
 
-class CSReplica:
+class CSReplica(CoreAdapter):
     """A server replica: the shared protocol core plus a session layer.
 
     Inter-replica updates flow straight into the engine (``J3`` delivery
@@ -184,32 +174,22 @@ class CSReplica:
         replica_id: ReplicaId,
         graph: ShareGraph,
         edges: FrozenSet[Edge],
-        peer_edges: Mapping[ReplicaId, FrozenSet[Edge]],
         network: Network,
         history: Optional[History] = None,
         batch_window: float = 0.0,
         batch_max: int = 64,
     ) -> None:
-        self.replica_id = replica_id
-        self.graph = graph
         self.edges = frozenset(edges)
-        self._peer_edges = dict(peer_edges)
         self.network = network
-        self.history = history
-        self.policy = AugmentedServerPolicy(graph, replica_id, edges=edges)
-        self._batch_window = batch_window
-        self._batcher: Optional[BatchAccumulator] = (
-            BatchAccumulator(batch_max) if batch_window > 0 else None
-        )
-        self._flush_scheduled = False
         simulator = network.simulator
-        self._core = ProtocolCore(
+        super().__init__(
             replica_id,
             graph,
-            self.policy,
-            self._on_effect,
-            clock=lambda: simulator.now,
-            record_history=history is not None,
+            AugmentedServerPolicy(graph, replica_id, edges=edges),
+            lambda: simulator.now,
+            history=history,
+            batch_window=batch_window,
+            batch_max=batch_max,
             size_wire=False,
         )
         self.buffered_requests: List[Tuple[ClientId, Any]] = []
@@ -224,114 +204,28 @@ class CSReplica:
         )
         network.register(replica_id, self.on_message)
 
-    # -- engine adapter --------------------------------------------------
-    def _on_effect(self, eff: Effect) -> None:
-        cls = eff.__class__
-        if cls is Send:
-            if self._batcher is not None:
-                frame = self._batcher.add(
-                    eff.dst, eff.update, eff.metadata_counters, 0
-                )
-                if frame is not None:
-                    self._send_frame(frame)
-                if self._batcher.pending and not self._flush_scheduled:
-                    self._flush_scheduled = True
-                    self.network.simulator.schedule(
-                        self._batch_window, self._flush_batches
-                    )
-                return
-            self.network.send(
-                self.replica_id,
-                eff.dst,
-                eff.update,
-                metadata_counters=eff.metadata_counters,
-            )
-        elif cls is RecordHistory:
-            assert self.history is not None
-            if eff.kind == "apply":
-                self.history.record_apply(self.replica_id, eff.uid, eff.time)
-            elif eff.kind == "visible":
-                self.history.record_visible(self.replica_id, eff.uid, eff.time)
-            else:
-                self.history.record_issue(
-                    self.replica_id,
-                    eff.uid,
-                    eff.register,
-                    eff.time,
-                    client=eff.client,
-                )
-        elif cls is SendStabilize:
-            self.network.send(
-                self.replica_id,
-                eff.dst,
-                eff.frame,
-                metadata_counters=len(eff.frame.entries) + 2,
-            )
-        else:  # pragma: no cover - no other effects are enabled
-            raise ProtocolError(f"unexpected effect {eff!r}")
+    # -- the skeleton's two primitives -----------------------------------
+    def _transmit(
+        self,
+        dst: ReplicaId,
+        message: Any,
+        metadata_counters: int,
+        wire_bytes: int,
+    ) -> None:
+        self.network.send(self.replica_id, dst, message, metadata_counters)
 
-    # -- send-side batching ----------------------------------------------
-    def _send_frame(self, frame: SendBatch) -> None:
-        self.network.send(
-            self.replica_id,
-            frame.dst,
-            UpdateBatch(frame.updates),
-            metadata_counters=frame.metadata_counters,
-        )
-
-    def _flush_batches(self) -> None:
-        self._flush_scheduled = False
-        if self._batcher is None:
-            return
-        for frame in self._batcher.flush():
-            self._send_frame(frame)
-
-    @property
-    def outbox_pending(self) -> int:
-        """Updates buffered in the send-side batcher (0 when batching is off)."""
-        return 0 if self._batcher is None else self._batcher.pending
-
-    @property
-    def store(self) -> Dict[RegisterName, Any]:
-        return self._core.store
-
-    @property
-    def timestamp(self) -> Timestamp:
-        return self._core.timestamp
+    def _call_later(self, delay: float, fn: Callable[[], None]) -> Any:
+        return self.network.simulator.schedule(delay, fn)
 
     @property
     def pending_updates(self) -> List[Tuple[ReplicaId, Update]]:
         """Buffered inter-replica updates as ``(sender, update)`` pairs."""
-        return [(src, update) for src, update, _ in self._core.pending]
-
-    @property
-    def _seq(self) -> int:
-        return self._core.seq
-
-    @property
-    def metrics(self) -> ReplicaMetrics:
-        return self._core.metrics
-
-    def queue_stats(self) -> QueueStats:
-        return self._core.queue_stats()
-
-    # -- global stabilization (repro.gst plumbing) -----------------------
-    def stabilize(self) -> None:
-        """One stabilization round (no-op under non-stabilizing policies)."""
-        self._core.stabilize()
-
-    @property
-    def stabilizing(self) -> bool:
-        return self._core.visible_store is not None
-
-    @property
-    def unstable_count(self) -> int:
-        return self._core.unstable_count
+        return [(src, update) for src, update, _ in self.core.pending]
 
     # -- session predicate (Appendix E.5) --------------------------------
     def _session_ready(self, mu: Timestamp) -> bool:
         """``J1 = J2``: the replica has caught up with the client."""
-        ts = self._core.timestamp
+        ts = self.core.timestamp
         for e in self._incoming:
             client_val = mu.get(e)
             if client_val is not None and ts[e] < client_val:
@@ -340,16 +234,10 @@ class CSReplica:
 
     # -- message handling ----------------------------------------------
     def on_message(self, src: ReplicaId, message: Any) -> None:
-        if isinstance(message, Update):
-            self._core.remote_update(src, message)
-        elif isinstance(message, UpdateBatch):
-            self._core.remote_batch(src, message.updates)
-        elif isinstance(message, StabilizeFrame):
-            self._core.receive_stabilize(src, message)
-        elif isinstance(message, (ReadRequest, WriteRequest)):
+        if isinstance(message, (ReadRequest, WriteRequest)):
             self.buffered_requests.append((src, message))
-        else:  # pragma: no cover - wiring guard
-            raise ProtocolError(f"unexpected message {message!r}")
+        else:
+            self._deliver(src, message)
         self._pump()
 
     def _pump(self) -> None:
@@ -370,7 +258,7 @@ class CSReplica:
                     progress = True
                     break
             if progress:
-                self._core.tick()
+                self.core.tick()
 
     def _serve(self, client: ClientId, request: Any) -> None:
         served = self._served.get(client)
@@ -388,8 +276,8 @@ class CSReplica:
         if isinstance(request, ReadRequest):
             response: Any = ReadResponse(
                 request.register,
-                self._core.read(request.register),
-                self._core.timestamp,
+                self.core.read(request.register),
+                self.core.timestamp,
                 request_id=request.request_id,
                 access_token=self._token(),
             )
@@ -399,7 +287,7 @@ class CSReplica:
         # WriteRequest: the engine stamps, stores, records, and multicasts;
         # the mu floor rides in as this write's advance override.
         mu = request.timestamp
-        uid = self._core.local_write(
+        uid = self.core.local_write(
             request.register,
             request.value,
             advance=lambda ts, reg: self.policy.advance_with_floor(
@@ -408,7 +296,7 @@ class CSReplica:
             client=client,
         )
         response = WriteResponse(
-            request.register, uid, self._core.timestamp,
+            request.register, uid, self.core.timestamp,
             request_id=request.request_id,
             access_token=self._token(),
         )
@@ -431,7 +319,7 @@ class CSReplica:
     def __repr__(self) -> str:
         return (
             f"CSReplica({self.replica_id!r}, "
-            f"pending={self._core.pending_count}, "
+            f"pending={self.core.pending_count}, "
             f"buffered={len(self.buffered_requests)})"
         )
 
@@ -676,7 +564,7 @@ class CSClient:
 # ----------------------------------------------------------------------
 # System wiring
 # ----------------------------------------------------------------------
-class ClientServerSystem:
+class ClientServerSystem(_AdapterSet):
     """A complete simulated client-server DSM (Figure 1b)."""
 
     def __init__(
@@ -732,13 +620,11 @@ class ClientServerSystem:
         graphs = all_augmented_timestamp_graphs(
             self.graph, self.assignment, max_loop_len=max_loop_len
         )
-        peer_edges = {r: g.edges for r, g in graphs.items()}
         self.replicas: Dict[ReplicaId, CSReplica] = {
             rid: CSReplica(
                 rid,
                 self.graph,
                 graphs[rid].edges,
-                peer_edges,
                 self.network,
                 self.history,
                 batch_window=batch_window,
@@ -790,31 +676,9 @@ class ClientServerSystem:
         return all(c.done for c in self.clients.values())
 
     # -- global stabilization (repro.gst plumbing) -----------------------
-    @property
-    def stabilizing(self) -> bool:
-        return any(r.stabilizing for r in self.replicas.values())
-
-    def stabilize_all(self) -> None:
-        """One cluster-wide stabilization round (frames deliver on run)."""
-        for replica in self.replicas.values():
-            replica.stabilize()
-
     def schedule_stabilize(self, time: float) -> None:
         """Schedule a cluster-wide stabilization round at ``time``."""
         self.simulator.schedule_at(time, self.stabilize_all)
-
-    def check(self, require_liveness: bool = True, visibility=None):
-        """Verify Definition 26 (including session safety)."""
-        from repro.checker import check_history
-
-        if visibility is None:
-            visibility = self.stabilizing
-        return check_history(
-            self.history,
-            self.graph,
-            require_liveness=require_liveness,
-            visibility=visibility,
-        )
 
     def metadata_counters(self) -> Dict[ReplicaId, int]:
         """Timestamp length per replica under the augmented timestamp graph."""

@@ -64,7 +64,7 @@ class LWWSystem:
             rid: 0 for rid in self.system.graph.replicas
         }
         for replica in self.system.replicas.values():
-            replica._value_merge = _merge
+            replica.core._value_merge = _merge
 
     @property
     def graph(self) -> ShareGraph:

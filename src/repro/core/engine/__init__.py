@@ -4,16 +4,19 @@ This package is the Section 2.1 algorithm prototype as a *pure state
 machine*: :class:`ProtocolCore` owns the store, the timestamp engine, the
 per-sender delivery queues with their readiness wake-sets, the value-debt
 ledger, and the pending-cap/gap backpressure -- and it performs no I/O.
-Inputs arrive as typed events (:mod:`repro.core.engine.events`) or direct
-method calls; everything the outside world must do in response is emitted
-as a typed effect (:mod:`repro.core.engine.effects`) through a callback
-the adapter supplies.
+Inputs arrive as direct method calls (``local_write``, ``remote_update``,
+``remote_batch``, ``receive_stabilize``, ``install_sync``, ``tick``);
+everything the outside world must do in response is emitted as a typed
+effect (:mod:`repro.core.engine.effects`) through a callback the adapter
+supplies.
 
 The simulator (:class:`repro.core.replica.Replica`), asyncio
-(:class:`repro.aio.runtime.AioReplica`), and client-server
-(:class:`repro.clientserver.protocol.CSReplica`) runtimes are thin
-adapters over this one engine; they translate effects into their own
-transports and never reimplement delivery.
+(:class:`repro.aio.runtime.AioReplica`), client-server
+(:class:`repro.clientserver.protocol.CSReplica`) and TCP
+(:class:`repro.tcp.runtime.TcpReplicaServer`) runtimes are subclasses of
+one skeleton, :class:`CoreAdapter`, which owns the effect dispatcher,
+the send-side batch window, the history fan-out and the inbound demux;
+they supply a transport and never reimplement delivery.
 """
 
 from repro.core.engine.batching import BatchAccumulator, UpdateBatch
@@ -26,44 +29,27 @@ from repro.core.engine.effects import (
     RecordHistory,
     RollbackChannels,
     Send,
-    SendBatch,
     SendStabilize,
-)
-from repro.core.engine.events import (
-    Event,
-    LocalWrite,
-    RemoteBatch,
-    RemoteStabilize,
-    RemoteUpdate,
-    StabilizeTick,
-    SyncInstall,
-    Tick,
 )
 from repro.core.engine.metrics import QueueStats, ReplicaMetrics
 from repro.core.engine.stabilization import StabilizationState, StabilizeFrame
+from repro.core.engine.adapter import CoreAdapter
 
 __all__ = [
     "Applied",
     "BatchAccumulator",
     "ConfirmApplied",
+    "CoreAdapter",
     "Effect",
     "EscalateSync",
-    "Event",
-    "LocalWrite",
     "ProtocolCore",
     "QueueStats",
     "RecordHistory",
-    "RemoteBatch",
-    "RemoteStabilize",
-    "RemoteUpdate",
     "ReplicaMetrics",
     "RollbackChannels",
     "Send",
-    "SendBatch",
     "SendStabilize",
     "StabilizationState",
     "StabilizeFrame",
-    "StabilizeTick",
-    "SyncInstall",
-    "Tick",
+    "UpdateBatch",
 ]

@@ -6,19 +6,22 @@ adapter knows its transport's framing and its runtime's notion of a
 flush window (virtual time in the simulator, loop time under asyncio,
 ``call_later`` on the TCP links).  The pieces here are runtime-neutral:
 
-* :class:`UpdateBatch` -- the transport-level envelope, one sender's
-  updates for one destination in send order.  Adapters pass it through
-  their existing message path; receivers unwrap it into a single
+* :class:`UpdateBatch` -- the one frame type, one sender's updates for
+  one destination in send order, with the summed transport accounting.
+  The adapter skeleton passes it through the runtime's existing message
+  path as is; receivers unwrap it into a single
   ``ProtocolCore.remote_batch`` call so readiness bookkeeping runs once
   per frame instead of once per update.
 * :class:`BatchAccumulator` -- buffers ``Send`` effects per destination
-  and hands back :class:`~repro.core.engine.effects.SendBatch` frames,
-  either eagerly when a destination reaches ``max_updates`` or when the
-  adapter's flush window closes.
+  and hands back :class:`UpdateBatch` frames, either eagerly when a
+  destination reaches ``max_updates`` or when the adapter's flush window
+  closes.
 
-The accumulator never owns a timer: the adapter decides *when* to call
-:meth:`BatchAccumulator.flush`, which is what keeps this module pure and
-the flush-window semantics per-runtime.
+The accumulator never owns a timer: the adapter skeleton
+(:mod:`repro.core.engine.adapter`) decides *when* to call
+:meth:`BatchAccumulator.flush` through the runtime's ``_call_later``,
+which is what keeps this module pure and the flush-window semantics
+per-runtime.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.engine.effects import SendBatch
 from repro.types import ReplicaId, Update
 
 
@@ -36,10 +38,15 @@ class UpdateBatch:
 
     ``updates`` preserves send order; predicate-J delivery does the
     actual ordering work, the envelope just amortizes per-message
-    transport and bookkeeping costs.
+    transport and bookkeeping costs.  ``metadata_counters`` and
+    ``wire_bytes`` are the sums over the member updates, so transport
+    accounting matches the unbatched path to the byte.
     """
 
+    dst: ReplicaId
     updates: Tuple[Update, ...]
+    metadata_counters: int = 0
+    wire_bytes: int = 0
 
     def __len__(self) -> int:
         return len(self.updates)
@@ -87,7 +94,7 @@ class BatchAccumulator:
         update: Update,
         metadata_counters: int = 0,
         wire_bytes: int = 0,
-    ) -> Optional[SendBatch]:
+    ) -> Optional[UpdateBatch]:
         """Buffer one outgoing update; returns a frame if ``dst`` is full."""
         buf = self._buffers.get(dst)
         if buf is None:
@@ -100,19 +107,19 @@ class BatchAccumulator:
             return self._drain_dst(dst, buf)
         return None
 
-    def _drain_dst(self, dst: ReplicaId, buf: _DestBuffer) -> SendBatch:
+    def _drain_dst(self, dst: ReplicaId, buf: _DestBuffer) -> UpdateBatch:
         del self._buffers[dst]
         self._pending -= len(buf.updates)
-        return SendBatch(
+        return UpdateBatch(
             dst, tuple(buf.updates), buf.counters, buf.wire_bytes
         )
 
-    def flush(self) -> List[SendBatch]:
+    def flush(self) -> List[UpdateBatch]:
         """Close the window: one frame per destination, insertion order."""
         if not self._buffers:
             return []
         frames = [
-            SendBatch(dst, tuple(buf.updates), buf.counters, buf.wire_bytes)
+            UpdateBatch(dst, tuple(buf.updates), buf.counters, buf.wire_bytes)
             for dst, buf in self._buffers.items()
         ]
         self._buffers.clear()

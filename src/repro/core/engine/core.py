@@ -58,16 +58,6 @@ from repro.core.engine.effects import (
     Send,
     SendStabilize,
 )
-from repro.core.engine.events import (
-    Event,
-    LocalWrite,
-    RemoteBatch,
-    RemoteStabilize,
-    RemoteUpdate,
-    StabilizeTick,
-    SyncInstall,
-    Tick,
-)
 from repro.core.engine.metrics import QueueStats, ReplicaMetrics
 from repro.core.engine.stabilization import StabilizationState, StabilizeFrame
 from repro.core.share_graph import ShareGraph
@@ -293,49 +283,6 @@ class ProtocolCore:
         self.gap_threshold: Optional[int] = None
         self.sync_armed = False
         self._value_debt: Dict[RegisterName, UpdateId] = {}
-
-    # ------------------------------------------------------------------
-    # Event interface
-    # ------------------------------------------------------------------
-    def handle(self, event: Event) -> Optional[UpdateId]:
-        """Dispatch one typed input event (see :mod:`.events`).
-
-        Adapters on a hot path may call the underlying methods directly;
-        this wrapper exists for symmetry with the effect stream and for
-        driving the core from data (tests, replays).
-        """
-        cls = event.__class__
-        if cls is RemoteUpdate:
-            assert isinstance(event, RemoteUpdate)
-            self.remote_update(event.src, event.update)
-            return None
-        if cls is RemoteBatch:
-            assert isinstance(event, RemoteBatch)
-            self.remote_batch(event.src, event.updates)
-            return None
-        if cls is LocalWrite:
-            assert isinstance(event, LocalWrite)
-            return self.local_write(
-                event.register,
-                event.value,
-                payload=event.payload,
-                client=event.client,
-            )
-        if cls is SyncInstall:
-            assert isinstance(event, SyncInstall)
-            self.install_sync(event.timestamp, event.values, event.value_debt)
-            return None
-        if cls is Tick:
-            self.tick()
-            return None
-        if cls is StabilizeTick:
-            self.stabilize()
-            return None
-        if cls is RemoteStabilize:
-            assert isinstance(event, RemoteStabilize)
-            self.receive_stabilize(event.src, event.frame)
-            return None
-        raise ProtocolError(f"unexpected event {event!r}")
 
     # ------------------------------------------------------------------
     # Client operations (prototype steps 1-2)

@@ -19,7 +19,7 @@ runtimes only pay for the effects they use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.types import RegisterName, ReplicaId, Update, UpdateId
 
@@ -35,23 +35,6 @@ class Send:
 
     dst: ReplicaId
     update: Update
-    metadata_counters: int
-    wire_bytes: int
-
-
-@dataclass(slots=True)
-class SendBatch:
-    """Transmit one frame carrying ``updates`` to replica ``dst``.
-
-    Produced by the adapter-side
-    :class:`~repro.core.engine.batching.BatchAccumulator` when a flush
-    window closes; ``metadata_counters`` and ``wire_bytes`` are the sums
-    over the member updates, so transport accounting matches the
-    unbatched path to the byte.
-    """
-
-    dst: ReplicaId
-    updates: Tuple[Update, ...]
     metadata_counters: int
     wire_bytes: int
 
@@ -77,7 +60,7 @@ class SendStabilize:
     """Transmit a stabilization frame to share-graph neighbour ``dst``.
 
     Emitted only by stabilizing (GST) policies during a
-    :class:`~repro.core.engine.events.StabilizeTick` round.
+    :meth:`~repro.core.engine.core.ProtocolCore.stabilize` round.
     ``wire_bytes`` is the encoded frame size for transport accounting.
     """
 
@@ -124,7 +107,6 @@ class RollbackChannels:
 
 Effect = Union[
     Send,
-    SendBatch,
     SendStabilize,
     RecordHistory,
     ConfirmApplied,

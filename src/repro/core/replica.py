@@ -14,12 +14,15 @@ A :class:`Replica` implements the four steps of the prototype literally:
 All four steps -- and everything algorithm-specific around them (the
 timestamp engine, the per-sender delivery queues with readiness wake
 sets, value debts, pending-cap/gap backpressure) -- live in the shared
-sans-I/O :class:`~repro.core.engine.ProtocolCore`.  This class is the
-*simulator adapter*: it translates the core's typed effects into calls
-on the simulated :class:`~repro.network.transport.Network`, the global
-:class:`~repro.core.causality.History`, and the reliable transport's
-confirmation/rollback hooks, and it owns what is genuinely operational
--- crash/recovery, pause/resume, snapshots.
+sans-I/O :class:`~repro.core.engine.ProtocolCore` (``replica.core``), and
+everything transport-independent about adapting it -- effect dispatch,
+the batch window, history recording, the inbound demux, the core views
+-- in the shared :class:`~repro.core.engine.CoreAdapter` skeleton.  This
+class is the *simulator adapter*: it supplies the simulated
+:class:`~repro.network.transport.Network` as the transport and the
+simulator as the timer, wires the reliable transport's
+confirmation/rollback hooks, and owns what is genuinely operational --
+crash/recovery, pause/resume, snapshots, the sync-layer contract.
 
 Dummy registers (Appendix D) are supported natively: a register in
 ``dummy_registers`` is tracked in the timestamp but has no stored copy; its
@@ -28,7 +31,7 @@ updates arrive as metadata-only messages and never touch the store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     AbstractSet,
     Any,
@@ -43,21 +46,11 @@ from typing import (
 
 from repro.core.causality import History
 from repro.core.engine import (
-    Applied,
-    BatchAccumulator,
     ConfirmApplied,
-    Effect,
+    CoreAdapter,
     EscalateSync,
-    ProtocolCore,
-    QueueStats,
-    RecordHistory,
     ReplicaMetrics,
     RollbackChannels,
-    Send,
-    SendBatch,
-    SendStabilize,
-    StabilizeFrame,
-    UpdateBatch,
 )
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import Timestamp, TimestampPolicy
@@ -92,7 +85,7 @@ class ReplicaSnapshot:
 ApplyHook = Callable[["Replica", ReplicaId, Update], None]
 
 
-class Replica:
+class Replica(CoreAdapter):
     """One peer's replica: the shared protocol core behind the simulator.
 
     Parameters
@@ -135,136 +128,64 @@ class Replica:
         batch_window: float = 0.0,
         batch_max: int = 64,
     ) -> None:
-        self.replica_id = replica_id
-        self.graph = graph
-        self.policy = policy
         self.network = network
-        self.history = history
-        self._on_apply = on_apply
         self._on_sync_needed: Optional[Callable[[ReplicaId, str], None]] = None
         self._crashed = False
-        # Send-side batching: coalesce Sends per destination for
-        # ``batch_window`` virtual seconds (0 = off, ship immediately).
-        self._batch_window = batch_window
-        self._batcher: Optional[BatchAccumulator] = (
-            BatchAccumulator(batch_max) if batch_window > 0 else None
-        )
-        self._flush_scheduled = False
         # Reliable transports expose crash/recovery, durable-apply
         # confirmation, and volatile-state rollback; on the plain (always
         # reliable) Network these hooks simply do not exist.
         self._confirm_applied = getattr(network, "confirm_applied", None)
         self._rollback_volatile = getattr(network, "rollback_volatile", None)
         simulator = network.simulator
-        self._core = ProtocolCore(
+        super().__init__(
             replica_id,
             graph,
             policy,
-            self._on_effect,
-            clock=lambda: simulator.now,
+            lambda: simulator.now,
+            history=history,
+            on_apply=on_apply,
+            # Flush window in virtual seconds (0 = off, ship immediately).
+            batch_window=batch_window,
+            batch_max=batch_max,
             dummy_registers=dummy_registers,
             track_timestamps=track_timestamps,
             initial_timestamp=initial_timestamp,
             initial_seq=initial_seq,
             initial_store=initial_store,
             value_merge=value_merge,
-            record_history=history is not None,
-            emit_applied=on_apply is not None,
             emit_confirm=self._confirm_applied is not None,
             size_wire=True,
         )
         network.register(replica_id, self.on_message)
 
     # ------------------------------------------------------------------
-    # Effect dispatch (the core's only window on the outside world)
+    # The skeleton's two primitives, and the reliable-transport hooks
     # ------------------------------------------------------------------
-    def _on_effect(self, eff: Effect) -> None:
-        cls = eff.__class__
-        if cls is Send:
-            if self._batcher is not None:
-                frame = self._batcher.add(
-                    eff.dst, eff.update, eff.metadata_counters, eff.wire_bytes
-                )
-                if frame is not None:
-                    # Destination hit batch_max: ship the full frame now.
-                    self._send_frame(frame)
-                if self._batcher.pending and not self._flush_scheduled:
-                    self._flush_scheduled = True
-                    simulator = self.network.simulator
-                    simulator.schedule(
-                        self._batch_window, self._flush_batches
-                    )
-                return
-            self.network.send(
-                self.replica_id,
-                eff.dst,
-                eff.update,
-                metadata_counters=eff.metadata_counters,
-                wire_bytes=eff.wire_bytes,
-            )
-        elif cls is RecordHistory:
-            # Only emitted when a history is attached (record_history).
-            if eff.kind == "apply":
-                self.history.record_apply(self.replica_id, eff.uid, eff.time)
-            elif eff.kind == "visible":
-                self.history.record_visible(self.replica_id, eff.uid, eff.time)
-            else:
-                self.history.record_issue(
-                    self.replica_id,
-                    eff.uid,
-                    eff.register,
-                    eff.time,
-                    client=eff.client,
-                )
-        elif cls is SendStabilize:
-            # Stabilize frames ride the same transport as updates but
-            # never batch: the cut should advance promptly.
-            self.network.send(
-                self.replica_id,
-                eff.dst,
-                eff.frame,
-                metadata_counters=len(eff.frame.entries) + 2,
-                wire_bytes=eff.wire_bytes,
-            )
-        elif cls is ConfirmApplied:
-            # Only emitted when the transport has the hook (emit_confirm).
-            self._confirm_applied(self.replica_id, eff.src, eff.update)
-        elif cls is Applied:
-            # Only emitted while an on_apply hook is installed.
-            self._on_apply(self, eff.src, eff.update)
-        elif cls is EscalateSync:
-            if self._on_sync_needed is not None:
-                self._on_sync_needed(self.replica_id, eff.reason)
-        elif cls is RollbackChannels:
-            if self._rollback_volatile is not None:
-                self._rollback_volatile(self.replica_id)
-        else:  # pragma: no cover - wiring guard
-            raise ProtocolError(f"unexpected effect {eff!r}")
-
-    # ------------------------------------------------------------------
-    # Send-side batching (one frame, many updates)
-    # ------------------------------------------------------------------
-    def _send_frame(self, frame: SendBatch) -> None:
+    def _transmit(
+        self,
+        dst: ReplicaId,
+        message: Any,
+        metadata_counters: int,
+        wire_bytes: int,
+    ) -> None:
         self.network.send(
-            self.replica_id,
-            frame.dst,
-            UpdateBatch(frame.updates),
-            metadata_counters=frame.metadata_counters,
-            wire_bytes=frame.wire_bytes,
+            self.replica_id, dst, message, metadata_counters, wire_bytes
         )
 
-    def _flush_batches(self) -> None:
-        """Close the flush window: ship one frame per buffered destination."""
-        self._flush_scheduled = False
-        if self._batcher is None:
-            return
-        for frame in self._batcher.flush():
-            self._send_frame(frame)
+    def _call_later(self, delay: float, fn: Callable[[], None]) -> Any:
+        return self.network.simulator.schedule(delay, fn)
 
-    @property
-    def outbox_pending(self) -> int:
-        """Updates buffered in the send-side batcher (0 when batching is off)."""
-        return 0 if self._batcher is None else self._batcher.pending
+    def _on_confirm_applied(self, eff: ConfirmApplied) -> None:
+        # Only emitted when the transport has the hook (emit_confirm).
+        self._confirm_applied(self.replica_id, eff.src, eff.update)
+
+    def _on_escalate_sync(self, eff: EscalateSync) -> None:
+        if self._on_sync_needed is not None:
+            self._on_sync_needed(self.replica_id, eff.reason)
+
+    def _on_rollback_channels(self, eff: RollbackChannels) -> None:
+        if self._rollback_volatile is not None:
+            self._rollback_volatile(self.replica_id)
 
     # ------------------------------------------------------------------
     # Client operations (prototype steps 1-2)
@@ -272,7 +193,7 @@ class Replica:
     def read(self, register: RegisterName) -> Any:
         """Step 1: return the local copy of ``register``."""
         self._require_up()
-        return self._core.read(register)
+        return self.core.read(register)
 
     def write(
         self, register: RegisterName, value: Any, payload: Any = None
@@ -284,13 +205,13 @@ class Replica:
         ``on_apply`` hook at each receiver.
         """
         self._require_up()
-        return self._core.local_write(register, value, payload=payload)
+        return self.core.local_write(register, value, payload=payload)
 
     def set_dummy_map(
         self, mapping: Dict[ReplicaId, FrozenSet[RegisterName]]
     ) -> None:
         """Install the cluster-wide dummy-register map (system wiring)."""
-        self._core.set_dummy_map(mapping)
+        self.core.set_dummy_map(mapping)
 
     # ------------------------------------------------------------------
     # Global stabilization (visibility-cut policies, repro.gst)
@@ -301,143 +222,51 @@ class Replica:
         A no-op under non-stabilizing policies and while crashed (a down
         node gossips nothing).
         """
-        if self._crashed:
-            return
-        self._core.stabilize()
-
-    @property
-    def stabilizing(self) -> bool:
-        """Whether this replica runs a visibility-cut (GST) policy."""
-        return self._core.visible_store is not None
-
-    @property
-    def unstable_count(self) -> int:
-        """Applied updates still awaiting the visibility cut."""
-        return self._core.unstable_count
+        if not self._crashed:
+            super().stabilize()
 
     @property
     def visible_cut(self) -> int:
         """The stabilization cut this replica's reads are served at."""
-        return self._core.visible_cut
+        return self.core.visible_cut
 
     # ------------------------------------------------------------------
     # Update reception (prototype steps 3-4)
     # ------------------------------------------------------------------
     def on_message(self, src: ReplicaId, update: Update) -> None:
         """Step 3: buffer the update, then step 4: drain what's ready."""
-        if isinstance(update, StabilizeFrame):
-            if self._crashed:
-                return
-            self._core.receive_stabilize(src, update)
-            return
-        if isinstance(update, UpdateBatch):
-            if self._crashed:
-                return
-            self._core.remote_batch(src, update.updates)
-            return
-        if not isinstance(update, Update):  # pragma: no cover - wiring guard
-            raise ProtocolError(f"unexpected message {update!r}")
         if self._crashed:
             # A crashed node receives nothing; a reliable transport never
             # delivers here (it drops at the physical layer), this guards
             # the plain-Network case.
             return
-        self._core.remote_update(src, update)
+        self._deliver(src, update)
 
     # ------------------------------------------------------------------
-    # Core state views (delegation keeps the historical surface intact)
+    # Core state views beyond the skeleton's read-only ones
     # ------------------------------------------------------------------
-    @property
-    def store(self) -> Dict[RegisterName, Any]:
-        return self._core.store
-
-    @store.setter
+    @CoreAdapter.store.setter
     def store(self, value: Dict[RegisterName, Any]) -> None:
-        self._core.store = value
+        self.core.store = value
 
-    @property
-    def timestamp(self) -> Timestamp:
-        return self._core.timestamp
-
-    @timestamp.setter
+    @CoreAdapter.timestamp.setter
     def timestamp(self, value: Timestamp) -> None:
-        self._core.timestamp = value
-
-    @property
-    def metrics(self) -> ReplicaMetrics:
-        return self._core.metrics
-
-    @property
-    def dummy_registers(self) -> FrozenSet[RegisterName]:
-        return self._core.dummy_registers
-
-    @property
-    def on_apply(self) -> Optional[ApplyHook]:
-        return self._on_apply
-
-    @on_apply.setter
-    def on_apply(self, hook: Optional[ApplyHook]) -> None:
-        self._on_apply = hook
-        self._core.emit_applied = hook is not None
+        self.core.timestamp = value
 
     @property
     def pending(self) -> List[Tuple[ReplicaId, Update, float]]:
         """Buffered updates as ``(sender, update, arrived)`` in arrival order."""
-        return self._core.pending
+        return self.core.pending
 
     @pending.setter
     def pending(
         self, entries: Iterable[Tuple[ReplicaId, Update, float]]
     ) -> None:
-        self._core.pending = entries
+        self.core.pending = entries
 
     @property
     def pending_count(self) -> int:
-        return self._core.pending_count
-
-    def queue_stats(self) -> QueueStats:
-        """Delivery-engine queue statistics (see :class:`QueueStats`)."""
-        return self._core.queue_stats()
-
-    @property
-    def _seq(self) -> int:
-        return self._core.seq
-
-    @property
-    def _fifo(self) -> bool:
-        return self._core._fifo
-
-    @property
-    def _advance_delta(self) -> Optional[Callable]:
-        return self._core._advance_delta
-
-    @property
-    def _merge_delta(self) -> Optional[Callable]:
-        return self._core._merge_delta
-
-    @property
-    def _ready_many(self) -> Optional[Callable]:
-        return self._core._ready_many
-
-    @property
-    def _merge_run(self) -> Optional[Callable]:
-        return self._core._merge_run
-
-    @property
-    def _blocked_many(self) -> Optional[Callable]:
-        return self._core._blocked_many
-
-    @property
-    def _seqmaps(self) -> Dict[ReplicaId, Optional[Dict[int, int]]]:
-        return self._core._seqmaps
-
-    @property
-    def _value_merge(self) -> Optional[Callable[[Any, Any], Any]]:
-        return self._core._value_merge
-
-    @_value_merge.setter
-    def _value_merge(self, merge: Optional[Callable[[Any, Any], Any]]) -> None:
-        self._core._value_merge = merge
+        return self.core.pending_count
 
     # ------------------------------------------------------------------
     # Anti-entropy: knobs and state transfer (repro.sync)
@@ -445,20 +274,20 @@ class Replica:
     @property
     def pending_cap(self) -> Optional[int]:
         """Pending-buffer bound: reaching it sheds and escalates."""
-        return self._core.pending_cap
+        return self.core.pending_cap
 
     @pending_cap.setter
     def pending_cap(self, value: Optional[int]) -> None:
-        self._core.pending_cap = value
+        self.core.pending_cap = value
 
     @property
     def gap_threshold(self) -> Optional[int]:
         """Escalate when a sender runs this far ahead of the frontier."""
-        return self._core.gap_threshold
+        return self.core.gap_threshold
 
     @gap_threshold.setter
     def gap_threshold(self, value: Optional[int]) -> None:
-        self._core.gap_threshold = value
+        self.core.gap_threshold = value
 
     @property
     def on_sync_needed(self) -> Optional[Callable[[ReplicaId, str], None]]:
@@ -475,7 +304,7 @@ class Replica:
         self, handler: Optional[Callable[[ReplicaId, str], None]]
     ) -> None:
         self._on_sync_needed = handler
-        self._core.sync_armed = handler is not None
+        self.core.sync_armed = handler is not None
 
     def shed_pending(self) -> int:
         """Drop every buffered update and roll its channel state back.
@@ -484,7 +313,7 @@ class Replica:
         channel rollback happens through the ``RollbackChannels`` effect
         when the transport supports it.  Returns the entries shed.
         """
-        return self._core.shed_pending()
+        return self.core.shed_pending()
 
     def install_sync_state(
         self,
@@ -499,22 +328,16 @@ class Replica:
         state (acks for covered segments, rollback for the rest).
         """
         self._require_up()
-        self._core.install_sync(timestamp, values, value_debt)
+        self.core.install_sync(timestamp, values, value_debt)
 
     @property
     def value_debt(self) -> Dict[RegisterName, UpdateId]:
         """Registers whose value awaits the debt update's retransmission."""
-        return dict(self._core.value_debt)
-
-    @property
-    def _value_debt(self) -> Dict[RegisterName, UpdateId]:
-        # The live ledger (the sync layer and its tests mutate it in
-        # place), as opposed to the defensive copy `value_debt` returns.
-        return self._core.value_debt
+        return dict(self.core.value_debt)
 
     def pay_value_debt(self, register: RegisterName, value: Any) -> None:
         """Settle one value debt out-of-band (anti-entropy fallback)."""
-        self._core.pay_value_debt(register, value)
+        self.core.pay_value_debt(register, value)
 
     # ------------------------------------------------------------------
     # Pause / resume and snapshots (crash-recovery support)
@@ -525,16 +348,16 @@ class Replica:
         Models a slow or recovering replica.  Channels stay reliable (the
         paper's model has no message loss), so nothing is dropped.
         """
-        self._core.paused = True
+        self.core.paused = True
 
     def resume(self) -> None:
         """Resume applying; drains everything that became ready."""
-        self._core.paused = False
-        self._core.tick()
+        self.core.paused = False
+        self.core.tick()
 
     @property
     def paused(self) -> bool:
-        return self._core.paused
+        return self.core.paused
 
     # ------------------------------------------------------------------
     # Crash / recovery (fault model)
@@ -564,7 +387,7 @@ class Replica:
         if self._crashed:
             raise ProtocolError(f"replica {self.replica_id!r} is already down")
         self._crashed = True
-        self._core.clear_pending()
+        self.core.clear_pending()
         if self._batcher is not None:
             # Unflushed outgoing frames are volatile state too.
             self._batcher.flush()
@@ -590,13 +413,7 @@ class Replica:
     @property
     def last_durable_snapshot(self) -> ReplicaSnapshot:
         """The state recovery resumes from: everything but ``pending``."""
-        return ReplicaSnapshot(
-            replica_id=self.replica_id,
-            store=tuple(sorted(self.store.items(), key=lambda kv: str(kv[0]))),
-            timestamp=self.timestamp,
-            seq=self._core.seq,
-            pending=(),
-        )
+        return replace(self.snapshot(), pending=())
 
     def _require_up(self) -> None:
         if self._crashed:
@@ -610,7 +427,7 @@ class Replica:
             replica_id=self.replica_id,
             store=tuple(sorted(self.store.items(), key=lambda kv: str(kv[0]))),
             timestamp=self.timestamp,
-            seq=self._core.seq,
+            seq=self.core.seq,
             pending=tuple(self.pending),
         )
 
@@ -628,11 +445,11 @@ class Replica:
                 f"snapshot of {snapshot.replica_id!r} cannot restore "
                 f"replica {self.replica_id!r}"
             )
-        self._core.store = dict(snapshot.store)
-        self._core.timestamp = snapshot.timestamp
-        self._core.seq = snapshot.seq
-        self._core.pending = list(snapshot.pending)
-        self._core.tick()
+        self.core.store = dict(snapshot.store)
+        self.core.timestamp = snapshot.timestamp
+        self.core.seq = snapshot.seq
+        self.core.pending = list(snapshot.pending)
+        self.core.tick()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -640,10 +457,10 @@ class Replica:
     @property
     def timestamps_used(self) -> FrozenSet[Timestamp]:
         """Distinct timestamp values assigned so far (when tracked)."""
-        return self._core.timestamps_used
+        return self.core.timestamps_used
 
     def __repr__(self) -> str:
         return (
             f"Replica({self.replica_id!r}, {len(self.store)} registers, "
-            f"{self._core.pending_count} pending)"
+            f"{self.core.pending_count} pending)"
         )

@@ -33,6 +33,7 @@ from typing import (
 )
 
 from repro.core.causality import History
+from repro.core.engine.adapter import _AdapterSet
 from repro.core.replica import ApplyHook, Replica
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import EdgeIndexedPolicy, TimestampPolicy
@@ -158,7 +159,7 @@ def aggregate_metrics(
     )
 
 
-class DSMSystem:
+class DSMSystem(_AdapterSet):
     """A complete simulated partially replicated DSM.
 
     Parameters
@@ -347,21 +348,6 @@ class DSMSystem:
     # ------------------------------------------------------------------
     # Global stabilization (visibility-cut policies, repro.gst)
     # ------------------------------------------------------------------
-    @property
-    def stabilizing(self) -> bool:
-        """True when any replica runs a visibility-cut (GST) policy."""
-        return any(r.stabilizing for r in self.replicas.values())
-
-    def stabilize_all(self) -> None:
-        """Run one stabilization round on every live replica.
-
-        Each replica refreshes its local stable time and gossips its
-        table to its share-graph neighbours; the frames are delivered by
-        the next :meth:`run`.
-        """
-        for replica in self.replicas.values():
-            replica.stabilize()
-
     def schedule_stabilize(self, time: float) -> None:
         """Schedule one cluster-wide stabilization round at ``time``.
 
@@ -431,32 +417,6 @@ class DSMSystem:
     # ------------------------------------------------------------------
     # Verification & metrics
     # ------------------------------------------------------------------
-    def check(
-        self,
-        require_liveness: bool = True,
-        visibility: Optional[bool] = None,
-    ) -> Any:
-        """Verify replica-centric causal consistency (Definition 2).
-
-        Returns a :class:`repro.checker.CheckResult`.  Liveness is only
-        meaningful once the run has quiesced; pass
-        ``require_liveness=False`` mid-run.  ``visibility`` defaults to
-        whether the system runs a stabilizing (GST) policy: such runs
-        are judged at visibility events (where their causal guarantee
-        lives), others at applies.  For stabilizing runs liveness
-        additionally needs :meth:`settle_visibility` first.
-        """
-        from repro.checker import check_history
-
-        if visibility is None:
-            visibility = self.stabilizing
-        return check_history(
-            self.history,
-            self.graph,
-            require_liveness=require_liveness,
-            visibility=visibility,
-        )
-
     def metrics(self) -> SystemMetrics:
         """Aggregate protocol metrics for the run so far."""
         return aggregate_metrics(self.replicas, self.network)

@@ -216,7 +216,7 @@ class ReconfigurableDSMSystem:
         stores = {
             rid: dict(replica.store) for rid, replica in self.replicas.items()
         }
-        seqs = {rid: replica._seq for rid, replica in self.replicas.items()}
+        seqs = {rid: replica.core.seq for rid, replica in self.replicas.items()}
         now = self.simulator.now
         transferred: Dict[ReplicaId, set] = {}
         for receiver, register, donor in transfers:

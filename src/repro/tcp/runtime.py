@@ -39,15 +39,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.engine import (
-    Applied,
     ConfirmApplied,
+    CoreAdapter,
     Effect,
     EscalateSync,
     ProtocolCore,
     RecordHistory,
     RollbackChannels,
     Send,
+    SendStabilize,
 )
+from repro.core.engine.adapter import _AdapterSet
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import EdgeIndexedPolicy, TimestampPolicy
 from repro.core.timestamp_graph import all_timestamp_graphs
@@ -347,7 +349,7 @@ class TcpReplicaStats:
     outbox_high_water: int = 0
 
 
-class TcpReplicaServer:
+class TcpReplicaServer(CoreAdapter):
     """One replica: asyncio TCP server + protocol core + WAL + links.
 
     Parameters
@@ -427,16 +429,22 @@ class TcpReplicaServer:
             )
         self._replica_by_name = {str(r): r for r in self.graph.replicas}
         self._register_by_name = {str(x): x for x in self.graph.registers}
-        self.core = ProtocolCore(
+        # The skeleton's object-level batch window stays off (this runtime
+        # stages wire bytes, see ``_staged``), and RecordHistory is on with
+        # no History attached: the WAL is this runtime's history, written
+        # by the handler installed below.
+        super().__init__(
             replica_id,
             self.graph,
             self._make_policy(),
-            self._on_effect,
-            clock=time.time,
+            # Wall clock, not the loop's monotonic one: WAL record times
+            # are merged across processes.
+            time.time,
             record_history=True,
             emit_confirm=True,
             size_wire=False,
         )
+        self._handlers[RecordHistory] = self._on_record_history
         self.core.sync_armed = True
         self.core.pending_cap = self.config.pending_cap
         self.core.gap_threshold = self.config.gap_threshold
@@ -457,10 +465,12 @@ class TcpReplicaServer:
         self._enqueued: Dict[ReplicaId, Set[int]] = {}
         # Send-side coalescing (config.batch_window > 0): staged
         # (chanseq, bytes) per destination, shipped as one UPDATE_BATCH
-        # frame per flush window.  Outbox entries stay individual so
-        # cursor replay after a reconnect is unchanged.
+        # frame per flush window.  Every update enters the durable outbox
+        # the moment it is sent, not when the window closes, and outbox
+        # entries stay individual so cursor replay after a reconnect is
+        # unchanged.  The window's timer is the skeleton's
+        # ``_flush_handle``.
         self._staged: Dict[ReplicaId, List[Tuple[int, bytes]]] = {}
-        self._flush_handle: Any = None
         # While a received batch is applying, acks are deferred: one
         # cumulative ACK per affected sender after a single WAL flush.
         self._ack_deferred = False
@@ -481,7 +491,6 @@ class TcpReplicaServer:
         self.running = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: List[asyncio.Task] = []
-        self._on_apply: Optional[Callable[..., None]] = None
 
     def _make_policy(self) -> TimestampPolicy:
         """A fresh policy instance per the configured timestamp mode.
@@ -811,82 +820,98 @@ class TcpReplicaServer:
     # ------------------------------------------------------------------
     # Protocol-core effect handling
     # ------------------------------------------------------------------
-    def _on_effect(self, eff: Effect) -> None:
-        cls = eff.__class__
-        if cls is Send:
-            chanseq = eff.update.timestamp.get((self.replica_id, eff.dst))
-            if chanseq is None:  # pragma: no cover - incident edges exist
-                raise ProtocolError(f"no out-edge toward {eff.dst!r}")
-            encoded = encode_update(eff.update, self._enc_orders[eff.dst])
-            outbox = self._outbox[eff.dst]
-            outbox[chanseq] = encoded
-            if len(outbox) > self.stats.outbox_high_water:
-                self.stats.outbox_high_water = len(outbox)
-            if self._replaying:
-                return
-            if self.config.batch_window > 0:
-                staged = self._staged.setdefault(eff.dst, [])
-                staged.append((chanseq, encoded))
-                if len(staged) >= self.config.batch_max:
-                    self._flush_dst(eff.dst)
-                elif self._flush_handle is None:
-                    self._flush_handle = asyncio.get_event_loop().call_later(
-                        self.config.batch_window, self._flush_staged
-                    )
-            else:
-                self.links[eff.dst].send_update(chanseq, encoded)
-        elif cls is RecordHistory:
-            if eff.kind == "issue":
-                if not self._replaying:
-                    self.wal.append_issue(
-                        str(eff.register),
-                        self._writing_value,
-                        eff.time,
-                        seq=eff.uid.seq,
-                    )
-            elif eff.kind == "apply":
-                self._apply_uid = eff.uid
-            # "visible" records need no durability action: after a
-            # restart the WAL replay rebuilds the unstable set and the
-            # cut re-converges from the heartbeat gossip.
-        elif cls is ConfirmApplied:
-            if self._replaying:
-                return
-            if eff.update.uid == self._apply_uid:
-                # A real apply (not a stale-discard confirmation): make it
-                # durable before the ACK can reach the sender.
-                self._apply_uid = None
-                raw = self._update_bytes.pop(eff.update.uid, None)
-                if raw is None:
-                    raw = encode_update(eff.update, self._orders[eff.src])
-                self.wal.append_apply(str(eff.src), raw, time.time())
-            else:
-                self._update_bytes.pop(eff.update.uid, None)
-            if self._ack_deferred:
-                # Batch apply in progress: one cumulative ACK per sender
-                # goes out after the batch's single WAL flush.
-                self._ack_owed.add(eff.src)
-                return
-            link = self.links.get(eff.src)
-            if link is not None:
-                if self.wal.buffered:
-                    self.wal.flush()  # durable before the ack leaves
-                link.send_bytes(
-                    uvarint_frame(FrameType.ACK, self.recv_cursor(eff.src))
+    def _transmit(
+        self,
+        dst: ReplicaId,
+        update: Update,
+        metadata_counters: int,
+        wire_bytes: int,
+    ) -> None:
+        """``Send``: into the durable outbox first, then staged or sent."""
+        chanseq = update.timestamp.get((self.replica_id, dst))
+        if chanseq is None:  # pragma: no cover - incident edges exist
+            raise ProtocolError(f"no out-edge toward {dst!r}")
+        encoded = encode_update(update, self._enc_orders[dst])
+        outbox = self._outbox[dst]
+        outbox[chanseq] = encoded
+        if len(outbox) > self.stats.outbox_high_water:
+            self.stats.outbox_high_water = len(outbox)
+        if self._replaying:
+            return
+        if self.config.batch_window > 0:
+            staged = self._staged.setdefault(dst, [])
+            staged.append((chanseq, encoded))
+            if len(staged) >= self.config.batch_max:
+                self._flush_dst(dst)
+            elif self._flush_handle is None:
+                self._flush_handle = self._call_later(
+                    self.config.batch_window, self._flush_staged
                 )
-        elif cls is EscalateSync:
+        else:
+            self.links[dst].send_update(chanseq, encoded)
+
+    def _call_later(self, delay: float, fn: Callable[[], None]) -> Any:
+        return asyncio.get_event_loop().call_later(delay, fn)
+
+    def _on_send_stabilize(self, eff: SendStabilize) -> None:
+        # An explicit stabilization round ships the same frame the
+        # heartbeats piggyback (see PeerLink.heartbeat_forever).
+        self.links[eff.dst].send_bytes(
+            encode_frame(
+                FrameType.HEARTBEAT, encode_stabilize_frame(eff.frame)
+            )
+        )
+
+    def _on_record_history(self, eff: RecordHistory) -> None:
+        if eff.kind == "issue":
             if not self._replaying:
-                self._escalate(eff.reason)
-        elif cls is RollbackChannels:
-            # Shed pending updates are unacked at their senders; reset the
-            # dedup guard so their replays are accepted again.
-            for peer in self.links:
-                self._enqueued[peer] = set()
-        elif cls is Applied:
-            if self._on_apply is not None:
-                self._on_apply(self, eff.src, eff.update)
-        else:  # pragma: no cover - no other effects are enabled
-            raise ProtocolError(f"unexpected effect {eff!r}")
+                self.wal.append_issue(
+                    str(eff.register),
+                    self._writing_value,
+                    eff.time,
+                    seq=eff.uid.seq,
+                )
+        elif eff.kind == "apply":
+            self._apply_uid = eff.uid
+        # "visible" records need no durability action: after a restart
+        # the WAL replay rebuilds the unstable set and the cut
+        # re-converges from the heartbeat gossip.
+
+    def _on_confirm_applied(self, eff: ConfirmApplied) -> None:
+        if self._replaying:
+            return
+        if eff.update.uid == self._apply_uid:
+            # A real apply (not a stale-discard confirmation): make it
+            # durable before the ACK can reach the sender.
+            self._apply_uid = None
+            raw = self._update_bytes.pop(eff.update.uid, None)
+            if raw is None:
+                raw = encode_update(eff.update, self._orders[eff.src])
+            self.wal.append_apply(str(eff.src), raw, time.time())
+        else:
+            self._update_bytes.pop(eff.update.uid, None)
+        if self._ack_deferred:
+            # Batch apply in progress: one cumulative ACK per sender
+            # goes out after the batch's single WAL flush.
+            self._ack_owed.add(eff.src)
+            return
+        link = self.links.get(eff.src)
+        if link is not None:
+            if self.wal.buffered:
+                self.wal.flush()  # durable before the ack leaves
+            link.send_bytes(
+                uvarint_frame(FrameType.ACK, self.recv_cursor(eff.src))
+            )
+
+    def _on_escalate_sync(self, eff: EscalateSync) -> None:
+        if not self._replaying:
+            self._escalate(eff.reason)
+
+    def _on_rollback_channels(self, eff: RollbackChannels) -> None:
+        # Shed pending updates are unacked at their senders; reset the
+        # dedup guard so their replays are accepted again.
+        for peer in self.links:
+            self._enqueued[peer] = set()
 
     # -- send-side batching ----------------------------------------------
     def _flush_dst(self, dst: ReplicaId) -> None:
@@ -1307,19 +1332,6 @@ class TcpReplicaServer:
         """Highest channel sequence applied from ``peer`` (durable)."""
         return self.core.timestamp.get((peer, self.replica_id)) or 0
 
-    @property
-    def store(self) -> Dict[RegisterName, Any]:
-        return self.core.store
-
-    @property
-    def on_apply(self):
-        return self._on_apply
-
-    @on_apply.setter
-    def on_apply(self, hook) -> None:
-        self._on_apply = hook
-        self.core.emit_applied = hook is not None
-
     async def write(self, register: RegisterName, value: Any) -> UpdateId:
         """In-process write entry point (tests, benchmarks)."""
         if self._recovery_barrier():
@@ -1333,9 +1345,6 @@ class TcpReplicaServer:
             )
         self._writing_value = value
         return self.core.local_write(register, value)
-
-    def read(self, register: RegisterName) -> Any:
-        return self.core.read(register)
 
     def _loop_time(self) -> float:
         return asyncio.get_event_loop().time()
@@ -1353,7 +1362,7 @@ class TcpReplicaServer:
         )
 
 
-class TcpCluster:
+class TcpCluster(_AdapterSet):
     """An in-process cluster of :class:`TcpReplicaServer` instances.
 
     Every replica runs in the *same* event loop over real loopback
@@ -1464,14 +1473,8 @@ class TcpCluster:
             for rid, server in self.servers.items()
         }
 
-    def stable(self) -> bool:
-        """True when no running replica holds applied-but-invisible
-        updates (trivially true for non-stabilizing policies)."""
-        return all(
-            server.core.unstable_count == 0
-            for server in self.servers.values()
-            if server.running
-        )
+    def _adapters(self) -> List[TcpReplicaServer]:
+        return [s for s in self.servers.values() if s.running]
 
     async def settle_visibility(self, timeout: float = 30.0) -> None:
         """Settle, then wait for the heartbeat-carried stabilization

@@ -120,3 +120,28 @@ def test_history_matches_simulator_semantics():
         assert system.check().ok
 
     run(scenario())
+
+
+def test_finished_delivery_tasks_are_not_retained():
+    """A long run must not hold one finished Task per message.
+
+    Deliveries live in a set that discards each task on completion; only
+    the replicas' ``run()`` loops are kept until ``__aexit__``.
+    """
+
+    async def scenario():
+        system = AioDSMSystem(
+            ring_placements(4), seed=9, delay_range=(0.0, 0.001)
+        )
+        async with system:
+            for n in range(500):
+                rid = 1 + n % 4
+                shared = f"s{rid}_{rid + 1}" if rid < 4 else "s1_4"
+                await system.replica(rid).write(shared, n)
+            await system.settle()
+            assert system.messages_sent >= 500
+            assert len(system._deliveries) == 0
+            assert len(system._tasks) == len(system.replicas)
+        assert system.check().ok
+
+    run(scenario())

@@ -24,9 +24,8 @@ from repro.core.engine import (
     Applied,
     BatchAccumulator,
     ProtocolCore,
-    RemoteBatch,
     Send,
-    SendBatch,
+    UpdateBatch,
 )
 from repro.core.timestamp import EdgeIndexedPolicy
 from repro.errors import ConfigurationError
@@ -62,7 +61,7 @@ class TestBatchAccumulator:
         assert acc.add(2, _update(2), metadata_counters=4, wire_bytes=11) is None
         assert acc.pending == 2
         frame = acc.add(2, _update(3), metadata_counters=4, wire_bytes=12)
-        assert isinstance(frame, SendBatch)
+        assert isinstance(frame, UpdateBatch)
         assert frame.dst == 2
         assert [u.uid.seq for u in frame.updates] == [1, 2, 3]
         # Accounting is the sum over members: byte-for-byte what the
@@ -205,7 +204,7 @@ class TestRemoteBatchEquivalence:
         seq, bat = _receiver_pair(graph, policy_cls)
         for u in updates:
             seq.core.remote_update(1, u)
-        bat.core.handle(RemoteBatch(1, tuple(updates)))
+        bat.core.remote_batch(1, tuple(updates))
         _assert_same_outcome(seq, bat)
 
 

@@ -83,7 +83,7 @@ def test_replica_dedups_retried_write():
     system.run()
     assert system.all_clients_done()
     assert len(system.history.all_updates()) == 1
-    replica_seqs = [r._seq for r in system.replicas.values()]
+    replica_seqs = [r.core.seq for r in system.replicas.values()]
     assert sum(replica_seqs) == 1  # exactly one write executed system-wide
 
 

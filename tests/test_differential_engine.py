@@ -141,19 +141,19 @@ def test_legacy_policy_uses_conservative_path() -> None:
         tree_placements(4), seed=7, policy_factory=legacy_policy_factory
     )
     replica = next(iter(system.replicas.values()))
-    assert replica._advance_delta is None
-    assert replica._merge_delta is None
-    assert replica._core._blocking_edge is None
-    assert not replica._fifo
+    assert replica.core._advance_delta is None
+    assert replica.core._merge_delta is None
+    assert replica.core._blocking_edge is None
+    assert not replica.core._fifo
 
 
 def test_optimized_policy_uses_fast_path() -> None:
     system = DSMSystem(tree_placements(4), seed=7)
     replica = next(iter(system.replicas.values()))
-    assert replica._advance_delta is not None
-    assert replica._merge_delta is not None
-    assert replica._core._blocking_edge is not None
-    assert replica._fifo
+    assert replica.core._advance_delta is not None
+    assert replica.core._merge_delta is not None
+    assert replica.core._blocking_edge is not None
+    assert replica.core._fifo
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy missing")
@@ -162,6 +162,6 @@ def test_vectorized_policy_exposes_run_hooks() -> None:
     vectorized differential never exercises the fast path."""
     system = DSMSystem(tree_placements(4), seed=7, vectorized=True)
     replica = next(iter(system.replicas.values()))
-    assert replica._merge_run is not None
-    assert replica._blocked_many is not None
-    assert replica._ready_many is not None
+    assert replica.core._merge_run is not None
+    assert replica.core._blocked_many is not None
+    assert replica.core._ready_many is not None

@@ -24,19 +24,15 @@ from repro.core.engine import (
     Applied,
     ConfirmApplied,
     EscalateSync,
-    LocalWrite,
     ProtocolCore,
     RecordHistory,
-    RemoteUpdate,
     RollbackChannels,
     Send,
-    Tick,
 )
 from repro.core.replica import Replica
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import EdgeIndexedPolicy
 from repro.core.timestamp_graph import all_timestamp_graphs
-from repro.errors import ProtocolError, UnknownRegisterError
 from repro.network.faults import ChannelFaults, FaultPlan, FaultyNetwork
 from repro.sim import Simulator
 from repro.workloads import random_placements
@@ -131,22 +127,6 @@ def test_local_write_emits_one_send_per_recipient(triangle):
     records = h.take(RecordHistory)
     assert [(r.kind, r.uid) for r in records] == [("issue", uid)]
     assert not h.effects  # nothing else leaked
-
-
-def test_event_dispatch_covers_all_events(triangle):
-    writer = Harness(1, triangle)
-    receiver = Harness(2, triangle, emit_applied=True)
-    uid = writer.core.handle(LocalWrite("x", "v"))
-    assert uid is not None
-    (send,) = writer.take(Send)
-    receiver.core.handle(RemoteUpdate(1, send.update))
-    (applied,) = receiver.take(Applied)
-    assert applied.update.uid == uid
-    assert receiver.core.handle(Tick()) is None
-    with pytest.raises(ProtocolError):
-        receiver.core.handle("not an event")
-    with pytest.raises(UnknownRegisterError):
-        writer.core.handle(LocalWrite("nope", 1))
 
 
 def test_out_of_order_delivery_buffers_then_applies_in_issue_order(triangle):
@@ -421,7 +401,7 @@ def _run_against_naive_rescan(seed, policy_cls):
 
 def _record_inputs(replica, log):
     """Log every input the replica's core receives, in order."""
-    core = replica._core
+    core = replica.core
     local_write, remote_update = core.local_write, core.remote_update
 
     def logged_write(register, value, **kwargs):

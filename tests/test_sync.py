@@ -294,7 +294,7 @@ def test_store_divergence_audit_catches_value_loss():
     findings = store_divergence(system, values)
     assert findings and "diverged" in findings[0]
     # An unpaid value debt is reported even without a value map.
-    system.replica(2)._value_debt["x"] = uid
+    system.replica(2).core.value_debt["x"] = uid
     findings = store_divergence(system)
     assert findings and "unpaid value debt" in findings[0]
 
@@ -316,7 +316,7 @@ def test_duplicate_seq_degrades_to_scan_without_misapplying():
     assert receiver.pending_count == 2
     duplicate = next(u for _, u, _ in receiver.pending if u.value == "a")
     receiver.on_message(1, duplicate)  # same seq as the buffered original
-    assert receiver._seqmaps[1] is None  # index degraded, not corrupted
+    assert receiver.core._seqmaps[1] is None  # index degraded, not corrupted
     assert receiver.pending_count == 3
     receiver.resume()
     assert receiver.read("x") == "b"
