@@ -64,9 +64,11 @@ def test_dense_not_slower_than_legacy() -> None:
 
 
 def test_batched_column_reduces_messages() -> None:
-    """The batched column (vectorized kernels + flush window) must ship
-    measurably fewer wire messages on the dense stress case, and still
-    pass the causal-consistency verification run_scenario performs."""
+    """The batched column (the scenario's flush window on; the policy
+    folds the wide frames it produces with the numpy frame kernels) must
+    ship measurably fewer wire messages on the dense stress case, and
+    still pass the causal-consistency verification run_scenario
+    performs."""
     doc = bench.run_bench(
         names=["dense-20"], quick=True, repeats=1, batched=True
     )

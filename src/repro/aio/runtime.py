@@ -25,8 +25,7 @@ from repro.core.causality import History
 from repro.core.engine import CoreAdapter, UpdateBatch
 from repro.core.engine.adapter import _AdapterSet
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import EdgeIndexedPolicy, TimestampPolicy
-from repro.core.timestamp_graph import all_timestamp_graphs
+from repro.core.timestamp import TimestampPolicy, edge_policy_factory
 from repro.errors import ConfigurationError, ProtocolError
 from repro.types import RegisterName, ReplicaId, Update, UpdateId
 
@@ -135,7 +134,6 @@ class AioDSMSystem(_AdapterSet):
         policy_factory=None,
         seed: int = 0,
         delay_range: Tuple[float, float] = (0.001, 0.02),
-        vectorized: bool = False,
         batch_window: float = 0.0,
         batch_max: int = 64,
     ) -> None:
@@ -154,23 +152,7 @@ class AioDSMSystem(_AdapterSet):
         self.history = History()
         self._start = None  # set on __aenter__
         if policy_factory is None:
-            graphs = all_timestamp_graphs(self.graph)
-            if vectorized:
-                from repro.optimizations.vectorized import (
-                    VectorizedEdgeIndexedPolicy,
-                )
-
-                def policy_factory(graph: ShareGraph, rid: ReplicaId):
-                    return VectorizedEdgeIndexedPolicy(
-                        graph, rid, edges=graphs[rid].edges
-                    )
-            else:
-
-                def policy_factory(graph: ShareGraph, rid: ReplicaId):
-                    return EdgeIndexedPolicy(
-                        graph, rid, edges=graphs[rid].edges
-                    )
-
+            policy_factory = edge_policy_factory(self.graph)
         self.replicas: Dict[ReplicaId, AioReplica] = {
             rid: AioReplica(rid, self.graph, policy_factory(self.graph, rid), self)
             for rid in self.graph.replicas

@@ -631,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--batched",
         action="store_true",
-        help="also run with vectorized kernels + flush-window batching on",
+        help="also run every scenario with its flush window on",
     )
     p_bench.add_argument(
         "--policy",

@@ -83,10 +83,6 @@ _MergeDelta = Callable[
 ]
 #: The local counter the first false conjunct of ``J`` reads.
 _BlockingEdge = Callable[[Timestamp, ReplicaId, Timestamp], Edge]
-#: Whole-queue readiness: index of the first ready timestamp, or None.
-_ReadyMany = Callable[
-    [Timestamp, ReplicaId, Sequence[Timestamp]], Optional[int]
-]
 #: Whole-frame merge: the post-frame timestamp plus raised keys when the
 #: frame is consecutively ready against an empty buffer, else None.
 _MergeRun = Callable[
@@ -211,9 +207,6 @@ class ProtocolCore:
         )
         self._sender_seq: Optional[_SenderSeq] = getattr(
             policy, "sender_seq", None
-        )
-        self._ready_many: Optional[_ReadyMany] = getattr(
-            policy, "ready_many", None
         )
         self._merge_run: Optional[_MergeRun] = getattr(
             policy, "merge_run", None
@@ -503,8 +496,8 @@ class ProtocolCore:
         channels), the frame is applied with a single folded merge and
         one timestamp materialization -- no enqueue, no candidate
         search, no per-member merge.  Any frame the kernel cannot prove
-        (stale, gapped, or blocked members; scalar fallback) takes the
-        generic path below, which handles every case identically.
+        (stale, gapped, or blocked members) or declines (too small, no
+        numpy) takes the generic path below, identically in every case.
         """
         arrived = self._clock()
         if (
@@ -825,17 +818,6 @@ class ProtocolCore:
             if ready(ts, sender, queue[arrival][0].timestamp):
                 return arrival
             failed = [arrival]
-        elif self._ready_many is not None and len(queue) > 1:
-            # Whole-queue readiness in one comparison (vectorized
-            # policies); returns the first ready entry in arrival order,
-            # exactly like the scalar scan below.
-            failed = list(queue)
-            index = self._ready_many(
-                ts, sender, [queue[a][0].timestamp for a in failed]
-            )
-            if index is not None:
-                found = failed[index]
-                del failed[index:]
         else:
             failed = []
             for arrival, entry in queue.items():

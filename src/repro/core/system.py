@@ -36,8 +36,7 @@ from repro.core.causality import History
 from repro.core.engine.adapter import _AdapterSet
 from repro.core.replica import ApplyHook, Replica
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import EdgeIndexedPolicy, TimestampPolicy
-from repro.core.timestamp_graph import all_timestamp_graphs
+from repro.core.timestamp import TimestampPolicy, edge_policy_factory
 from repro.errors import ConfigurationError, ProtocolError
 from repro.network.delays import DelayModel
 from repro.network.faults import FaultPlan, ReliableNetwork
@@ -204,7 +203,6 @@ class DSMSystem(_AdapterSet):
         on_apply: Optional[ApplyHook] = None,
         fault_plan: Optional[FaultPlan] = None,
         unacked_cap: Optional[int] = None,
-        vectorized: bool = False,
         batch_window: float = 0.0,
         batch_max: int = 64,
     ) -> None:
@@ -247,27 +245,7 @@ class DSMSystem(_AdapterSet):
                     f"the placement of replica {r!r}"
                 )
         if policy_factory is None:
-            graphs = all_timestamp_graphs(self.graph, max_loop_len=max_loop_len)
-            if vectorized:
-                from repro.optimizations.vectorized import (
-                    VectorizedEdgeIndexedPolicy,
-                )
-
-                def policy_factory(
-                    graph: ShareGraph, rid: ReplicaId
-                ) -> TimestampPolicy:
-                    return VectorizedEdgeIndexedPolicy(
-                        graph, rid, edges=graphs[rid].edges
-                    )
-            else:
-
-                def policy_factory(
-                    graph: ShareGraph, rid: ReplicaId
-                ) -> TimestampPolicy:
-                    return EdgeIndexedPolicy(
-                        graph, rid, edges=graphs[rid].edges
-                    )
-
+            policy_factory = edge_policy_factory(self.graph, max_loop_len)
         self.replicas: Dict[ReplicaId, Replica] = {}
         for rid in self.graph.replicas:
             self.replicas[rid] = Replica(
@@ -284,16 +262,6 @@ class DSMSystem(_AdapterSet):
             )
         for replica in self.replicas.values():
             replica.set_dummy_map(dummy_map)
-        # Vectorized policies compile per-sender position plans; doing it
-        # at wiring time (deterministic, index-only work) keeps the first
-        # frame from every sender off the compilation stall.
-        peer_policies = {
-            rid: replica.policy for rid, replica in self.replicas.items()
-        }
-        for replica in self.replicas.values():
-            prewarm = getattr(replica.policy, "prewarm", None)
-            if prewarm is not None:
-                prewarm(peer_policies)
         self._clients: Dict[ReplicaId, Client] = {
             rid: Client(replica) for rid, replica in self.replicas.items()
         }

@@ -34,6 +34,8 @@ interoperate with array-constructed ones transparently.
 from __future__ import annotations
 
 from typing import (
+    Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -47,9 +49,17 @@ from typing import (
 
 from repro.core.edge_index import EdgeIndex
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp_graph import timestamp_graph
+from repro.core.timestamp_graph import all_timestamp_graphs, timestamp_graph
 from repro.errors import ConfigurationError
 from repro.types import Edge, RegisterName, ReplicaId
+
+#: A batch frame is handed to the numpy kernels
+#: (:mod:`repro.core.frame_kernels`) only when ``members x counters``
+#: reaches this many cells; below it the array round-trip costs more than
+#: the member-by-member walk it replaces.  Crossover measured in
+#: ``docs/performance.md`` section 6; only tests patch it.
+FRAME_KERNEL_MIN_CELLS = 1024
+
 
 def _uvarint_size(value: int) -> int:
     """Size of ``value`` as a LEB128 varint.
@@ -85,8 +95,8 @@ class Timestamp:
         self._hash: Optional[int] = None
         self._wire_size: Optional[int] = None
         # Lazily built int64 ndarray view of ``_values``, owned by the
-        # vectorized kernels (repro.optimizations.vectorized).  The tuple
-        # stays the source of truth for equality/hash/wire semantics.
+        # frame kernels (repro.core.frame_kernels).  The tuple stays the
+        # source of truth for equality/hash/wire semantics.
         self._np: Optional[object] = None
 
     @classmethod
@@ -243,6 +253,13 @@ class TimestampPolicy(Protocol):
         third parties); a policy whose merges can raise it for another
         sender must report an unknown delta from ``merge_delta``.
 
+    Whole-frame delivery
+        ``merge_run(ts, k, [T, ...])`` folds a batch frame provably ready
+        in order into ``(new_ts, raised_keys | None)``; ``blocked_many``
+        (same arguments) proves no buffered update of ``k`` turns ready
+        at any frontier up to ``ts``.  ``None`` / ``False`` mean "cannot
+        prove".  Fallback: enqueue the frame, drain member by member.
+
     Stabilization (the GST layer, :mod:`repro.gst`)
         ``stabilizing: bool`` -- when true the engine splits *applied*
         from *visible* state: updates apply immediately (FIFO per
@@ -319,7 +336,10 @@ class EdgeIndexedPolicy:
     ``*_delta`` variant and gets the plain method for free.  A subclass
     that weakens the sender-edge gap check (accepting updates other than
     the exact next one on ``e_ki``) must also set
-    :attr:`exact_sender_fifo` to ``False``.
+    :attr:`exact_sender_fifo` to ``False``.  The frame hooks
+    (:meth:`merge_run`, :meth:`blocked_many`) prove *this* class's ``J``
+    and fold *this* class's merge, so a subclass overriding :meth:`ready`
+    or :meth:`merge_delta` gets their "cannot prove" answer.
     """
 
     #: Predicate J accepts only the sender's exact-next update on edge
@@ -431,6 +451,9 @@ class EdgeIndexedPolicy:
         self._sender_seq_pos: Dict[
             ReplicaId, Tuple[EdgeIndex, Optional[int]]
         ] = {}
+        # Per-sender index-array plans, compiled by the frame kernels on
+        # that sender's first wide frame (None = cannot be served).
+        self._frame_plans: Dict[Tuple[ReplicaId, EdgeIndex], Any] = {}
 
     def _merge_plan(
         self, sender_index: EdgeIndex
@@ -595,6 +618,54 @@ class EdgeIndexedPolicy:
                 return False
         return True
 
+    def _frame_kernels(self, ts: Timestamp, members: int) -> Optional[Any]:
+        """The numpy kernel module when a frame of ``members`` timestamps
+        repays an array round-trip, else ``None`` -- decided from the
+        frame length and this policy's timestamp width, before anything
+        is imported.  A foreign index, a subclass with its own ``J`` or
+        merge, and a missing numpy also answer ``None``."""
+        cls = type(self)
+        if (
+            not members
+            or members * len(ts._values) < FRAME_KERNEL_MIN_CELLS
+            or ts._eindex is not self._eindex
+            or cls.ready is not EdgeIndexedPolicy.ready
+            or cls.merge_delta is not EdgeIndexedPolicy.merge_delta
+        ):
+            return None
+        from repro.core import frame_kernels
+
+        return frame_kernels if frame_kernels._np is not None else None
+
+    def merge_run(
+        self,
+        ts: Timestamp,
+        sender: ReplicaId,
+        sender_timestamps: Sequence[Timestamp],
+    ) -> Optional[Tuple[Timestamp, Optional[FrozenSet[Edge]]]]:
+        """Fold a consecutively-ready frame into ``(post-frame timestamp,
+        raised keys)``; ``None`` -- too small a frame, or not provably
+        ready in order -- means the generic enqueue-and-drain path
+        (:func:`repro.core.frame_kernels.merge_run`)."""
+        kernels = self._frame_kernels(ts, len(sender_timestamps))
+        if kernels is None:
+            return None
+        return kernels.merge_run(self, ts, sender, sender_timestamps)
+
+    def blocked_many(
+        self,
+        ts: Timestamp,
+        sender: ReplicaId,
+        sender_timestamps: Sequence[Timestamp],
+    ) -> bool:
+        """True when provably no member satisfies ``J`` at any frontier
+        up to ``ts``; ``False`` means "cannot prove", never "ready"
+        (:func:`repro.core.frame_kernels.blocked_many`)."""
+        kernels = self._frame_kernels(ts, len(sender_timestamps))
+        if kernels is None:
+            return False
+        return kernels.blocked_many(self, ts, sender, sender_timestamps)
+
     def blocking_edge(
         self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
     ) -> Edge:
@@ -656,3 +727,17 @@ class EdgeIndexedPolicy:
             f"EdgeIndexedPolicy(replica={self.replica_id!r}, "
             f"|E_i|={len(self.edges)})"
         )
+
+
+def edge_policy_factory(
+    graph: ShareGraph, max_loop_len: Optional[int] = None
+) -> Callable[[ShareGraph, ReplicaId], EdgeIndexedPolicy]:
+    """The default policy factory of every runtime: the paper's policy
+    over each replica's exact (or, Appendix D, loop-bounded) timestamp
+    graph, all computed up front with one shared loop-finder cache."""
+    graphs = all_timestamp_graphs(graph, max_loop_len=max_loop_len)
+
+    def factory(g: ShareGraph, rid: ReplicaId) -> EdgeIndexedPolicy:
+        return EdgeIndexedPolicy(g, rid, edges=graphs[rid].edges)
+
+    return factory

@@ -40,8 +40,7 @@ from repro.core.causality import History
 from repro.core.replica import Replica
 from repro.core.share_graph import ShareGraph
 from repro.core.system import Client
-from repro.core.timestamp import EdgeIndexedPolicy, Timestamp
-from repro.core.timestamp_graph import all_timestamp_graphs
+from repro.core.timestamp import Timestamp, edge_policy_factory
 from repro.errors import ConfigurationError
 from repro.network.delays import DelayModel
 from repro.network.transport import Network
@@ -103,11 +102,11 @@ class ReconfigurableDSMSystem:
     ) -> None:
         self.graph = graph
         self.network = Network(self.simulator, delay_model=self._delay_model)
-        graphs = all_timestamp_graphs(graph)
+        policy_factory = edge_policy_factory(graph)
         counts = self._issue_counts()
         self.replicas = {}
         for rid in graph.replicas:
-            policy = EdgeIndexedPolicy(graph, rid, edges=graphs[rid].edges)
+            policy = policy_factory(graph, rid)
             self.replicas[rid] = Replica(
                 replica_id=rid,
                 graph=graph,

@@ -108,10 +108,8 @@ class Scenario:
             kwargs["fault_plan"] = FaultPlan(
                 seed=7, default=ChannelFaults(loss=0.05, duplication=0.04)
             )
-        if batched:
-            kwargs["vectorized"] = True
-            if not self.fault:
-                kwargs["batch_window"] = self.batch_window
+        if batched and not self.fault:
+            kwargs["batch_window"] = self.batch_window
         return DSMSystem(self.placements(), seed=7, **kwargs)
 
 
@@ -206,9 +204,8 @@ SCENARIOS: Dict[str, Scenario] = {
         # stays at 8 because the per-group loop enumeration is the
         # paper's exponential computation confined to one group.
         # Quick sizes stay >= 1200: below that, the lazy per-sender plan
-        # compilation (only merge plans are prewarmed) eats a visible
-        # fraction of the timed region and quick ops/s sits far below
-        # the committed full-mode rows.
+        # compilation eats a visible fraction of the timed region and
+        # quick ops/s sits far below the committed full-mode rows.
         Scenario(
             "shard-128",
             lambda: {},
@@ -325,7 +322,6 @@ def _run_aio_once(
         if policy_factory is not None:
             kwargs["policy_factory"] = policy_factory
         if batched:
-            kwargs["vectorized"] = True
             kwargs["batch_window"] = scenario.batch_window
         system = AioDSMSystem(
             scenario.placements(),
@@ -390,9 +386,7 @@ def _run_tcp_once(
 
     config = TcpConfig()
     if batched:
-        config = TcpConfig(
-            batch_window=scenario.batch_window, vectorized=True
-        )
+        config = TcpConfig(batch_window=scenario.batch_window)
 
     async def drive() -> BenchResult:
         with tempfile.TemporaryDirectory() as wal_dir:
@@ -476,9 +470,8 @@ def _run_shard_once(
     The workload is ``zipf_writes`` over the plan's *logical* register
     space (who may write what), so ``ops_per_s`` counts logical client
     writes -- the overlay's carrier writes are the runtime's own cost,
-    priced into the same wall time.  The sharded system always runs its
-    throughput configuration: vectorized kernels, neighbour-restricted
-    prewarm, and the scenario's flush window (there is no separate
+    priced into the same wall time.  The sharded system always runs
+    with the scenario's flush window on (there is no separate
     ``batched`` column -- batching *is* the configuration the row
     documents).  Verification runs the causal checker over the physical
     history plus the final-store audit (including the logical
@@ -539,14 +532,13 @@ def run_scenario(
 ) -> BenchResult:
     """Run one scenario ``repeats`` times; keep the fastest run.
 
-    Plan compilation (merge/readiness/run position plans, interned edge
-    indexes) happens at system wiring via ``prewarm``, which runs before
-    the timer starts: the timed region measures steady-state protocol
-    cost per operation, not one-time setup.
+    Per-sender position plans compile on each sender's first message
+    (its frame plan on its first wide frame), inside the timed region:
+    a one-off cost per (receiver, sender) pair.
 
-    ``batched`` turns on both tentpole levers: the vectorized timestamp
-    kernels plus the scenario's flush-window coalescing (and, on
-    ``tcp-*-pipelined`` scenarios, the pipelined client).
+    ``batched`` turns the scenario's flush window on (and, on
+    ``tcp-*-pipelined`` scenarios, the pipelined client); whether a
+    frame then reaches the numpy frame kernels is the policy's call.
     """
     writes = scenario.quick_writes if quick else scenario.writes
     best: Optional[BenchResult] = None
@@ -624,9 +616,9 @@ def run_bench(
     With ``compare`` each scenario also runs under the legacy
     (pre-optimization) policy and the document gains a ``baseline``
     section plus per-scenario ``speedup`` ratios.  With ``batched`` each
-    scenario additionally runs with the vectorized kernels and its flush
-    window on (a ``batched`` section plus ``speedup_batched`` ratios
-    against the same document's ``optimized`` rows).  With ``policies``
+    scenario additionally runs with its flush window on (a ``batched``
+    section plus ``speedup_batched`` ratios against the same document's
+    ``optimized`` rows).  With ``policies``
     the document gains a ``policies`` section comparing the named
     timestamp policies (``edge``/``gst``/``adaptive``) over the
     :data:`POLICY_BENCH` matrix; when ``policies`` is given the main
@@ -685,9 +677,9 @@ def run_bench(
         optimized[name] = after.to_json()
         if compared:
             speedup[name] = round(after.ops_per_s / before.ops_per_s, 2)
-        # Shard rows already run batched + vectorized (that is the
-        # configuration they document); a second batched column would
-        # measure the same thing twice.
+        # Shard rows already run batched (that is the configuration
+        # they document); a second batched column would measure the same
+        # thing twice.
         if batched and scenario.runtime != "shard":
             fast = run_scenario(
                 scenario, quick=quick, repeats=repeats, batched=True
@@ -923,8 +915,8 @@ def check_regression(
     (the matrix may grow between commits).  The ``optimized`` sections
     are always compared; when *both* documents also carry a ``batched``
     section, its rows are gated the same way (so a regression in the
-    vectorized kernels or the coalescing path fails CI even while the
-    scalar path stays fast).  The baseline exists for speedup context
+    frame kernels or the coalescing path fails CI even while the
+    unbatched path stays fast).  The baseline exists for speedup context
     only.
 
     Two row classes get a widened tolerance (at least 50%): rows measured

@@ -350,7 +350,6 @@ async def run_load(
             "pipeline_window": pipeline_window,
             "batch_window": tcp_cfg.get("batch_window", 0.0),
             "batch_max": tcp_cfg.get("batch_max"),
-            "vectorized": tcp_cfg.get("vectorized", False),
             "shed_threshold": tcp_cfg.get("shed_threshold"),
         },
     )

@@ -32,8 +32,11 @@ from typing import (
 )
 
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import EdgeIndexedPolicy, Timestamp, TimestampPolicy
-from repro.core.timestamp_graph import all_timestamp_graphs
+from repro.core.timestamp import (
+    Timestamp,
+    TimestampPolicy,
+    edge_policy_factory,
+)
 from repro.errors import ConfigurationError
 from repro.types import RegisterName, ReplicaId, UpdateId
 
@@ -124,11 +127,7 @@ class ModelChecker:
             r: tuple(programs.get(r, ())) for r in self.replicas
         }
         if policy_factory is None:
-            graphs = all_timestamp_graphs(graph)
-
-            def policy_factory(g: ShareGraph, rid: ReplicaId) -> TimestampPolicy:
-                return EdgeIndexedPolicy(g, rid, edges=graphs[rid].edges)
-
+            policy_factory = edge_policy_factory(graph)
         self.policies: Dict[ReplicaId, TimestampPolicy] = {
             r: policy_factory(graph, r) for r in self.replicas
         }

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import EdgeIndexedPolicy, TimestampPolicy
+from repro.core.timestamp import TimestampPolicy, edge_policy_factory
 from repro.core.timestamp_graph import all_timestamp_graphs
 from repro.errors import ConfigurationError
 from repro.types import ReplicaId
@@ -34,12 +34,7 @@ def bounded_policy_factory(
     """
     if max_loop_len < 3:
         raise ConfigurationError("max_loop_len must be >= 3")
-    graphs = all_timestamp_graphs(graph, max_loop_len=max_loop_len)
-
-    def factory(g: ShareGraph, rid: ReplicaId) -> TimestampPolicy:
-        return EdgeIndexedPolicy(g, rid, edges=graphs[rid].edges)
-
-    return factory
+    return edge_policy_factory(graph, max_loop_len)
 
 
 def counters_saved(

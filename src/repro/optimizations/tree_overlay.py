@@ -199,14 +199,10 @@ def restrict_to_tree(
 class TreeOverlaySystem:
     """A :class:`DSMSystem` whose cross-tree registers ride the overlay.
 
-    ``vectorized=True`` selects the numpy timestamp kernels and prewarms
-    their compiled plans at wiring (``DSMSystem`` runs the prewarm sweep
-    for any policy exposing one), so the overlay's forwarding writes hit
-    the vectorized fast path from the first frame.  Without numpy the
-    flag degrades to the scalar edge-indexed policy -- same results,
-    same plans, no fast path -- so callers never need to guard on the
-    import.  Further ``system_kwargs`` (``batch_window`` etc.) pass
-    through to :class:`DSMSystem` and compose with the overlay.
+    ``system_kwargs`` (``batch_window`` etc.) pass through to
+    :class:`DSMSystem` and compose with the overlay: forwarding writes
+    ride the same batch frames, and so the same frame kernels, as direct
+    ones.
     """
 
     def __init__(
@@ -214,7 +210,6 @@ class TreeOverlaySystem:
         plan: TreeOverlayPlan,
         seed: int = 0,
         delay_model: Optional[DelayModel] = None,
-        vectorized: bool = False,
         **system_kwargs: Any,
     ) -> None:
         self.plan = plan
@@ -223,7 +218,6 @@ class TreeOverlaySystem:
             seed=seed,
             delay_model=delay_model,
             on_apply=self._on_apply,
-            vectorized=vectorized,
             **system_kwargs,
         )
         self.delivery_hops: Dict[RegisterName, List[int]] = {}

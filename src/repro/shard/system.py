@@ -7,11 +7,9 @@ per replica over a single simulator/network/history, exactly like
 built from the *per-group* edge sets of
 :meth:`~repro.shard.plan.ShardPlan.replica_edges`, so every compiled
 :class:`~repro.core.timestamp.EdgeIndex` plan stays group-sized no
-matter how many groups the deployment has.  The vectorized policy is
-prewarmed against each replica's actual share-graph neighbours (an
-all-pairs sweep would be quadratic in the replica count) and send-side
-batching is on by default: this is the throughput configuration the
-``shard-*`` bench rows measure.
+matter how many groups the deployment has.  Send-side batching is on by
+default, so full frames reach the policy's frame kernels: this is the
+throughput configuration the ``shard-*`` bench rows measure.
 
 Cross-group writes ride the tree overlay: a write of a cross register at
 a subscriber contact updates the local per-group alias, then fans out
@@ -52,9 +50,6 @@ class ShardedSystem:
         Simulation determinism and channel behaviour (channels are
         reliable; the sharding layer composes with the fault layers the
         same way ``DSMSystem`` does, but the bench rows run fault-free).
-    vectorized:
-        Use the numpy kernels (scalar fallback engages automatically
-        when numpy is absent).
     batch_window, batch_max:
         Send-side coalescing per (sender, destination); 0 disables.
     """
@@ -64,7 +59,6 @@ class ShardedSystem:
         plan: ShardPlan,
         seed: int = 0,
         delay_model: Optional[DelayModel] = None,
-        vectorized: bool = True,
         batch_window: float = 0.25,
         batch_max: int = 64,
     ) -> None:
@@ -74,38 +68,18 @@ class ShardedSystem:
         self.simulator = Simulator(seed=seed)
         self.network = Network(self.simulator, delay_model=delay_model)
         self.history = History()
-        if vectorized:
-            from repro.optimizations.vectorized import (
-                VectorizedEdgeIndexedPolicy,
-            )
-
-            policy_cls = VectorizedEdgeIndexedPolicy
-        else:
-            policy_cls = EdgeIndexedPolicy
         self.replicas: Dict[ReplicaId, Replica] = {}
         for rid in self.graph.replicas:
             self.replicas[rid] = Replica(
                 replica_id=rid,
                 graph=self.graph,
-                policy=policy_cls(self.graph, rid, edges=edges[rid]),
+                policy=EdgeIndexedPolicy(self.graph, rid, edges=edges[rid]),
                 network=self.network,
                 history=self.history,
                 on_apply=self._on_apply,
                 batch_window=batch_window,
                 batch_max=batch_max,
             )
-        # Prewarm against actual share-graph neighbours only: the peers a
-        # replica can ever receive a frame from.  DSMSystem's all-pairs
-        # sweep is fine at 32 replicas but quadratic at 512.
-        for rid, replica in self.replicas.items():
-            prewarm = getattr(replica.policy, "prewarm", None)
-            if prewarm is not None:
-                prewarm(
-                    {
-                        n: self.replicas[n].policy
-                        for n in self.graph.neighbors(rid)
-                    }
-                )
         self._alias_of: Dict[
             Tuple[ReplicaId, RegisterName], RegisterName
         ] = {}

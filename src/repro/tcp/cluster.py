@@ -59,6 +59,15 @@ def read_cluster_config(path: str) -> Dict[str, Any]:
     for key in ("placements", "ports", "wal_dir", "host"):
         if key not in doc:
             raise ConfigurationError(f"cluster config missing {key!r}")
+    # The file may come from another version: name a setting this one
+    # lacks instead of dying in ``TcpConfig(**...)`` with a TypeError.
+    known = {f.name for f in dataclasses.fields(TcpConfig)}
+    unknown = sorted(set(doc.get("config", {})) - known)
+    if unknown:
+        raise ConfigurationError(
+            f"cluster config {path!r} has unknown settings {unknown}; "
+            f"TcpConfig accepts {sorted(known)}"
+        )
     return doc
 
 

@@ -112,9 +112,6 @@ class TcpConfig:
     #: depends on the buffered records leaves the process).
     batch_window: float = 0.0
     batch_max: int = 64  # flush a destination early at this many staged
-    #: Use the numpy-vectorized timestamp kernels (byte-identical to the
-    #: scalar ones; silently scalar when numpy is not installed).
-    vectorized: bool = False
     #: Timestamp policy: ``"edge"`` (paper's edge-indexed vectors, the
     #: default and the legacy-compatible wire format) or ``"gst"`` (the
     #: global-stabilization protocol of arXiv:1803.05575 -- scalar
@@ -390,7 +387,7 @@ class TcpReplicaServer(CoreAdapter):
         self.host = host
         self.port = port
         self.wal = WriteAheadLog(
-            wal_path, buffered=(config or TcpConfig()).batch_window > 0
+            wal_path, buffered=self.config.batch_window > 0
         )
         self.stats = TcpReplicaStats()
         self.link_events: List[LinkEvent] = []
@@ -500,14 +497,6 @@ class TcpReplicaServer(CoreAdapter):
         """
         if self.config.policy == "gst":
             return GstPolicy(self.graph, self.replica_id)
-        if self.config.vectorized:
-            from repro.optimizations.vectorized import (
-                VectorizedEdgeIndexedPolicy,
-            )
-
-            return VectorizedEdgeIndexedPolicy(
-                self.graph, self.replica_id, edges=self._edges
-            )
         return EdgeIndexedPolicy(
             self.graph, self.replica_id, edges=self._edges
         )

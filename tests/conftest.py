@@ -56,3 +56,23 @@ def triangle_graph() -> ShareGraph:
     return ShareGraph(
         {1: {"a", "c"}, 2: {"a", "b"}, 3: {"b", "c"}}
     )
+
+
+@pytest.fixture
+def force_frame_kernels(monkeypatch):
+    """Take the policy's frame-size decision away from it.
+
+    ``force_frame_kernels(True)`` sends every batch frame, however
+    small, to the numpy kernels (cell threshold 0);
+    ``force_frame_kernels(False)`` makes numpy look uninstalled, so
+    every frame takes the scalar member-by-member path.  Undone at
+    teardown.
+    """
+    from repro.core import frame_kernels, timestamp
+
+    def force(numpy_side: bool) -> None:
+        numpy = pytest.importorskip("numpy") if numpy_side else None
+        monkeypatch.setattr(timestamp, "FRAME_KERNEL_MIN_CELLS", 0)
+        monkeypatch.setattr(frame_kernels, "_np", numpy)
+
+    return force

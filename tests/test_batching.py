@@ -5,7 +5,8 @@ coalesced frame through ``ProtocolCore.remote_batch`` must leave the
 receiver in exactly the state that delivering the members one by one
 through ``remote_update`` would -- same store, same timestamp, same
 apply order -- whether the frame takes the generic buffer-and-drain
-path or the vectorized run-apply fast path.  On top of that sit the
+path or the run-apply fast path (one numpy fold), which the policy
+picks per frame from the frame's size.  On top of that sit the
 adapter invariants: a flush window reduces message count without
 breaking the causal checker, rejects configurations it cannot honour
 (ARQ fault plans ack individual updates), and converges under the
@@ -15,6 +16,8 @@ asyncio and TCP runtimes.
 from __future__ import annotations
 
 import asyncio
+import subprocess
+import sys
 
 import pytest
 
@@ -24,18 +27,17 @@ from repro.core.engine import (
     Applied,
     BatchAccumulator,
     ProtocolCore,
+    RecordHistory,
     Send,
     UpdateBatch,
 )
 from repro.core.timestamp import EdgeIndexedPolicy
 from repro.errors import ConfigurationError
 from repro.network.faults import FaultPlan
-from repro.optimizations.vectorized import (
-    HAVE_NUMPY,
-    VectorizedEdgeIndexedPolicy,
-)
 from repro.types import Update, UpdateId
+from repro.wire.codec import timestamp_wire_bytes
 from repro.workloads import (
+    clique_placements,
     fig5_placements,
     random_placements,
     run_workload,
@@ -116,7 +118,7 @@ class _Harness:
         return [e.update.uid for e in self.effects if isinstance(e, Applied)]
 
 
-class _CountingVectorized(VectorizedEdgeIndexedPolicy):
+class _CountingPolicy(EdgeIndexedPolicy):
     """Counts accepted ``merge_run`` folds (fast-path activations)."""
 
     def __init__(self, *args, **kwargs):
@@ -133,18 +135,32 @@ class _CountingVectorized(VectorizedEdgeIndexedPolicy):
 TRIANGLE = {1: {"x", "y"}, 2: {"x", "z"}, 3: {"y", "z"}}
 
 
-def _issue_run(graph, count):
+def _issue_run(graph, count, register="x"):
+    """``count`` writes at replica 1, as replica 2 receives them."""
     writer = _Harness(1, graph, EdgeIndexedPolicy(graph, 1))
     for n in range(count):
-        writer.core.local_write("x", n)
-    return [e.update for e in writer.effects if isinstance(e, Send)]
+        writer.core.local_write(register, n)
+    return [
+        e.update for e in writer.effects if isinstance(e, Send) and e.dst == 2
+    ]
 
 
-def _receiver_pair(graph, policy_cls):
-    return (
-        _Harness(2, graph, policy_cls(graph, 2), emit_applied=True),
-        _Harness(2, graph, policy_cls(graph, 2), emit_applied=True),
+def _receiver_pair(graph, policy_cls=EdgeIndexedPolicy):
+    pair = tuple(
+        _Harness(
+            2,
+            graph,
+            policy_cls(graph, 2),
+            emit_applied=True,
+            record_history=True,
+        )
+        for _ in range(2)
     )
+    for harness in pair:
+        # Memoise the wire size up front, so every merge after this has
+        # to maintain it incrementally.
+        timestamp_wire_bytes(harness.core.timestamp)
+    return pair
 
 
 def _assert_same_outcome(a, b):
@@ -153,24 +169,25 @@ def _assert_same_outcome(a, b):
     assert a.core.pending_count == b.core.pending_count
     assert a.core.metrics.applied_remote == b.core.metrics.applied_remote
     assert a.applied_uids() == b.applied_uids()
+    history = [
+        [(e.kind, e.uid, e.time) for e in h.effects if isinstance(e, RecordHistory)]
+        for h in (a, b)
+    ]
+    assert history[0] == history[1]
+    for ts in (a.core.timestamp, b.core.timestamp):
+        assert ts._wire_size == timestamp_wire_bytes(Timestamp(ts.to_dict()))
 
 
-@pytest.mark.parametrize(
-    "policy_cls",
-    [
-        EdgeIndexedPolicy,
-        pytest.param(
-            VectorizedEdgeIndexedPolicy,
-            marks=pytest.mark.skipif(not HAVE_NUMPY, reason="numpy missing"),
-        ),
-    ],
-    ids=["scalar", "vectorized"],
-)
+@pytest.mark.parametrize("numpy_side", [False, True], ids=["scalar", "vectorized"])
 class TestRemoteBatchEquivalence:
-    def test_ready_frame_matches_sequential_delivery(self, policy_cls):
+    @pytest.fixture(autouse=True)
+    def _side(self, force_frame_kernels, numpy_side):
+        force_frame_kernels(numpy_side)
+
+    def test_ready_frame_matches_sequential_delivery(self):
         graph = ShareGraph(TRIANGLE)
         updates = _issue_run(graph, 6)
-        seq, bat = _receiver_pair(graph, policy_cls)
+        seq, bat = _receiver_pair(graph)
         for u in updates:
             seq.core.remote_update(1, u)
         bat.core.remote_batch(1, updates)
@@ -178,10 +195,10 @@ class TestRemoteBatchEquivalence:
         assert bat.core.read("x") == 5
         assert bat.core.pending_count == 0
 
-    def test_gapped_frame_buffers_then_drains_identically(self, policy_cls):
+    def test_gapped_frame_buffers_then_drains_identically(self):
         graph = ShareGraph(TRIANGLE)
         updates = _issue_run(graph, 5)
-        seq, bat = _receiver_pair(graph, policy_cls)
+        seq, bat = _receiver_pair(graph)
         # Head missing: every member must buffer, nothing applies ...
         for u in updates[1:]:
             seq.core.remote_update(1, u)
@@ -198,22 +215,28 @@ class TestRemoteBatchEquivalence:
             uid.seq for uid in bat.applied_uids()
         ]
 
-    def test_handle_remote_batch_event_dispatches(self, policy_cls):
+    def test_handle_remote_batch_event_dispatches(self):
         graph = ShareGraph(TRIANGLE)
         updates = _issue_run(graph, 3)
-        seq, bat = _receiver_pair(graph, policy_cls)
+        seq, bat = _receiver_pair(graph)
         for u in updates:
             seq.core.remote_update(1, u)
         bat.core.remote_batch(1, tuple(updates))
         _assert_same_outcome(seq, bat)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy missing")
 class TestRunApplyFastPath:
+    """Engine behaviour around an accepted fold, on graphs far too
+    narrow for the policy to pick numpy unforced."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_side(self, force_frame_kernels):
+        force_frame_kernels(True)
+
     def test_ready_frame_takes_one_fold(self):
         graph = ShareGraph(TRIANGLE)
         updates = _issue_run(graph, 8)
-        policy = _CountingVectorized(graph, 2)
+        policy = _CountingPolicy(graph, 2)
         receiver = _Harness(2, graph, policy, emit_applied=True)
         receiver.core.remote_batch(1, updates)
         assert policy.run_hits == 1  # whole frame, one merge
@@ -224,7 +247,7 @@ class TestRunApplyFastPath:
     def test_gapped_frame_rejects_fold_and_buffers(self):
         graph = ShareGraph(TRIANGLE)
         updates = _issue_run(graph, 4)
-        policy = _CountingVectorized(graph, 2)
+        policy = _CountingPolicy(graph, 2)
         receiver = _Harness(2, graph, policy, emit_applied=True)
         receiver.core.remote_batch(1, updates[1:])
         assert policy.run_hits == 0
@@ -233,7 +256,7 @@ class TestRunApplyFastPath:
     def test_fast_path_mirrors_pending_high_water(self):
         graph = ShareGraph(TRIANGLE)
         updates = _issue_run(graph, 5)
-        policy = _CountingVectorized(graph, 2)
+        policy = _CountingPolicy(graph, 2)
         receiver = _Harness(2, graph, policy)
         receiver.core.remote_batch(1, updates)
         # The generic path would have buffered all 5 before draining;
@@ -270,7 +293,7 @@ class TestRunApplyFastPath:
         cores[3].core.remote_update(2, write(2, "bs")[3])
         s1 = write(3, "s")[4]  # depends on a1 and b1
 
-        policy = _CountingVectorized(graph, 4)
+        policy = _CountingPolicy(graph, 4)
         receiver = _Harness(4, graph, policy, emit_applied=True)
         receiver.core.remote_update(3, s1)
         assert receiver.core.blocked_on() == {3: ((1, 4), 0, 1)}
@@ -313,7 +336,7 @@ class TestRunApplyFastPath:
         cores[3].core.remote_update(2, write(2, "bs")[3])
         s3 = write(3, "s")[4]  # depends on b1
 
-        policy = _CountingVectorized(graph, 4)
+        policy = _CountingPolicy(graph, 4)
         receiver = _Harness(4, graph, policy, emit_applied=True)
         receiver.core.remote_update(3, s3)
         assert receiver.core.queue_stats().blocked_senders == 0
@@ -325,6 +348,68 @@ class TestRunApplyFastPath:
         receiver.core.remote_update(2, b1)
         assert receiver.applied_uids() == [s1.uid, s2.uid, b1.uid, s3.uid]
         assert receiver.core.pending_count == 0
+
+
+class TestFrameKernelSelection:
+    """The policy picks numpy per frame from the frame it is handed:
+    ``members x counters`` against one constant, nothing a caller sets.
+    Replica 2 of an 8-clique tracks 56 counters, so the default 1,024
+    cells fall between a 10- and a 20-member frame."""
+
+    GRAPH = ShareGraph(clique_placements(8))
+
+    def _deliver(self, count, frame_size):
+        pytest.importorskip("numpy")
+        updates = _issue_run(self.GRAPH, count, register="x0")
+        seq, bat = _receiver_pair(self.GRAPH, _CountingPolicy)
+        for u in updates:
+            seq.core.remote_update(1, u)
+        for start in range(0, count, frame_size):
+            bat.core.remote_batch(1, updates[start : start + frame_size])
+        _assert_same_outcome(seq, bat)
+        assert bat.core.metrics.applied_remote == count
+        return bat.core.policy.run_hits
+
+    def test_wide_multi_member_frame_folds(self):
+        assert len(EdgeIndexedPolicy(self.GRAPH, 2).edges) == 56
+        assert self._deliver(40, frame_size=20) == 2
+
+    @pytest.mark.parametrize("frame_size", [1, 10], ids=["one-member", "narrow"])
+    def test_small_frame_declines_without_importing_the_kernels(
+        self, monkeypatch, frame_size
+    ):
+        import repro.core
+
+        monkeypatch.delitem(sys.modules, "repro.core.frame_kernels", raising=False)
+        monkeypatch.delattr(repro.core, "frame_kernels", raising=False)
+        assert self._deliver(20, frame_size) == 0
+        assert "repro.core.frame_kernels" not in sys.modules
+
+
+def test_default_and_narrow_batched_runs_never_import_numpy():
+    """What keeps ``peak_rss_mb`` and the sparse workloads where they
+    are: without batch frames -- however wide the timestamps -- and with
+    batch frames of narrow timestamps, a whole run leaves numpy (and the
+    kernel module) unimported."""
+    script = """
+import sys
+from repro import DSMSystem
+from repro.workloads import (
+    clique_placements, random_placements, run_workload, uniform_writes,
+)
+
+for placements, kwargs in (
+    (random_placements(12, 30, 5, seed=11), {}),
+    (clique_placements(8), {"batch_window": 0.25}),
+):
+    system = DSMSystem(placements, seed=7, **kwargs)
+    run_workload(system, uniform_writes(system.graph, 200, rate=40.0, seed=13))
+    assert system.check().ok
+assert "numpy" not in sys.modules, "numpy imported"
+assert "repro.core.frame_kernels" not in sys.modules, "kernels imported"
+"""
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=120)
+
 
 # ----------------------------------------------------------------------
 # Simulated systems: flush windows, differentials, config guards
@@ -350,13 +435,24 @@ class TestSimulatedSystems:
                     reg
                 )
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy missing")
-    def test_vectorized_batched_run_is_byte_identical_to_scalar(self):
-        def run(vectorized):
+    def test_vectorized_batched_run_is_byte_identical_to_scalar(
+        self, force_frame_kernels, monkeypatch
+    ):
+        from repro.core import frame_kernels
+
+        folds = []
+        kernel = frame_kernels.merge_run
+
+        def spy(*args):
+            folds.append(kernel(*args))
+            return folds[-1]
+
+        monkeypatch.setattr(frame_kernels, "merge_run", spy)
+
+        def run(numpy_side):
+            force_frame_kernels(numpy_side)
             placements = random_placements(8, 24, 4, seed=21)
-            system = DSMSystem(
-                placements, seed=7, vectorized=vectorized, batch_window=2.0
-            )
+            system = DSMSystem(placements, seed=7, batch_window=2.0)
             stream = uniform_writes(system.graph, 150, seed=3)
             run_workload(system, stream)
             assert system.check().ok
@@ -365,7 +461,10 @@ class TestSimulatedSystems:
                 for rid in system.graph.replicas
             }
             stamps = {
-                rid: system.replica(rid).timestamp
+                rid: (
+                    system.replica(rid).timestamp,
+                    system.replica(rid).timestamp._wire_size,
+                )
                 for rid in system.graph.replicas
             }
             events = [
@@ -374,7 +473,10 @@ class TestSimulatedSystems:
             ]
             return stores, stamps, events
 
-        assert run(False) == run(True)
+        scalar = run(False)
+        assert not folds
+        assert scalar == run(True)
+        assert any(fold is not None for fold in folds)
 
     def test_batch_window_requires_reliable_channels(self):
         with pytest.raises(ConfigurationError):
@@ -416,7 +518,6 @@ def test_aio_batched_write_propagates():
             fig5_placements(),
             seed=11,
             batch_window=0.005,
-            vectorized=HAVE_NUMPY,
         )
         async with system:
             for n in range(10):
@@ -443,7 +544,6 @@ class TestTcpBatched:
             heartbeat_interval=0.05,
             heartbeat_timeout=0.25,
             batch_window=0.01,
-            vectorized=HAVE_NUMPY,
         )
 
         async def scenario():

@@ -24,7 +24,6 @@ import pytest
 from repro.baselines.legacy import legacy_policy_factory
 from repro.core.system import DSMSystem
 from repro.network.faults import ChannelFaults, FaultPlan
-from repro.optimizations.vectorized import HAVE_NUMPY
 from repro.workloads import (
     clique_placements,
     random_placements,
@@ -47,13 +46,11 @@ def run_trace(
     rate: float,
     policy_factory=None,
     faults: Optional[ChannelFaults] = None,
-    vectorized: bool = False,
+    batch_window: float = 0.0,
 ) -> Trace:
-    kwargs = {}
+    kwargs = {"batch_window": batch_window}
     if policy_factory is not None:
         kwargs["policy_factory"] = policy_factory
-    if vectorized:
-        kwargs["vectorized"] = True
     if faults is not None:
         kwargs["fault_plan"] = FaultPlan(
             seed=99, default=faults, horizon=10_000.0
@@ -108,27 +105,35 @@ def test_identical_traces_chaos(name, placements, writes, rate) -> None:
     assert old[2] == new[2], f"{name}: checker verdicts diverged under faults"
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy missing")
 @pytest.mark.parametrize(
     "name,placements,writes,rate", CASES, ids=[c[0] for c in CASES]
 )
-def test_identical_traces_vectorized(name, placements, writes, rate) -> None:
-    """The numpy kernels (including the run-apply fast path) against the
-    flat-list oracle: vectorization must be invisible in the trace."""
-    old = run_trace(placements, writes, rate, legacy_policy_factory)
-    new = run_trace(placements, writes, rate, vectorized=True)
+def test_identical_traces_vectorized(
+    name, placements, writes, rate, force_frame_kernels
+) -> None:
+    """The numpy frame kernels against the flat-list oracle, which has
+    no frame hooks and so takes every frame member by member: with a
+    flush window on both sides and every frame forced to the kernels,
+    folding must be invisible in the trace."""
+    force_frame_kernels(True)
+    old = run_trace(
+        placements, writes, rate, legacy_policy_factory, batch_window=2.0
+    )
+    new = run_trace(placements, writes, rate, batch_window=2.0)
     assert old[0] == new[0], f"{name}: history events diverged (vectorized)"
     assert old[1] == new[1], f"{name}: timestamps diverged (vectorized)"
     assert old[2] and new[2], f"{name}: checker verdicts diverged (vectorized)"
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy missing")
-def test_identical_traces_vectorized_chaos() -> None:
-    """One dense case under loss/duplication: retransmitted duplicates
-    must never let the run fold double-apply a member."""
+def test_identical_traces_vectorized_chaos(force_frame_kernels) -> None:
+    """One dense case under loss/duplication with the kernels forced on.
+    The ARQ layer acks single updates, so no frame exists to fold: the
+    retransmitted duplicates must reach the same per-update path, and
+    the same trace, as without numpy."""
+    force_frame_kernels(True)
     name, placements, writes, rate = CASES[-1]
     old = run_trace(placements, writes, rate, legacy_policy_factory, FAULTS)
-    new = run_trace(placements, writes, rate, faults=FAULTS, vectorized=True)
+    new = run_trace(placements, writes, rate, faults=FAULTS)
     assert old[0] == new[0], f"{name}: history events diverged under faults"
     assert old[1] == new[1], f"{name}: timestamps diverged under faults"
     assert old[2] == new[2], f"{name}: checker verdicts diverged under faults"
@@ -156,12 +161,11 @@ def test_optimized_policy_uses_fast_path() -> None:
     assert replica.core._fifo
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy missing")
 def test_vectorized_policy_exposes_run_hooks() -> None:
-    """The engine must actually see the run-apply hooks, or the
-    vectorized differential never exercises the fast path."""
-    system = DSMSystem(tree_placements(4), seed=7, vectorized=True)
+    """The engine must actually see the run-apply hooks on the default
+    policy, or the vectorized differential never exercises the fast
+    path."""
+    system = DSMSystem(tree_placements(4), seed=7)
     replica = next(iter(system.replicas.values()))
     assert replica.core._merge_run is not None
     assert replica.core._blocked_many is not None
-    assert replica.core._ready_many is not None

@@ -175,11 +175,12 @@ def test_end_to_end_zipf_run_checks_and_audits_clean():
     assert system.delivery_hops
 
 
-def test_scalar_and_vectorized_sharded_runs_agree():
+def test_scalar_and_vectorized_sharded_runs_agree(force_frame_kernels):
     plan = social_shard_plan(replicas=16, group_size=4, seed=6)
 
-    def run(vectorized):
-        system = ShardedSystem(plan, seed=3, vectorized=vectorized)
+    def run(numpy_side):
+        force_frame_kernels(numpy_side)
+        system = ShardedSystem(plan, seed=3)
         stream = zipf_writes(
             plan.logical_graph(), 200, rate=100.0, skew=0.9, seed=2
         )

@@ -11,12 +11,14 @@ that the chaos harness and CI smoke job rely on.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import json
 
 import pytest
 
 from repro.core.share_graph import ShareGraph
 from repro.checker import check_history
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.harness.chaos import store_divergence
 from repro.harness.process_chaos import (
     ProcessChaosSpec,
@@ -26,7 +28,12 @@ from repro.harness.process_chaos import (
     run_load,
     run_process_chaos_trial,
 )
-from repro.tcp.cluster import ProcessCluster
+from repro.tcp.cluster import (
+    ProcessCluster,
+    read_cluster_config,
+    serve_replica,
+    write_cluster_config,
+)
 from repro.tcp.runtime import TcpCluster, TcpConfig
 from repro.tcp.wal import read_wal
 
@@ -90,6 +97,49 @@ def test_ring_placements_shape():
         assert len(graph.replicas_storing(register)) == 2
     with pytest.raises(ProtocolError):
         ring_placements(1)
+
+
+# ----------------------------------------------------------------------
+# Config file: written by one version, read by another
+# ----------------------------------------------------------------------
+#: The ``config`` section exactly as the last commit that had
+#: ``TcpConfig.vectorized`` wrote it (``write_cluster_config`` defaults).
+PRE_FRAME_KERNEL_CONFIG = {
+    "backoff_base": 0.05,
+    "backoff_cap": 2.0,
+    "backoff_factor": 2.0,
+    "backoff_jitter": 0.5,
+    "batch_max": 64,
+    "batch_window": 0.0,
+    "drain_timeout": 5.0,
+    "gap_threshold": 256,
+    "heartbeat_interval": 0.25,
+    "heartbeat_timeout": 1.5,
+    "hello_timeout": 10.0,
+    "pending_cap": 512,
+    "policy": "edge",
+    "shed_retry_after": 0.1,
+    "shed_threshold": None,
+    "vectorized": False,
+}
+
+
+def test_cluster_config_with_a_removed_setting_is_named_not_a_typeerror(tmp_path):
+    path = str(tmp_path / "cluster.json")
+    placements = {"a": ["x"], "b": ["x"]}
+    ports = {"a": 7001, "b": 7002}
+    write_cluster_config(path, placements, ports, str(tmp_path))
+    doc = read_cluster_config(path)
+    assert doc["config"] == dataclasses.asdict(TcpConfig())
+    # The only key the old file has and this version does not.
+    assert set(PRE_FRAME_KERNEL_CONFIG) - set(doc["config"]) == {"vectorized"}
+    doc["config"] = PRE_FRAME_KERNEL_CONFIG
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ConfigurationError, match="vectorized"):
+        read_cluster_config(path)
+    with pytest.raises(ConfigurationError, match="vectorized"):
+        drive(serve_replica(path, "a"))
 
 
 # ----------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_grid_to_tree(ring6):
 
 
 # ----------------------------------------------------------------------
-# Composition with the vectorized kernels and send-side batching
+# Composition with send-side batching and the frame kernels
 # ----------------------------------------------------------------------
 def _drive_overlay(plan, graph, writes=150, **system_kwargs):
     from repro.workloads import uniform_writes
@@ -176,25 +176,23 @@ def _drive_overlay(plan, graph, writes=150, **system_kwargs):
     return system
 
 
-def test_vectorized_flag_selects_and_prewarms_fast_policy(ring6):
-    pytest.importorskip("numpy")
-    from repro.optimizations.vectorized import VectorizedEdgeIndexedPolicy
-
+def test_overlay_frame_plans_compile_on_first_frame(ring6, force_frame_kernels):
+    force_frame_kernels(True)
     plan = restrict_to_tree(ring6, star_tree(6))
-    system = TreeOverlaySystem(plan, seed=1, vectorized=True)
-    for rid, replica in system.system.replicas.items():
-        policy = replica.policy
-        assert isinstance(policy, VectorizedEdgeIndexedPolicy)
-        # Prewarm ran at wiring: the per-sender run plans are already
-        # compiled, so the first frame skips the compilation stall.
-        assert policy._vrun_plans, rid
+    idle = TreeOverlaySystem(plan, seed=1, batch_window=2.0)
+    # Nothing is compiled at wiring: a replica pays for a sender's frame
+    # plan when that sender's first frame reaches the kernels.
+    assert not any(r.policy._frame_plans for r in idle.system.replicas.values())
+    busy = _drive_overlay(plan, ring6, batch_window=2.0)
+    assert any(r.policy._frame_plans for r in busy.system.replicas.values())
 
 
-def test_overlay_vectorized_run_matches_scalar(ring6):
-    pytest.importorskip("numpy")
+def test_overlay_vectorized_run_matches_scalar(ring6, force_frame_kernels):
     plan = restrict_to_tree(ring6, star_tree(6))
 
-    def snapshot(system):
+    def snapshot(numpy_side, **system_kwargs):
+        force_frame_kernels(numpy_side)
+        system = _drive_overlay(plan, ring6, **system_kwargs)
         stores = {
             rid: dict(system.system.replica(rid).store)
             for rid in system.system.graph.replicas
@@ -205,34 +203,24 @@ def test_overlay_vectorized_run_matches_scalar(ring6):
         ]
         return stores, events, system.delivery_hops
 
-    scalar = snapshot(_drive_overlay(plan, ring6, vectorized=False))
-    fast = snapshot(_drive_overlay(plan, ring6, vectorized=True))
-    assert scalar == fast
+    assert snapshot(False) == snapshot(True)
     # The same holds with send-side batching on: coalescing changes the
-    # schedule, but scalar and vectorized kernels must walk that new
-    # schedule identically (frame folds included).
-    scalar_b = snapshot(
-        _drive_overlay(plan, ring6, vectorized=False, batch_window=2.0)
-    )
-    fast_b = snapshot(
-        _drive_overlay(plan, ring6, vectorized=True, batch_window=2.0)
-    )
-    assert scalar_b == fast_b
+    # schedule, but the scalar walk and the numpy kernels must cover
+    # that new schedule identically (frame folds included).
+    assert snapshot(False, batch_window=2.0) == snapshot(True, batch_window=2.0)
 
 
-def test_overlay_vectorized_falls_back_without_numpy(ring6, monkeypatch):
-    import repro.optimizations.vectorized as vec
-
-    monkeypatch.setattr(vec, "_np", None)
+def test_overlay_vectorized_falls_back_without_numpy(ring6, force_frame_kernels):
+    force_frame_kernels(False)
     plan = restrict_to_tree(ring6, star_tree(6))
-    system = _drive_overlay(plan, ring6, writes=60, vectorized=True)
-    assert system.read(3, "s3_4") is not None or True  # ran to completion
+    system = _drive_overlay(plan, ring6, writes=60, batch_window=2.0)
+    assert system.system.quiescent()  # ran to completion on the scalar path
 
 
 def test_overlay_batched_run_converges_with_fewer_messages(ring6):
     plan = restrict_to_tree(ring6, star_tree(6))
     plain = _drive_overlay(plan, ring6)
-    batched = _drive_overlay(plan, ring6, vectorized=True, batch_window=2.0)
+    batched = _drive_overlay(plan, ring6, batch_window=2.0)
     mp = plain.system.metrics()
     mb = batched.system.metrics()
     assert mb.applied_remote == mp.applied_remote

@@ -1,12 +1,12 @@
-"""Kernel parity: VectorizedEdgeIndexedPolicy vs the scalar base class.
+"""Frame-kernel parity: the numpy side of ``EdgeIndexedPolicy.merge_run``
+/ ``blocked_many`` vs a scalar step-by-step simulation.
 
-The vectorized policy's contract is *byte-identity*: every kernel must
-return exactly what the scalar ``EdgeIndexedPolicy`` returns -- the same
+The kernels' contract is *byte-identity*: a folded frame must be exactly
+what ``ready`` + ``merge_delta`` member by member produce -- the same
 timestamp values, the same changed-key frozensets, the same memoized
-wire sizes -- only faster.  These tests drive both policies through
-identical randomized advance/merge walks and compare every output, then
-check the run kernels (``merge_run``, ``blocked_many``) against a
-scalar step-by-step simulation of the delivery engine's generic path.
+wire sizes -- only faster.  The policy normally declines frames too
+small to repay numpy; ``force_frame_kernels(True)`` drops that threshold
+to zero so these small graphs reach the kernels, ``(False)`` hides numpy.
 """
 
 from __future__ import annotations
@@ -16,106 +16,22 @@ import random
 import pytest
 
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import EdgeIndexedPolicy
-from repro.core.timestamp_graph import all_timestamp_graphs
-from repro.optimizations import vectorized as vec
-from repro.optimizations.vectorized import (
-    HAVE_NUMPY,
-    VectorizedEdgeIndexedPolicy,
-)
+from repro.core.timestamp import edge_policy_factory
 from repro.wire.codec import timestamp_wire_bytes
 from repro.workloads import random_placements
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy missing: vectorized kernels inactive"
-)
+pytest.importorskip("numpy")
 
 
-def _policy_pairs(seed=11, replicas=8, writes=20, per=4):
-    """(scalar, vectorized) policy pairs over one dense share graph."""
+def _policies(seed=11, replicas=8, writes=20, per=4):
+    """One policy per replica over one dense share graph."""
     graph = ShareGraph(random_placements(replicas, writes, per, seed=seed))
-    graphs = all_timestamp_graphs(graph)
-    pairs = {}
-    for rid in graph.replicas:
-        edges = graphs[rid].edges
-        pairs[rid] = (
-            EdgeIndexedPolicy(graph, rid, edges=edges),
-            VectorizedEdgeIndexedPolicy(graph, rid, edges=edges),
-        )
-    return graph, pairs
+    factory = edge_policy_factory(graph)
+    return graph, {rid: factory(graph, rid) for rid in graph.replicas}
 
 
 def _registers_at(graph, rid):
     return sorted(graph.registers_at(rid), key=str)
-
-
-def test_advance_and_merge_delta_parity_random_walk():
-    graph, pairs = _policy_pairs()
-    rng = random.Random(42)
-    rids = sorted(graph.replicas, key=str)
-    state = {rid: (s.initial(), v.initial()) for rid, (s, v) in pairs.items()}
-    for step in range(400):
-        rid = rng.choice(rids)
-        scalar, vect = pairs[rid]
-        ts_s, ts_v = state[rid]
-        assert ts_s == ts_v
-        if rng.random() < 0.5:
-            regs = _registers_at(graph, rid)
-            if not regs:
-                continue
-            reg = rng.choice(regs)
-            # Exercise the wire-size memo delta on roughly half the steps.
-            if rng.random() < 0.5:
-                timestamp_wire_bytes(ts_s)
-                timestamp_wire_bytes(ts_v)
-            new_s, chg_s = scalar.advance_delta(ts_s, reg)
-            new_v, chg_v = vect.advance_delta(ts_v, reg)
-        else:
-            src = rng.choice([r for r in rids if r != rid])
-            src_ts = state[src][0]
-            if rng.random() < 0.5:
-                timestamp_wire_bytes(ts_s)
-                timestamp_wire_bytes(ts_v)
-            new_s, chg_s = scalar.merge_delta(ts_s, src, src_ts)
-            new_v, chg_v = vect.merge_delta(ts_v, src, src_ts)
-        assert new_s == new_v, f"step {step}: values diverged"
-        assert chg_s == chg_v, f"step {step}: changed keys diverged"
-        assert new_s._wire_size == new_v._wire_size, f"step {step}: memo"
-        # No-change merges must return the identical object (engine
-        # relies on `is` to skip wake-ups).
-        state[rid] = (new_s, new_v)
-
-
-def test_ready_and_ready_many_parity():
-    graph, pairs = _policy_pairs(seed=5)
-    rng = random.Random(7)
-    rids = sorted(graph.replicas, key=str)
-    # Build a run of sender timestamps by advancing the sender's policy.
-    for trial in range(30):
-        rid, src = rng.sample(rids, 2)
-        scalar, vect = pairs[rid]
-        s_scalar, _ = pairs[src]
-        own = scalar.initial()
-        sender_ts = s_scalar.initial()
-        queue = []
-        regs = _registers_at(graph, src)
-        if not regs:
-            continue
-        for _ in range(rng.randrange(1, 6)):
-            sender_ts = s_scalar.advance(sender_ts, rng.choice(regs))
-            queue.append(sender_ts)
-        # Randomly advance the receiver so some entries become ready.
-        for _ in range(rng.randrange(0, 4)):
-            own = scalar.merge(own, src, queue[0])
-        expect = None
-        for i, ts in enumerate(queue):
-            if scalar.ready(own, src, ts):
-                expect = i
-                break
-        got = vect.ready_many(own, src, queue)
-        assert got == expect, f"trial {trial}: ready_many diverged"
-        for ts in queue:
-            assert scalar.ready(own, src, ts) == vect.ready(own, src, ts)
 
 
 def _scalar_run(scalar, own, src, run):
@@ -131,24 +47,30 @@ def _scalar_run(scalar, own, src, run):
     return cur, changed
 
 
-def test_merge_run_matches_scalar_step_simulation():
-    graph, pairs = _policy_pairs(seed=9)
+def test_merge_run_matches_scalar_step_simulation(force_frame_kernels):
+    force_frame_kernels(True)
+    graph, policies = _policies(seed=9)
     rng = random.Random(23)
     rids = sorted(graph.replicas, key=str)
     hits = 0
     for trial in range(120):
         rid, src = rng.sample(rids, 2)
-        scalar, vect = pairs[rid]
-        s_scalar, _ = pairs[src]
+        policy, sender = policies[rid], policies[src]
         regs = _registers_at(graph, src)
         if not regs:
             continue
-        sender_ts = s_scalar.initial()
+        sender_ts = sender.initial()
+        own = policy.initial()
+        if trial % 4 == 0:
+            # Age the channel so the run's counters cross the one-byte
+            # varint boundary (128): the memoized wire size must track.
+            for _ in range(rng.randrange(120, 128)):
+                sender_ts = sender.advance(sender_ts, rng.choice(regs))
+                own = policy.merge(own, src, sender_ts)
         run = []
         for _ in range(rng.randrange(1, 7)):
-            sender_ts = s_scalar.advance(sender_ts, rng.choice(regs))
+            sender_ts = sender.advance(sender_ts, rng.choice(regs))
             run.append(sender_ts)
-        own = scalar.initial()
         if rng.random() < 0.3:
             # Drop the head: the run is now gapped and must be rejected.
             run = run[1:]
@@ -156,8 +78,8 @@ def test_merge_run_matches_scalar_step_simulation():
             continue
         if rng.random() < 0.5:
             timestamp_wire_bytes(own)
-        expect = _scalar_run(scalar, own, src, run)
-        got = vect.merge_run(own, src, run)
+        expect = _scalar_run(policy, own, src, run)
+        got = policy.merge_run(own, src, run)
         if expect is None:
             assert got is None, f"trial {trial}: accepted an unready run"
         else:
@@ -169,75 +91,89 @@ def test_merge_run_matches_scalar_step_simulation():
     assert hits > 10, "matrix never exercised the accepting path"
 
 
-def test_blocked_many_is_sound():
+def test_blocked_many_is_sound(force_frame_kernels):
     """blocked_many must never claim 'blocked' for a member that the
     scalar predicate judges ready at the final frontier (readiness at
     any intermediate frontier implies readiness conditions under the
     final one, by monotonicity)."""
-    graph, pairs = _policy_pairs(seed=3)
+    force_frame_kernels(True)
+    graph, policies = _policies(seed=3)
     rng = random.Random(99)
     rids = sorted(graph.replicas, key=str)
     checked = 0
     for trial in range(100):
         rid, src = rng.sample(rids, 2)
-        scalar, vect = pairs[rid]
-        s_scalar, _ = pairs[src]
+        policy, sender = policies[rid], policies[src]
         regs = _registers_at(graph, src)
         if not regs:
             continue
-        sender_ts = s_scalar.initial()
+        sender_ts = sender.initial()
         queue = []
         for _ in range(rng.randrange(2, 7)):
-            sender_ts = s_scalar.advance(sender_ts, rng.choice(regs))
+            sender_ts = sender.advance(sender_ts, rng.choice(regs))
             queue.append(sender_ts)
-        final = scalar.initial()
+        final = policy.initial()
         for _ in range(rng.randrange(0, 3)):
-            final = scalar.merge(final, src, queue[0])
+            final = policy.merge(final, src, queue[0])
         # Drop a prefix so some queues are gapped beyond the frontier --
         # the provably-blocked shape the engine sees in practice.
         queue = queue[rng.randrange(0, len(queue)) :]
-        if vect.blocked_many(final, src, queue):
+        if policy.blocked_many(final, src, queue):
             for ts in queue:
-                assert not scalar.ready(final, src, ts)
+                assert not policy.ready(final, src, ts)
             checked += 1
     assert checked > 0
 
 
-def test_heterogeneous_sender_indexes_fall_back():
-    graph, pairs = _policy_pairs(seed=13)
+def test_heterogeneous_sender_indexes_fall_back(force_frame_kernels):
+    force_frame_kernels(True)
+    graph, policies = _policies(seed=13)
     rids = sorted(graph.replicas, key=str)
     rid, src = rids[0], rids[1]
-    _, vect = pairs[rid]
-    a = pairs[src][0].initial()
-    b = pairs[rids[2]][0].initial()
-    own = vect.initial()
-    # Mixed edge indexes in one queue: scalar fallback, never a crash.
-    assert vect.ready_many(own, src, [a, b]) == vect._ready_many_scalar(
-        own, src, [a, b]
-    )
-    assert vect.merge_run(own, src, [a, b]) is None
-    assert vect.blocked_many(own, src, [a, b]) is False
+    policy = policies[rid]
+    a = policies[src].initial()
+    b = policies[rids[2]].initial()
+    own = policy.initial()
+    # Mixed edge indexes in one frame: "cannot prove", never a crash.
+    assert policy.merge_run(own, src, [a, b]) is None
+    assert policy.blocked_many(own, src, [a, b]) is False
 
 
-def test_scalar_fallback_without_numpy(monkeypatch):
-    graph, pairs = _policy_pairs(seed=17)
+def test_scalar_fallback_without_numpy(force_frame_kernels):
+    graph, policies = _policies(seed=17)
     rids = sorted(graph.replicas, key=str)
-    rid, src = rids[0], rids[1]
-    scalar, vect = pairs[rid]
-    s_scalar, _ = pairs[src]
-    regs = _registers_at(graph, src)
-    sender_ts = s_scalar.advance(s_scalar.initial(), regs[0])
-    own_s = scalar.initial()
-    own_v = vect.initial()
-    monkeypatch.setattr(vec, "_np", None)
-    new_s, chg_s = scalar.merge_delta(own_s, src, sender_ts)
-    new_v, chg_v = vect.merge_delta(own_v, src, sender_ts)
-    assert new_s == new_v and chg_s == chg_v
-    assert vect.merge_run(own_v, src, [sender_ts]) is None
-    assert vect.blocked_many(own_v, src, [sender_ts]) is False
-    vect.prewarm({src: s_scalar})  # must be a no-op, not a crash
-    own_regs = _registers_at(graph, rid)
-    if own_regs:
-        a_s = scalar.advance_delta(own_s, own_regs[0])
-        a_v = vect.advance_delta(own_v, own_regs[0])
-        assert a_s[0] == a_v[0] and a_s[1] == a_v[1]
+    rid = rids[0]
+    src = sorted(graph.neighbors(rid), key=str)[0]
+    policy, sender = policies[rid], policies[src]
+    shared = sorted(graph.shared(src, rid), key=str)[0]
+    sender_ts = sender.advance(sender.initial(), shared)
+    own = policy.initial()
+    force_frame_kernels(True)
+    assert policy.merge_run(own, src, [sender_ts]) is not None
+    force_frame_kernels(False)
+    assert policy.merge_run(own, src, [sender_ts]) is None
+    assert policy.blocked_many(own, src, [sender_ts]) is False
+
+
+def test_subclass_with_its_own_predicate_gets_no_frame_kernels(
+    force_frame_kernels,
+):
+    """The kernels prove the base class's ``J``; a subclass that weakens
+    it (the ablations) must fall back to the generic path, where its own
+    ``ready`` decides."""
+    from repro.baselines.ablations import NoThirdPartyCheckPolicy
+
+    force_frame_kernels(True)
+    graph, policies = _policies(seed=17)
+    rids = sorted(graph.replicas, key=str)
+    rid = rids[0]
+    src = sorted(graph.neighbors(rid), key=str)[0]
+    shared = sorted(graph.shared(src, rid), key=str)[0]
+    sender_ts = policies[src].advance(policies[src].initial(), shared)
+    assert policies[rid].merge_run(
+        policies[rid].initial(), src, [sender_ts]
+    ) is not None
+    ablation = NoThirdPartyCheckPolicy(graph, rid)
+    own = ablation.initial()
+    assert ablation.merge_run(own, src, [sender_ts]) is None
+    assert ablation.blocked_many(own, src, [sender_ts]) is False
