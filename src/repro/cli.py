@@ -392,6 +392,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         )
         print(
             f"  retries={report.retries} failovers={report.failovers} "
+            f"connects={report.connects} "
             f"sheds={report.sheds} errors={report.errors}"
         )
         print(
@@ -438,7 +439,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         )
         print(
             f"  retries={report.retries} failovers={report.failovers} "
-            f"resyncs={report.resyncs}"
+            f"connects={report.connects} resyncs={report.resyncs}"
         )
         if report.ok:
             print("  audit: OK (causal consistency + store convergence)")

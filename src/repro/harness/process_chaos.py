@@ -200,6 +200,7 @@ class ProcessChaosReport:
     resets: int
     retries: int
     failovers: int
+    connects: int
     resyncs: int
     wal_events: int
 
@@ -277,6 +278,9 @@ class LoadReport:
     p99: float
     retries: int
     failovers: int
+    #: Connections the sessions dialled (one per home used, plus one
+    #: per connection lost to a fault).
+    connects: int
     #: Error/retry-rate section (comparable with the soak's samples):
     #: ops that exhausted their retry budget, attempts shed by overloaded
     #: replicas, and per-op rates.
@@ -340,6 +344,7 @@ async def run_load(
         p99=percentile(latencies, 0.99),
         retries=retries,
         failovers=sum(c.stats.failovers for c in clients),
+        connects=sum(c.stats.connects for c in clients),
         errors=len(errors),
         sheds=sum(c.stats.sheds for c in clients),
         retry_rate=retries / ops if ops else 0.0,
@@ -429,7 +434,7 @@ async def run_process_chaos_trial(
     )
     latencies: List[float] = []
     fault_log: List[str] = []
-    kills = resets = retries = failovers = 0
+    kills = resets = retries = failovers = connects = 0
     started = time.monotonic()
     try:
         cluster.start_all()
@@ -453,6 +458,7 @@ async def run_process_chaos_trial(
         kills, resets = await injector
         retries = sum(s.stats.retries for s in sessions)
         failovers = sum(s.stats.failovers for s in sessions)
+        connects = sum(s.stats.connects for s in sessions)
         statuses = await cluster.settle(timeout=spec.settle_timeout)
         resyncs = sum(
             s.get("metrics", {}).get("resyncs_served", 0)
@@ -477,6 +483,7 @@ async def run_process_chaos_trial(
         resets=resets,
         retries=retries,
         failovers=failovers,
+        connects=connects,
         resyncs=resyncs,
         wal_events=wal_events,
     )

@@ -327,6 +327,7 @@ class SoakReport:
     sheds: int
     retries: int
     failovers: int
+    connects: int
     faults: int
     mean_throughput: float
     peak_throughput: float
@@ -363,6 +364,8 @@ class SoakReport:
         table.add_row("errors", self.errors)
         table.add_row("sheds", self.sheds)
         table.add_row("retries", self.retries)
+        table.add_row("failovers", self.failovers)
+        table.add_row("connects", self.connects)
         table.add_row("faults", self.faults)
         table.add_row("resyncs", self.resyncs)
         table.add_row("quarantines", self.quarantines)
@@ -779,6 +782,7 @@ async def run_soak(
             sheds=sum(s.stats.sheds for s in sessions),
             retries=sum(s.stats.retries for s in sessions),
             failovers=sum(s.stats.failovers for s in sessions),
+            connects=sum(s.stats.connects for s in sessions),
             faults=state.faults_done,
             mean_throughput=(
                 len(state.latencies_total) / spec.duration

@@ -7,11 +7,18 @@ response for a duplicate, and the client retries with backoff --
 failing over to the next replica that stores the register when its
 current home stops answering (crashed, partitioned, or restarting).
 
-Within one server incarnation this yields exactly-once writes; across a
-SIGKILL the dedup table dies with the process and a retried write may
-execute twice -- as two updates carrying the *same value*, which the
-store audit treats as equivalent (and real systems call idempotent
-at-least-once delivery).
+The client keeps one open connection per replica it has talked to, so
+an operation costs a dial only the first time its home is used (or after
+that home failed), and each attempt is guarded by one deadline timer
+that aborts the connection -- which is all a timed-out attempt ever did.
+
+Within one server incarnation this yields exactly-once writes: the
+server remembers the last :data:`~repro.tcp.runtime.DEDUP_WINDOW`
+request ids of a session, and a session never has more than that many
+requests unconfirmed.  Across a SIGKILL the dedup table dies with the
+process and a retried write may execute twice -- as two updates carrying
+the *same value*, which the store audit treats as equivalent (and real
+systems call idempotent at-least-once delivery).
 
 Per-operation wall-clock latencies are collected so load drivers can
 report p50/p95/p99 without extra plumbing.
@@ -29,7 +36,20 @@ from repro.errors import (
     WireDecodeError,
 )
 from repro.tcp.framing import FrameType, json_frame, read_frame
+from repro.tcp.runtime import DEDUP_WINDOW
 from repro.wire.codec import decode_value, encode_value
+
+#: What a failed attempt raises: the connection is gone or unusable and
+#: the operation is retried on a fresh one.
+_ATTEMPT_ERRORS = (
+    asyncio.TimeoutError,
+    asyncio.IncompleteReadError,
+    ConnectionError,
+    OSError,
+    WireDecodeError,
+)
+
+_Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
 
 @dataclass(frozen=True)
@@ -50,10 +70,62 @@ class SessionStats:
     ops: int = 0
     retries: int = 0
     failovers: int = 0
+    #: Connections dialled (kept connections make this the number of
+    #: homes used plus the number of connections lost).
+    connects: int = 0
     #: Attempts rejected with a typed retryable shed reply (the replica
     #: was overloaded or recovering, not dead).
     sheds: int = 0
     latencies: List[float] = field(default_factory=list)
+
+
+async def _read_reply(reader: asyncio.StreamReader) -> Dict[str, Any]:
+    frame = await read_frame(reader)
+    if frame.type is not FrameType.OP_REPLY:
+        raise WireDecodeError(f"expected OP_REPLY, got {frame.type!r}")
+    return frame.json()
+
+
+class _Deadline:
+    """Abort ``transport`` once ``timeout`` passes without progress.
+
+    One timer handle guards a whole attempt, however many awaits it
+    makes: the aborted connection fails whichever read or drain is
+    pending, and leaving the block turns that failure into
+    :class:`asyncio.TimeoutError`.  :meth:`extend` restarts the count
+    (a clock read and a store); the callback re-arms itself when it
+    wakes early.
+    No Task is created, where a timeout wrapped around every await
+    made two per reply on Python <= 3.11.
+    """
+
+    def __init__(
+        self, transport: asyncio.WriteTransport, timeout: float
+    ) -> None:
+        self._loop = asyncio.get_event_loop()
+        self._transport = transport
+        self._timeout = timeout
+        self.expired = False
+        self._due = self._loop.time() + timeout
+        self._handle = self._loop.call_at(self._due, self._wake)
+
+    def __enter__(self) -> "_Deadline":
+        return self
+
+    def extend(self) -> None:
+        self._due = self._loop.time() + self._timeout
+
+    def _wake(self) -> None:
+        if self._loop.time() < self._due:
+            self._handle = self._loop.call_at(self._due, self._wake)
+        else:
+            self.expired = True
+            self._transport.abort()
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self._handle.cancel()
+        if self.expired and isinstance(exc, _ATTEMPT_ERRORS):
+            raise asyncio.TimeoutError() from None
 
 
 class ClusterClient:
@@ -87,36 +159,54 @@ class ClusterClient:
         self.retry_delay = retry_delay
         self.stats = SessionStats()
         self._request_seq = 0
-        self._conn: Optional[
-            Tuple[str, asyncio.StreamReader, asyncio.StreamWriter]
-        ] = None
+        self._conns: Dict[str, _Connection] = {}
 
     # -- connection management ------------------------------------------
-    async def _connect(self, replica: str) -> None:
-        await self.close()
+    async def _connection(self, replica: str) -> _Connection:
+        """The kept connection to ``replica``, dialled if there is none.
+
+        A kept connection the other side has closed (EOF, reset) is
+        replaced here, before the attempt, from the current
+        ``addresses`` entry -- a restarted replica may have moved.
+        """
+        conn = self._conns.get(replica)
+        if conn is not None:
+            reader, writer = conn
+            if not (writer.is_closing() or reader.at_eof()):
+                return conn
+            self._drop(replica)
         host, port = self.addresses[replica]
-        reader, writer = await asyncio.wait_for(
+        self.stats.connects += 1
+        conn = await asyncio.wait_for(
             asyncio.open_connection(host, port), self.op_timeout
         )
-        self._conn = (replica, reader, writer)
+        self._conns[replica] = conn
+        return conn
+
+    def _drop(self, replica: str) -> None:
+        conn = self._conns.pop(replica, None)
+        if conn is not None:
+            conn[1].transport.abort()
 
     async def close(self) -> None:
-        if self._conn is not None:
-            _, _, writer = self._conn
-            self._conn = None
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
+        for replica in list(self._conns):
+            self._drop(replica)
 
-    async def _roundtrip(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        assert self._conn is not None
-        _, reader, writer = self._conn
-        writer.write(json_frame(FrameType.OP, doc))
-        await asyncio.wait_for(writer.drain(), self.op_timeout)
-        frame = await asyncio.wait_for(read_frame(reader), self.op_timeout)
-        if frame.type is not FrameType.OP_REPLY:
-            raise WireDecodeError(f"expected OP_REPLY, got {frame.type!r}")
-        return frame.json()
+    async def _roundtrip(
+        self, replica: str, doc: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """One request, one reply; a connection that fails is dropped."""
+        reader, writer = await self._connection(replica)
+        try:
+            with _Deadline(writer.transport, self.op_timeout):
+                writer.write(json_frame(FrameType.OP, doc))
+                await writer.drain()
+                return await _read_reply(reader)
+        except BaseException:
+            # Cancellation included: the reply would still arrive and be
+            # taken for the next request's.
+            self._drop(replica)
+            raise
 
     # -- operations ------------------------------------------------------
     async def write(
@@ -179,8 +269,12 @@ class ClusterClient:
         path *reusing its request id*, so the server's dedup table keeps
         the pipelined attempt and the retry from both executing.
         """
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+        if not 1 <= window <= DEDUP_WINDOW:
+            # Past the server's dedup window a re-driven op could find
+            # its cached reply evicted and execute twice.
+            raise ValueError(
+                f"window must be in 1..{DEDUP_WINDOW}, got {window}"
+            )
         docs: List[Dict[str, Any]] = []
         for register, value in ops:
             self._request_seq += 1
@@ -198,58 +292,50 @@ class ClusterClient:
         sent_at: Dict[int, float] = {}
         next_send = 0
         next_recv = 0
+        replica = targets[0]
         try:
-            current = self._conn[0] if self._conn else None
-            if current != targets[0]:
-                await self._connect(targets[0])
-            assert self._conn is not None
-            replica, reader, writer = self._conn
-            while next_recv < len(docs):
-                while (
-                    next_send < len(docs)
-                    and next_send - next_recv < window
-                ):
-                    sent_at[next_send] = loop.time()
-                    writer.write(json_frame(FrameType.OP, docs[next_send]))
-                    next_send += 1
-                await asyncio.wait_for(writer.drain(), self.op_timeout)
-                frame = await asyncio.wait_for(
-                    read_frame(reader), self.op_timeout
-                )
-                if frame.type is not FrameType.OP_REPLY:
-                    raise WireDecodeError(
-                        f"expected OP_REPLY, got {frame.type!r}"
+            reader, writer = await self._connection(replica)
+            with _Deadline(writer.transport, self.op_timeout) as deadline:
+                while next_recv < len(docs):
+                    while (
+                        next_send < len(docs)
+                        and next_send - next_recv < window
+                    ):
+                        sent_at[next_send] = loop.time()
+                        writer.write(
+                            json_frame(FrameType.OP, docs[next_send])
+                        )
+                        next_send += 1
+                    await writer.drain()
+                    reply = await _read_reply(reader)
+                    deadline.extend()
+                    doc = docs[next_recv]
+                    if (
+                        not reply.get("ok")
+                        or reply.get("request_id") != doc["request_id"]
+                    ):
+                        raise WireDecodeError(
+                            "pipelined reply rejected or out of order: "
+                            f"{reply}"
+                        )
+                    uid = reply.get("uid")
+                    results[next_recv] = self._done(
+                        OpResult(
+                            op="write",
+                            register=doc["register"],
+                            value=ops[next_recv][1],
+                            uid=(uid[0], int(uid[1])) if uid else None,
+                            latency=loop.time() - sent_at[next_recv],
+                            replica=replica,
+                            attempts=1,
+                        )
                     )
-                reply = frame.json()
-                doc = docs[next_recv]
-                if (
-                    not reply.get("ok")
-                    or reply.get("request_id") != doc["request_id"]
-                ):
-                    raise WireDecodeError(
-                        f"pipelined reply rejected or out of order: {reply}"
-                    )
-                uid = reply.get("uid")
-                results[next_recv] = self._done(
-                    OpResult(
-                        op="write",
-                        register=doc["register"],
-                        value=ops[next_recv][1],
-                        uid=(uid[0], int(uid[1])) if uid else None,
-                        latency=loop.time() - sent_at[next_recv],
-                        replica=replica,
-                        attempts=1,
-                    )
-                )
-                next_recv += 1
-        except (
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            OSError,
-            WireDecodeError,
-        ):
-            await self.close()
+                    next_recv += 1
+        except _ATTEMPT_ERRORS:
+            pass
+        finally:
+            if next_recv < len(docs):
+                self._drop(replica)  # replies still owed: not reusable
         for index in range(next_recv, len(docs)):
             doc = docs[index]
             started = loop.time()
@@ -295,12 +381,10 @@ class ClusterClient:
         )
 
     async def status(self, replica: str) -> Dict[str, Any]:
-        await self._connect(replica)
-        return await self._roundtrip({"op": "status"})
+        return await self._roundtrip(replica, {"op": "status"})
 
     async def admin(self, replica: str, doc: Dict[str, Any]) -> Dict[str, Any]:
-        await self._connect(replica)
-        return await self._roundtrip(doc)
+        return await self._roundtrip(replica, doc)
 
     # -- retry machinery -------------------------------------------------
     async def _with_retries(
@@ -318,20 +402,10 @@ class ClusterClient:
                     self.stats.failovers += 1
                 await asyncio.sleep(self.retry_delay)
             try:
-                current = self._conn[0] if self._conn else None
-                if current != target:
-                    await self._connect(target)
-                reply = await self._roundtrip(doc)
-            except (
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                OSError,
-                WireDecodeError,
-            ) as exc:
+                reply = await self._roundtrip(target, doc)
+            except _ATTEMPT_ERRORS as exc:
                 last_error = f"{target}: {type(exc).__name__}"
                 last_shed = False
-                await self.close()
                 continue
             if reply.get("ok"):
                 return reply, target, attempt + 1, loop.time() - started
@@ -348,6 +422,11 @@ class ClusterClient:
                     hint = 0.0
                 if hint > 0:
                     await asyncio.sleep(hint)
+            else:
+                # Refused outright (e.g. "not accepting operations": the
+                # replica is shutting down): the next attempt re-reads
+                # ``addresses`` instead of asking this incarnation again.
+                self._drop(target)
         message = (
             f"session {self.session!r} {doc.get('op')} on "
             f"{doc.get('register')!r} ({last_error})"

@@ -86,6 +86,15 @@ from repro.wire.codec import (
 )
 
 
+#: Request ids remembered per client session for duplicate suppression.
+#: A session retries only requests it has not seen confirmed, and
+#: :meth:`~repro.tcp.client.ClusterClient.write_pipelined` refuses to
+#: keep more than this many unconfirmed, so the bound costs no
+#: exactly-once guarantee -- it only stops the table growing with every
+#: write for the life of the process.
+DEDUP_WINDOW = 1024
+
+
 @dataclass(frozen=True)
 class TcpConfig:
     """Tuning knobs of the TCP runtime (all durations in seconds)."""
@@ -473,7 +482,9 @@ class TcpReplicaServer(CoreAdapter):
         self._ack_deferred = False
         self._ack_owed: Set[ReplicaId] = set()
         self._update_bytes: Dict[UpdateId, bytes] = {}
-        self._dedup: Dict[Tuple[str, str], Dict[str, Any]] = {}
+        # session -> request id -> cached reply, oldest first; each
+        # session's table holds its last DEDUP_WINDOW requests.
+        self._dedup: Dict[str, Dict[str, Dict[str, Any]]] = {}
         self._writing_value: Any = None
         self._apply_uid: Optional[UpdateId] = None
         self._replaying = False
@@ -487,6 +498,9 @@ class TcpReplicaServer(CoreAdapter):
         self._recovering = False
         self.running = False
         self._server: Optional[asyncio.AbstractServer] = None
+        # Accepted connections still being served; they die with the
+        # replica (closing the listener alone leaves them answering).
+        self._accepted: Set[asyncio.StreamWriter] = set()
         self._tasks: List[asyncio.Task] = []
 
     def _make_policy(self) -> TimestampPolicy:
@@ -774,13 +788,21 @@ class TcpReplicaServer(CoreAdapter):
         for link in self.links.values():
             link.send_bytes(encode_frame(FrameType.BYE))
         await asyncio.sleep(0)
+        # Client connections close once their last reply is flushed (the
+        # ``shutdown`` op's own ``{"ok": true}`` among them); the
+        # teardown's abort would discard a reply still buffered.
+        for writer in self._accepted:
+            writer.close()
+        self._accepted.clear()
         self._teardown()
 
     def kill(self) -> None:
         """Abrupt stop: the in-process analogue of SIGKILL.
 
         No flush, no BYE, no drain -- only what the WAL already made
-        durable survives, which is exactly the crash contract.
+        durable survives, which is exactly the crash contract.  Accepted
+        connections are reset along with the links: a client holding one
+        open must see the death, not a zombie that keeps answering.
         """
         self._teardown()
 
@@ -795,6 +817,9 @@ class TcpReplicaServer(CoreAdapter):
         self._tasks = []
         for link in self.links.values():
             link.abort()
+        for writer in self._accepted:
+            writer.transport.abort()
+        self._accepted.clear()
         if self._server is not None:
             self._server.close()
             self._server = None
@@ -944,6 +969,15 @@ class TcpReplicaServer(CoreAdapter):
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Accepted connection: route by first frame (peer vs client)."""
+        self._accepted.add(writer)
+        try:
+            await self._serve_connection(reader, writer)
+        finally:
+            self._accepted.discard(writer)
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         try:
             first = await asyncio.wait_for(
                 read_frame(reader), self.config.hello_timeout
@@ -1185,10 +1219,10 @@ class TcpReplicaServer(CoreAdapter):
         if op == "write":
             if not self._accepting_ops:
                 return {"ok": False, "error": "not accepting operations"}
-            key = None
+            seen = None
             if session is not None and request_id is not None:
-                key = (str(session), str(request_id))
-                cached = self._dedup.get(key)
+                seen = self._dedup.setdefault(str(session), {})
+                cached = seen.get(str(request_id))
                 if cached is not None:
                     return cached  # exactly-once within this incarnation
             if self._recovery_barrier():
@@ -1229,8 +1263,10 @@ class TcpReplicaServer(CoreAdapter):
                 "uid": [str(uid.issuer), uid.seq],
                 "request_id": request_id,
             }
-            if key is not None:
-                self._dedup[key] = reply
+            if seen is not None:
+                seen[str(request_id)] = reply
+                if len(seen) > DEDUP_WINDOW:
+                    del seen[next(iter(seen))]  # insertion order: oldest
             return reply
         if op == "read":
             register = self._register_by_name.get(doc.get("register"))
@@ -1294,6 +1330,7 @@ class TcpReplicaServer(CoreAdapter):
                 for peer, link in self.links.items()
             },
             "recovering": self._recovering,
+            "dedup_entries": sum(len(seen) for seen in self._dedup.values()),
             "metrics": {
                 "issued": metrics.issued,
                 "applied_remote": metrics.applied_remote,

@@ -124,8 +124,13 @@ class WriteAheadLog:
     def _append(self, doc: dict) -> None:
         if self._fh is None:
             raise ProtocolError(f"WAL {self.path} is not open")
-        doc["c"] = record_crc(doc)
-        self._fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        # One serialization serves both the checksum and the record:
+        # every field name sorts after "c", so putting the CRC in front
+        # gives exactly ``json.dumps(dict(doc, c=crc), sort_keys=True)``,
+        # the bytes :func:`record_crc` verifies.
+        body = json.dumps(doc, sort_keys=True)
+        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+        self._fh.write(f'{{"c": {crc}, {body[1:]}\n')
         # flush() hands the bytes to the kernel: they survive SIGKILL of
         # this process (the failure mode under test), though not a host
         # crash -- fsync per event would dominate latency for a property

@@ -15,8 +15,9 @@ import io
 
 import pytest
 
-from repro.errors import ProtocolError, WireDecodeError
-from repro.tcp import TcpCluster, TcpConfig
+from repro.errors import ProtocolError, RetryExhaustedError, WireDecodeError
+from repro.tcp import ClusterClient, TcpCluster, TcpConfig
+from repro.tcp.client import _Deadline
 from repro.tcp.framing import (
     MAX_FRAME,
     Frame,
@@ -29,7 +30,9 @@ from repro.tcp.framing import (
     update_payload,
     uvarint_frame,
 )
+from repro.tcp.runtime import DEDUP_WINDOW
 from repro.tcp.wal import WalEntry, WriteAheadLog, read_wal
+from repro.wire.codec import encode_value
 
 PLACEMENTS = {"a": {"x", "y"}, "b": {"x", "z"}, "c": {"y", "z"}}
 
@@ -179,8 +182,6 @@ class TestClusterBasics:
                     "register": "x",
                     "value": "",
                 }
-                from repro.wire.codec import encode_value
-
                 doc["value"] = encode_value("once").hex()
                 first = server._handle_op(dict(doc))
                 second = server._handle_op(dict(doc))  # retried duplicate
@@ -201,6 +202,236 @@ class TestClusterBasics:
                 assert status["pending"] == 0
                 assert set(status["links"]) == {"b", "c"}
                 assert status["metrics"]["issued"] == 1
+
+        drive(scenario())
+
+
+# ----------------------------------------------------------------------
+# Client sessions: kept connections, the attempt deadline, dedup window
+# ----------------------------------------------------------------------
+class TestClientConnections:
+    def test_alternating_homes_dial_once_each(self, tmp_path):
+        async def scenario():
+            async with TcpCluster(PLACEMENTS, str(tmp_path)) as cluster:
+                client = ClusterClient("s", cluster.addresses)
+                loop = asyncio.get_event_loop()
+                while not all(
+                    link.connected
+                    for server in cluster.servers.values()
+                    for link in server.links.values()
+                ):
+                    await asyncio.sleep(0.01)  # peer dials spawn Tasks
+                spawned = []
+
+                def counting_factory(loop, coro, **kwargs):
+                    spawned.append(coro)
+                    return asyncio.Task(coro, loop=loop, **kwargs)
+
+                for i in range(200):
+                    if i == 2:  # both homes dialled: count from here
+                        loop.set_task_factory(counting_factory)
+                    home = "ab"[i % 2]
+                    result = await client.write("x", i, [home])
+                    assert result.replica == home and result.attempts == 1
+                loop.set_task_factory(None)
+                # On a kept connection an operation starts no Task,
+                # client side or server side.
+                assert spawned == []
+                await client.status("a")
+                await client.admin("b", {"op": "ping"})
+                await client.write_pipelined([("x", 200), ("x", 201)], ["a"])
+                assert (await client.read("x", ["b"])).attempts == 1
+                assert client.stats.connects == 2
+                assert client.stats.retries == 0
+                await client.close()
+                assert client._conns == {}
+                await cluster.settle(timeout=15)
+
+        drive(scenario())
+
+    def test_killed_replica_goes_silent_and_its_successor_serves(
+        self, tmp_path
+    ):
+        async def scenario():
+            async with TcpCluster(PLACEMENTS, str(tmp_path)) as cluster:
+                client = ClusterClient(
+                    "s", cluster.addresses, op_timeout=1.0, retry_delay=0.01
+                )
+                await client.write("x", "before", ["a"])
+                dead = cluster.replica("a")
+                reader, writer = client._conns["a"]
+
+                cluster.kill("a")
+                assert dead._accepted == set()
+                # The dead incarnation answers no further frame: the
+                # connection it had accepted is reset, not left serving
+                # reads from a store that no longer exists.
+                writer.write(json_frame(FrameType.OP, {"op": "ping"}))
+                with pytest.raises(
+                    (asyncio.IncompleteReadError, ConnectionError)
+                ):
+                    await asyncio.wait_for(read_frame(reader), 5)
+
+                alive = await cluster.restart("a")
+                result = await client.write("x", "after", ["a"])
+                assert result.attempts <= 2
+                assert result.uid == ("a", 2)
+                assert alive.core.seq == 2 and dead.core.seq == 1
+                assert client.stats.connects == 2
+                await client.close()
+                await cluster.settle(timeout=15)
+                assert cluster.replica("b").store["x"] == "after"
+
+        drive(scenario())
+
+    def test_silent_server_times_the_attempt_out(self):
+        async def scenario():
+            async def black_hole(reader, writer):
+                try:
+                    await reader.read()  # accept, never reply
+                except ConnectionError:
+                    pass
+                writer.close()
+
+            server = await asyncio.start_server(black_hole, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            loop = asyncio.get_event_loop()
+            client = ClusterClient(
+                "s",
+                {"a": ("127.0.0.1", port)},
+                op_timeout=0.05,
+                max_attempts=2,
+                retry_delay=0.0,
+            )
+            started = loop.time()
+            with pytest.raises(RetryExhaustedError, match="a: TimeoutError"):
+                await client.write("x", 1, ["a"])
+            assert 0.1 <= loop.time() - started < 2.0
+            assert client.stats.connects == 2  # each attempt redialled
+            assert client._conns == {}
+
+            # The deadline is a timer, not a Task per awaited step: a
+            # hundred guarded attempts leave nothing behind on the loop.
+            client.op_timeout, client.max_attempts = 0.005, 1
+            await asyncio.sleep(0.05)  # the handlers so far see their EOF
+            tasks = len(asyncio.all_tasks())
+            for _ in range(100):
+                with pytest.raises(RetryExhaustedError):
+                    await client.read("x", ["a"])
+            await asyncio.sleep(0.05)
+            assert len(asyncio.all_tasks()) == tasks
+            server.close()
+            await server.wait_closed()
+
+        drive(scenario())
+
+    def test_deadline_extends_and_leaves_other_errors_alone(self):
+        async def scenario():
+            loop = asyncio.get_event_loop()
+
+            class Transport:
+                aborted_at = None
+
+                def abort(self):
+                    self.aborted_at = loop.time()
+
+            # Progress pushes the expiry out; the single timer re-arms.
+            transport = Transport()
+            started = loop.time()
+            with _Deadline(transport, 0.05) as deadline:
+                await asyncio.sleep(0.03)
+                deadline.extend()
+                await asyncio.sleep(0.03)
+                assert transport.aborted_at is None
+                await asyncio.sleep(0.05)
+            assert deadline.expired
+            assert transport.aborted_at - started >= 0.08
+
+            # Expiry turns the aborted connection's error into a
+            # timeout; an unexpired deadline passes errors through.
+            with pytest.raises(asyncio.TimeoutError):
+                with _Deadline(Transport(), 0.0):
+                    await asyncio.sleep(0.01)
+                    raise ConnectionResetError("aborted")
+            with pytest.raises(ConnectionResetError):
+                with _Deadline(transport, 5.0) as deadline:
+                    raise ConnectionResetError("peer went away")
+            assert not deadline.expired
+
+        drive(scenario())
+
+    def test_shutdown_op_still_gets_its_reply(self, tmp_path):
+        async def scenario():
+            async with TcpCluster(PLACEMENTS, str(tmp_path)) as cluster:
+                client = ClusterClient("s", cluster.addresses)
+                await client.write("x", 1, ["a"])
+                assert await client.admin("a", {"op": "shutdown"}) == {
+                    "ok": True
+                }
+                server = cluster.replica("a")
+                deadline = asyncio.get_event_loop().time() + 10
+                while server.running:
+                    assert asyncio.get_event_loop().time() < deadline
+                    await asyncio.sleep(0.02)
+                # The kept connection was closed behind the reply, so
+                # the session notices before its next attempt.
+                reader, _ = client._conns["a"]
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+                client.max_attempts, client.retry_delay = 2, 0.0
+                with pytest.raises(RetryExhaustedError):
+                    await client.write("x", 2, ["a"])
+                await client.close()
+
+        drive(scenario())
+
+    def test_dedup_window_is_bounded_per_session(self, tmp_path):
+        async def scenario():
+            async with TcpCluster(PLACEMENTS, str(tmp_path)) as cluster:
+                server = cluster.replica("a")
+                value = encode_value("v").hex()
+
+                def write(n):
+                    return server._handle_op(
+                        {
+                            "op": "write",
+                            "session": "s",
+                            "request_id": f"s-{n}",
+                            "register": "x",
+                            "value": value,
+                        }
+                    )
+
+                first = write(1)
+                for n in range(2, DEDUP_WINDOW + 1):
+                    write(n)
+                assert server.status()["dedup_entries"] == DEDUP_WINDOW
+                # Inside the window a retry is answered from the table.
+                assert write(1) == first
+                assert server.core.seq == DEDUP_WINDOW
+                # The 1,025th request evicts the oldest and only it.
+                write(DEDUP_WINDOW + 1)
+                assert server.status()["dedup_entries"] == DEDUP_WINDOW
+                assert write(2)["uid"] == ["a", 2]
+                assert server.core.seq == DEDUP_WINDOW + 1
+                assert write(1)["uid"] == ["a", DEDUP_WINDOW + 2]
+                # Another session has a window of its own.
+                server._handle_op(
+                    {
+                        "op": "write",
+                        "session": "t",
+                        "request_id": "t-1",
+                        "register": "x",
+                        "value": value,
+                    }
+                )
+                assert server.status()["dedup_entries"] == DEDUP_WINDOW + 1
+
+                client = ClusterClient("s", cluster.addresses)
+                with pytest.raises(ValueError):
+                    await client.write_pipelined(
+                        [("x", 1)], ["a"], window=DEDUP_WINDOW + 1
+                    )
+                await cluster.settle(timeout=15)
 
         drive(scenario())
 

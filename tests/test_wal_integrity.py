@@ -12,6 +12,7 @@ resync, never to silent value loss or a crash loop.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 
 import pytest
@@ -74,6 +75,26 @@ class TestChecksums:
         crc = record_crc(doc)
         assert record_crc(dict(reversed(list(doc.items())))) == crc
         assert record_crc(dict(doc, c=crc)) == crc
+
+    def test_records_are_the_canonical_serialization(self, tmp_path):
+        # The writer serializes the body once and splices the CRC in
+        # front; the bytes on disk must stay what one sorted dump of the
+        # whole record gives, for every record shape it writes.
+        path = str(tmp_path / "r.wal")
+        wal = WriteAheadLog(path)
+        wal.open()
+        wal.append_issue("x", "v", 1.5, seq=7)
+        wal.append_issue("é", None, 2.0)  # no "q" field; escaped name
+        wal.append_apply("b", b"\x00\xff\x10", 3.25)
+        wal.close()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            doc = json.loads(line)
+            assert line == json.dumps(doc, sort_keys=True)
+            assert doc["c"] == record_crc(doc)
+        assert [e.kind for e in read_wal(path)] == ["issue", "issue", "apply"]
 
     def test_bit_flip_fails_strict_read(self, tmp_path):
         path = str(tmp_path / "r.wal")
