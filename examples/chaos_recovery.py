@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro import DSMSystem, ShareGraph
 from repro.harness.chaos import ChaosSpec, run_chaos_trial
+from repro.harness.timeline import FaultAction
 from repro.network import ChannelFaults, FaultPlan
 from repro.network.delays import UniformDelay
 from repro.workloads import fig5_placements
@@ -84,18 +85,27 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 3. One trial of the full chaos campaign (CLI: python -m repro chaos).
+    #    What breaks when is a timeline of FaultActions: two crashes are
+    #    derived from the seed, a third kill/restart is written by hand.
     # ------------------------------------------------------------------
-    print("\nPart 3: a chaos-campaign trial (loss + dup + derived crashes)")
+    print("\nPart 3: a chaos-campaign trial (loss + dup + a fault timeline)")
     spec = ChaosSpec(
         placements=fig5_placements(),
         loss=0.3,
         duplication=0.2,
         writes=20,
         crash_count=2,
+        timeline=(
+            FaultAction(10.0, "kill", 3),
+            FaultAction(40.0, "restart", 3),
+        ),
     )
     trial = run_chaos_trial(spec, seed=7)
     print(f"  {trial}")
+    for action in trial.timeline:
+        print(f"    {action}")
     assert trial.ok
+    assert len(trial.crashes) == 3
     assert trial.messages_dropped > 0
     assert run_chaos_trial(spec, seed=7) == trial  # deterministic replay
     print("  replayed the trial: byte-identical result (seeded fault plan)")

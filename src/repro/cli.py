@@ -146,7 +146,6 @@ def cmd_race(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     import dataclasses
-    import json
 
     from repro.harness.chaos import (
         SCENARIOS,
@@ -211,29 +210,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             "scenario": args.scenario or "custom",
             "sync": spec.sync,
             "ok": campaign_ok,
+            # Every counter plus the timeline the trial ran: a failed
+            # seed can be replayed from its own report.
             "trials": [
-                {
-                    "seed": t.seed,
-                    "ok": t.ok,
-                    "failures": list(t.failures),
-                    "syncs": t.syncs,
-                    "updates_shed": t.updates_shed,
-                    "stale_discarded": t.stale_discarded,
-                    "snapshot_bytes": t.snapshot_bytes,
-                    "pending_high_water": t.pending_high_water,
-                    "unacked_high_water": t.unacked_high_water,
-                    "log_truncated": t.log_truncated,
-                    "log_compacted": t.log_compacted,
-                    "retransmits": t.retransmits,
-                    "messages_dropped": t.messages_dropped,
-                }
-                for t in report_trials
+                {**dataclasses.asdict(t), "ok": t.ok} for t in report_trials
             ],
         }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.report}")
+        _write_json(doc, args.report)
     return 0 if campaign_ok else 1
 
 
@@ -321,7 +304,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     import asyncio
-    import json
     import os
 
     if args.cluster_command == "serve":
@@ -362,7 +344,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         return 0
 
     if args.cluster_command == "load":
-        from repro.harness.process_chaos import run_load
+        from repro.harness.soak import run_load
         from repro.tcp.cluster import read_cluster_config
 
         doc = read_cluster_config(
@@ -382,84 +364,41 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 tcp_config=doc.get("config"),
             )
         )
-        print(
-            f"load: {report.ops} writes in {report.duration:.2f}s "
-            f"({report.throughput:.0f} ops/s)"
-        )
-        print(
-            f"  latency p50={report.p50 * 1e3:.1f}ms "
-            f"p95={report.p95 * 1e3:.1f}ms p99={report.p99 * 1e3:.1f}ms"
-        )
-        print(
-            f"  retries={report.retries} failovers={report.failovers} "
-            f"connects={report.connects} "
-            f"sheds={report.sheds} errors={report.errors}"
-        )
-        print(
-            f"  rates: retry={report.retry_rate:.4f}/op "
-            f"error={report.error_rate:.4f}/op"
-        )
-        effective = " ".join(
-            f"{key}={value}" for key, value in sorted(report.config.items())
-        )
-        print(f"  config: {effective}")
+        print(report.render())
         if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.report}")
+            _write_json(report.to_json(), args.report)
         return 0
 
     if args.cluster_command == "chaos":
-        from repro.harness.process_chaos import (
-            ProcessChaosSpec,
-            run_process_chaos_trial,
-            write_report,
-        )
+        # The soak runner over a count-bounded burst: sessions stop after
+        # --writes each, the fault timeline is --kills restarts and
+        # --resets link resets drawn from --seed.
+        from repro.harness.process_chaos import ring_placements
+        from repro.harness.soak import SoakSpec
+        from repro.harness.timeline import burst_timeline
 
-        spec = ProcessChaosSpec(
+        spec = SoakSpec(
+            scenario="burst",
             replicas=args.replicas,
             sessions=args.sessions,
-            writes_per_session=args.writes,
+            writes=args.writes,
             seed=args.seed,
-            kills=args.kills,
-            resets=args.resets,
             settle_timeout=args.settle_timeout,
+            timeline=burst_timeline(
+                ring_placements(args.replicas),
+                args.kills,
+                args.resets,
+                args.seed,
+            ),
         )
-        report = asyncio.run(run_process_chaos_trial(spec, args.workdir))
-        print(
-            f"process chaos: {report.ops} writes, {report.kills} SIGKILLs, "
-            f"{report.resets} connection resets, {report.wal_events} WAL "
-            f"events audited"
-        )
-        print(
-            f"  throughput {report.throughput:.0f} ops/s; latency "
-            f"p50={report.p50 * 1e3:.1f}ms p95={report.p95 * 1e3:.1f}ms "
-            f"p99={report.p99 * 1e3:.1f}ms"
-        )
-        print(
-            f"  retries={report.retries} failovers={report.failovers} "
-            f"connects={report.connects} resyncs={report.resyncs}"
-        )
-        if report.ok:
-            print("  audit: OK (causal consistency + store convergence)")
-        else:
-            for violation in report.violations:
-                print(f"  VIOLATION: {violation}", file=sys.stderr)
-        if args.report:
-            write_report(report, args.report)
-            print(f"wrote {args.report}")
-        return 0 if report.ok else 1
+        return _run_soak(spec, args.workdir, None, args.report)
 
     print(f"unknown cluster command {args.cluster_command!r}", file=sys.stderr)
     return 2
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-
-    from repro.harness.soak import SoakSpec, run_soak
+    from repro.harness.soak import SoakSpec
 
     spec = SoakSpec(
         scenario=args.scenario,
@@ -472,19 +411,35 @@ def cmd_soak(args: argparse.Namespace) -> int:
         settle_timeout=args.settle_timeout,
         think_time=args.think,
     )
-    report = asyncio.run(run_soak(spec, args.workdir, report_path=args.report))
+    return _run_soak(spec, args.workdir, args.report, args.summary)
+
+
+def _run_soak(
+    spec, workdir: str, series: Optional[str], summary: Optional[str]
+) -> int:
+    """``soak`` and ``cluster chaos``: run, print, write, exit code."""
+    import asyncio
+
+    from repro.harness.soak import run_soak
+
+    report = asyncio.run(run_soak(spec, workdir, report_path=series))
     print(report.render())
-    if args.report:
-        print(f"wrote time series to {args.report}")
-    if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote summary to {args.summary}")
-    if not report.ok:
-        for violation in report.violations:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
+    if series:
+        print(f"wrote time series to {series}")
+    if summary:
+        _write_json(report.to_json(), summary)
+    for violation in report.violations:
+        print(f"VIOLATION: {violation}", file=sys.stderr)
     return 0 if report.ok else 1
+
+
+def _write_json(doc: Mapping, path: str) -> None:
+    import json
+
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 async def _wait_forever(cluster) -> None:

@@ -16,16 +16,13 @@ from repro.harness.bench import (
 from repro.harness.chaos import (
     CampaignReport,
     ChaosSpec,
-    CrashEvent,
     TrialResult,
-    derive_crashes,
     run_chaos_campaign,
     run_chaos_trial,
     store_divergence,
 )
 from repro.harness.report import JsonlWriter, Table
 from repro.harness.soak import (
-    FaultAction,
     SoakReport,
     SoakSpec,
     run_soak,
@@ -36,15 +33,21 @@ from repro.harness.sweeps import (
     protocol_run,
     run_summary,
 )
+from repro.harness.timeline import (
+    FaultAction,
+    ProcessFaults,
+    derive_crashes,
+    install_faults,
+)
 
 __all__ = [
     "SCENARIOS",
     "BenchResult",
     "CampaignReport",
     "ChaosSpec",
-    "CrashEvent",
     "FaultAction",
     "JsonlWriter",
+    "ProcessFaults",
     "Scenario",
     "SoakReport",
     "SoakSpec",
@@ -52,6 +55,7 @@ __all__ = [
     "TrialResult",
     "check_regression",
     "derive_crashes",
+    "install_faults",
     "metadata_comparison",
     "protocol_run",
     "run_bench",

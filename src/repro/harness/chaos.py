@@ -32,10 +32,11 @@ prints its event timeline.
 
 Robustness scenarios
 --------------------
-Beyond the classic loss/dup/crash sweep, a spec may add *blackout
-partitions* (every physical copy on a cut channel is dropped for the
-whole episode) and *slow replicas* (a replica stops applying for a
-window while its buffers fill).  Combined with finite ``pending_cap`` /
+Beyond the classic loss/dup/crash sweep, a spec's ``timeline`` (a tuple
+of :class:`~repro.harness.timeline.FaultAction`) may add ``partition``
+windows (every physical copy between the target and the rest is dropped
+for the whole episode) and ``slow`` windows (a replica stops applying
+while its buffers fill).  Combined with finite ``pending_cap`` /
 ``unacked_cap`` these scenarios exceed what retransmission alone can
 recover -- the truncated retransmit logs have lost data for good -- and
 are only passable with the anti-entropy layer (``sync=True``,
@@ -46,7 +47,6 @@ ways: sync off must fail, sync on must pass.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
@@ -62,8 +62,14 @@ from repro.core.causality import History
 from repro.core.share_graph import ShareGraph
 from repro.core.system import DSMSystem
 from repro.errors import ConfigurationError, ProtocolError
+from repro.harness.timeline import (
+    WINDOWED,
+    FaultAction,
+    derive_crashes,
+    downtime,
+    install_faults,
+)
 from repro.network.faults import ChannelFaults, FaultPlan
-from repro.network.partitions import Partition, split_channels
 from repro.types import RegisterName, ReplicaId, UpdateId
 from repro.workloads.operations import uniform_writes
 from repro.workloads.topologies import fig5_placements
@@ -72,45 +78,6 @@ from repro.workloads.topologies import fig5_placements
 # ----------------------------------------------------------------------
 # Specification
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CrashEvent:
-    """One crash/recovery pair for a replica."""
-
-    time: float
-    replica: ReplicaId
-    recover_at: float
-
-    def __post_init__(self) -> None:
-        if not self.time < self.recover_at:
-            raise ConfigurationError(
-                f"crash at {self.time} must recover strictly later, "
-                f"got {self.recover_at}"
-            )
-
-    def down_at(self, t: float) -> bool:
-        return self.time <= t < self.recover_at
-
-
-@dataclass(frozen=True)
-class SlowWindow:
-    """A replica that stops applying during ``[start, end)``.
-
-    The replica keeps receiving (its pending buffer fills) and keeps
-    serving writes; it just never drains.  With a ``pending_cap`` this is
-    the canonical backpressure scenario: the buffer hits the cap, is
-    shed, refills from retransmission, is shed again -- progress requires
-    state transfer.
-    """
-
-    start: float
-    end: float
-    replica: ReplicaId
-
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise ConfigurationError("slow window needs start < end")
-
-
 @dataclass(frozen=True)
 class TimelineEvent:
     """One annotated occurrence in a trial's replay timeline."""
@@ -127,19 +94,21 @@ class TimelineEvent:
 class ChaosSpec:
     """Parameters of one chaos trial (everything except the seed).
 
-    ``crashes=None`` derives ``crash_count`` crash/recovery events per
-    trial from the trial seed; pass an explicit tuple for a fixed
-    schedule.  ``horizon`` is the fault horizon: loss/duplication stop
-    there, and derived crash windows are placed well inside it.
+    Every trial runs ``timeline`` plus ``crash_count`` ``kill``/``restart``
+    pairs derived from the trial seed (for a fixed crash schedule put the
+    pairs in ``timeline`` and set ``crash_count=0``).  ``horizon`` is the
+    fault horizon: loss/duplication stop there, and derived crash windows
+    are placed well inside it.
 
-    The robustness fields (``partitions``, ``slow``, ``pending_cap``,
-    ``gap_threshold``, ``unacked_cap``, ``sync``) all default off; a spec
-    that leaves them off runs the exact classic PR-1 trial, event for
-    event.  With any of them on, the trial runs in *bounded* mode: caps
-    are asserted as invariants, and the post-horizon drain runs under an
-    event budget (``drain_budget``) because a system that lost data to a
-    truncated log never quiesces on its own -- that non-quiescence is the
-    failure the sync layer exists to prevent.
+    The robustness features (``partition``/``slow`` windows in the
+    timeline, ``pending_cap``, ``gap_threshold``, ``unacked_cap``,
+    ``sync``) all default off; a spec that leaves them off runs the exact
+    classic PR-1 trial, event for event.  With any of them on, the trial
+    runs in *bounded* mode: caps are asserted as invariants, and the
+    post-horizon drain runs under an event budget (``drain_budget``)
+    because a system that lost data to a truncated log never quiesces on
+    its own -- that non-quiescence is the failure the sync layer exists to
+    prevent.
     """
 
     placements: Union[ShareGraph, Mapping[ReplicaId, AbstractSet[RegisterName]]]
@@ -149,10 +118,8 @@ class ChaosSpec:
     write_rate: float = 1.0
     horizon: float = 300.0
     crash_count: int = 2
-    crashes: Optional[Tuple[CrashEvent, ...]] = None
+    timeline: Tuple[FaultAction, ...] = ()
     checkpoints: int = 4
-    partitions: Tuple[Partition, ...] = ()
-    slow: Tuple[SlowWindow, ...] = ()
     pending_cap: Optional[int] = None
     gap_threshold: Optional[int] = None
     unacked_cap: Optional[int] = None
@@ -176,8 +143,7 @@ class ChaosSpec:
     def bounded(self) -> bool:
         """True when any robustness feature changes the trial shape."""
         return bool(
-            self.partitions
-            or self.slow
+            any(a.kind in WINDOWED for a in self.timeline)
             or self.sync
             or self.pending_cap is not None
             or self.unacked_cap is not None
@@ -186,37 +152,6 @@ class ChaosSpec:
     def graph(self) -> ShareGraph:
         p = self.placements
         return p if isinstance(p, ShareGraph) else ShareGraph(p)
-
-
-def derive_crashes(
-    graph: ShareGraph, count: int, horizon: float, seed: int
-) -> Tuple[CrashEvent, ...]:
-    """A deterministic crash schedule for one trial seed.
-
-    Crashes land in the middle of the fault window and every replica is
-    back up by ``0.9 * horizon``, so the post-horizon liveness assertion
-    is meaningful.  Windows of the same replica never overlap (a crashed
-    replica cannot crash again).
-    """
-    rng = random.Random(seed * 2654435761 + 42)
-    replicas = list(graph.replicas)
-    events: List[CrashEvent] = []
-    for _ in range(count):
-        for _attempt in range(50):
-            replica = rng.choice(replicas)
-            start = rng.uniform(0.2 * horizon, 0.6 * horizon)
-            outage = rng.uniform(0.05 * horizon, 0.25 * horizon)
-            candidate = CrashEvent(start, replica, min(start + outage, 0.9 * horizon))
-            overlap = any(
-                e.replica == replica
-                and e.time < candidate.recover_at
-                and candidate.time < e.recover_at
-                for e in events
-            )
-            if not overlap:
-                events.append(candidate)
-                break
-    return tuple(sorted(events, key=lambda e: e.time))
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +165,7 @@ class TrialResult:
     failures: Tuple[str, ...]
     writes_issued: int
     writes_skipped: int  # scheduled at a replica that was down
-    crashes: Tuple[CrashEvent, ...]
+    timeline: Tuple[FaultAction, ...]  # as run, derived crashes included
     checkpoints_checked: int
     messages_dropped: int
     duplicates_injected: int
@@ -249,6 +184,10 @@ class TrialResult:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def crashes(self) -> Tuple[FaultAction, ...]:
+        return tuple(a for a in self.timeline if a.kind == "kill")
 
     def __str__(self) -> str:
         verdict = "ok" if self.ok else "FAIL " + "; ".join(self.failures)
@@ -412,16 +351,13 @@ def run_chaos_trial(
     trial is event-identical to an untraced one.
     """
     graph = spec.graph()
-    crashes = (
-        spec.crashes
-        if spec.crashes is not None
-        else derive_crashes(graph, spec.crash_count, spec.horizon, seed)
+    faults = tuple(spec.timeline) + derive_crashes(
+        graph.replicas, spec.crash_count, spec.horizon, seed
     )
     plan = FaultPlan(
         seed=seed,
         default=ChannelFaults(loss=spec.loss, duplication=spec.duplication),
         horizon=spec.horizon,
-        blackouts=spec.partitions,
     )
     system = DSMSystem(
         graph, seed=seed, fault_plan=plan, unacked_cap=spec.unacked_cap
@@ -461,35 +397,20 @@ def run_chaos_trial(
     )
     issued = skipped = 0
     issued_ops: dict = {}  # per replica, in schedule (= issue) order
+    down = downtime(faults)
     for op in stream:
-        if any(c.replica == op.replica and c.down_at(op.time) for c in crashes):
+        if any(a <= op.time < b for a, b in down.get(op.replica, ())):
             skipped += 1  # a crashed replica serves no clients
             continue
         system.schedule_write(op.time, op.replica, op.register, op.value)
         issued_ops.setdefault(op.replica, []).append(op)
         issued += 1
-    for crash in crashes:
-        system.schedule_crash(crash.time, crash.replica)
-        system.schedule_recover(crash.recover_at, crash.replica)
-        note("schedule", f"crash {crash.replica!r} at t={crash.time:.1f}, "
-             f"recover at t={crash.recover_at:.1f}", at=0.0)
-    for window in spec.slow:
-        slow_replica = system.replica(window.replica)
-        system.simulator.schedule_at(window.start, slow_replica.pause)
-        system.simulator.schedule_at(window.end, slow_replica.resume)
-        note("schedule", f"slow {window.replica!r} during "
-             f"[{window.start:.1f}, {window.end:.1f})", at=0.0)
-    for partition in spec.partitions:
-        note("schedule", f"blackout of {len(partition.channels)} channels "
-             f"during [{partition.start:.1f}, {partition.end:.1f})", at=0.0)
+    install_faults(system, faults)
+    for action in faults:
+        note("schedule", str(action), at=0.0)
 
     failures: List[str] = []
-    fault_end = max(
-        [spec.horizon]
-        + [c.recover_at for c in crashes]
-        + [p.end for p in spec.partitions]
-        + [w.end for w in spec.slow]
-    )
+    fault_end = max([spec.horizon] + [a.end for a in faults])
     # Safety checkpoints while faults are still active.
     checked = 0
     for k in range(1, spec.checkpoints + 1):
@@ -572,7 +493,7 @@ def run_chaos_trial(
         failures=tuple(failures),
         writes_issued=issued,
         writes_skipped=skipped,
-        crashes=crashes,
+        timeline=faults,
         checkpoints_checked=checked,
         messages_dropped=stats.messages_dropped,
         duplicates_injected=stats.duplicates_injected,
@@ -621,9 +542,7 @@ def long_partition_spec(sync: bool = True) -> ChaosSpec:
         horizon=300.0,
         crash_count=0,
         checkpoints=3,
-        partitions=(
-            Partition(30.0, 220.0, split_channels({1, 2}, {3, 4})),
-        ),
+        timeline=(FaultAction(30.0, "partition", (1, 2), duration=190.0),),
         pending_cap=16,
         gap_threshold=3,
         unacked_cap=4,
@@ -650,7 +569,7 @@ def slow_replica_spec(sync: bool = True) -> ChaosSpec:
         horizon=300.0,
         crash_count=0,
         checkpoints=3,
-        slow=(SlowWindow(20.0, 180.0, 4),),
+        timeline=(FaultAction(20.0, "slow", 4, duration=160.0),),
         pending_cap=10,
         gap_threshold=3,
         unacked_cap=4,

@@ -7,14 +7,16 @@ A soak run composes four concurrent activities over a
 
 * **load** -- N client sessions write continuously (optionally
   pipelined) through the retry/failover/dedup
-  :class:`~repro.tcp.client.ClusterClient`, until the deadline;
-* **faults** -- a declarative, seeded :class:`FaultAction` timeline is
-  executed at its scheduled offsets: SIGKILL, kill+restart, partition
-  and slow-replica windows (SIGSTOP/SIGCONT -- an established socket
-  that goes silent is exactly what the heartbeat failure detector is
-  for), and on-disk WAL corruption (kill, flip one byte of a committed
-  record, restart: the replica must quarantine + deep-resync, never
-  crash-loop);
+  :class:`~repro.tcp.client.ClusterClient`, until the deadline -- or,
+  for a burst (``SoakSpec.writes``), until each has issued its count;
+* **faults** -- a declarative, seeded
+  :class:`~repro.harness.timeline.FaultAction` timeline is performed at
+  its scheduled offsets by :class:`~repro.harness.timeline.ProcessFaults`:
+  SIGKILL, kill+restart, partition and slow-replica windows
+  (SIGSTOP/SIGCONT -- an established socket that goes silent is exactly
+  what the heartbeat failure detector is for), forced connection resets,
+  and on-disk WAL corruption (kill, flip one byte of a committed record,
+  restart: the replica must quarantine + deep-resync, never crash-loop);
 * **visibility probe** -- a dedicated session writes a counter to one
   sharer of a probe register and polls the *other* sharer until the
   write is visible, measuring end-to-end visibility lag (the metric the
@@ -26,20 +28,21 @@ A soak run composes four concurrent activities over a
 
 After the deadline the harness heals everything (SIGCONT, respawn the
 dead), settles, gracefully shuts the cluster down, and audits the
-merged WALs with the real checker + ``store_divergence`` -- the same
-ground-truth audit as the burst chaos trial, now at the end of minutes
-of scheduled damage.
+merged WALs with the real checker + ``store_divergence``.  ``python -m
+repro cluster chaos`` is this runner over a count-bounded ``burst``
+timeline, and ``cluster load`` (:func:`run_load`) is its session loop
+alone, against a cluster somebody else started.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.share_graph import ShareGraph
 from repro.errors import (
@@ -49,8 +52,14 @@ from repro.errors import (
 )
 from repro.harness.process_chaos import audit_cluster, ring_placements
 from repro.harness.report import JsonlWriter, Table
+from repro.harness.timeline import (
+    FaultAction,
+    ProcessFaults,
+    burst_timeline,
+    rolling_restarts,
+)
 from repro.shard.plan import social_shard_plan
-from repro.tcp.client import ClusterClient, percentile
+from repro.tcp.client import ClusterClient, SessionStats, percentile
 from repro.tcp.cluster import ProcessCluster
 from repro.tcp.runtime import TcpConfig
 
@@ -60,78 +69,8 @@ SCENARIOS = (
     "corrupt-wal",
     "overload",
     "shard-storm",
+    "burst",
 )
-
-
-# ----------------------------------------------------------------------
-# Fault timeline
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FaultAction:
-    """One scheduled fault.
-
-    ``kind`` is one of:
-
-    * ``"kill"`` -- SIGKILL ``target`` and leave it down (a later
-      ``"restart"`` may bring it back);
-    * ``"restart"`` -- SIGKILL (if alive) and respawn over the same WAL;
-    * ``"partition"`` -- SIGSTOP ``target`` for ``duration`` seconds,
-      then SIGCONT: sockets stay open but silent, so peers' heartbeat
-      detectors suspect it and reconcile via anti-entropy on thaw;
-    * ``"slow"`` -- duty-cycled SIGSTOP/SIGCONT over ``duration``
-      seconds (roughly half-speed replica: stalls shorter than the
-      heartbeat timeout, so it degrades without being declared dead);
-    * ``"corrupt_wal"`` -- SIGKILL ``target``, flip one byte of a
-      committed (non-final) WAL record on disk, respawn: exercises
-      checksum detection, quarantine, and deep-resync repair.
-
-    ``time`` is the offset from the start of the load phase, seconds.
-    """
-
-    time: float
-    kind: str
-    target: str
-    duration: float = 0.0
-    detail: str = ""
-
-
-def corrupt_wal_record(path: str, prefer: str = "apply") -> Optional[int]:
-    """Flip one byte of a committed (non-final) record; returns the line.
-
-    Picks the middle-most line whose record kind matches ``prefer``
-    (``"apply"`` keeps the damage repairable from the replica's own
-    salvage + the peers' deep replay), falling back to any non-final
-    line.  Returns ``None`` when the log is too short to corrupt
-    mid-file.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except OSError:
-        return None
-    while lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) < 3:
-        return None
-    candidates = [
-        idx
-        for idx, line in enumerate(lines[:-1])
-        if f'"k": "{prefer}"' in line or f'"k":"{prefer}"' in line
-    ]
-    if not candidates:
-        candidates = list(range(len(lines) - 1))
-    index = candidates[len(candidates) // 2]
-    line = lines[index]
-    # Flip one bit of the hex payload region (keeps the line valid JSON,
-    # so only the CRC can catch it -- the adversarial case).
-    flip_at = len(line) // 2
-    flipped = chr(ord(line[flip_at]) ^ 0x01)
-    if flipped in "\"\\\n{}":
-        flipped = "0" if line[flip_at] != "0" else "1"
-    lines[index] = line[:flip_at] + flipped + line[flip_at + 1 :]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return index + 1
 
 
 # ----------------------------------------------------------------------
@@ -142,8 +81,14 @@ class SoakSpec:
     """One soak run: scenario, scale, duration, and the fault timeline.
 
     ``timeline=None`` generates the scenario's preset timeline (seeded,
-    deterministic); pass an explicit tuple of :class:`FaultAction` to
-    override it.
+    deterministic); pass an explicit tuple of
+    :class:`~repro.harness.timeline.FaultAction` to override it.
+
+    ``writes`` bounds the run by count instead of by time: every session
+    issues that many writes, and the load phase ends once all have and
+    the whole timeline has run (``duration`` then only scales preset
+    timelines).  The recovery gate needs a tail after the last fault, so
+    it judges timed runs only.
 
     ``think_time`` paces each session (seconds of sleep between ops).
     ``0.0`` soaks at full speed -- note the final merged-WAL audit
@@ -166,6 +111,7 @@ class SoakSpec:
     think_time: float = 0.0
     config: Optional[TcpConfig] = None
     timeline: Optional[Tuple[FaultAction, ...]] = None
+    writes: Optional[int] = None
 
 
 def shard_soak_placements(
@@ -225,69 +171,39 @@ def timeline_for(scenario: str, spec: SoakSpec) -> Tuple[FaultAction, ...]:
     """
     if spec.timeline is not None:
         return spec.timeline
-    rng = random.Random(f"{spec.seed}:{scenario}:timeline")
-    names = sorted(soak_placements(spec))
-    horizon = spec.duration * 0.7
-    actions: List[FaultAction] = []
     if scenario == "steady":
         return ()
-    if scenario == "shard-storm":
-        # The crash-storm wave over a sharded deployment: rolling
-        # kill+restart across communities (victims alternate between
-        # groups so the overlay path keeps losing hops), plus one
-        # partition window on a hub-community member.
-        step = max(5.0, spec.duration / 8.0)
-        t = step
-        index = rng.randrange(len(names))
-        stride = max(1, len(names) // 2 + 1)  # hop across communities
-        while t < horizon:
-            victim = names[index % len(names)]
-            actions.append(
-                FaultAction(round(t, 2), "restart", victim, detail="shard")
-            )
-            index += stride
-            t += step * (0.75 + rng.random() * 0.5)
-        if spec.duration >= 30:
-            actions.append(
-                FaultAction(
-                    round(horizon * 0.5, 2),
-                    "partition",
-                    names[0],
-                    duration=min(4.0, spec.duration * 0.08),
-                )
-            )
-        return tuple(sorted(actions, key=lambda a: a.time))
+    rng = random.Random(f"{spec.seed}:{scenario}:timeline")
+    placements = soak_placements(spec)
+    names = sorted(placements)
+    horizon = spec.duration * 0.7
     if scenario == "crash-storm":
-        # Rolling kill+restart waves across the ring, ~6s apart.
+        # Rolling kill+restart waves across the ring, ~6s apart, and one
+        # partition window mid-storm for good measure.
         step = max(5.0, spec.duration / 10.0)
-        t = step
-        index = rng.randrange(len(names))
-        while t < horizon:
-            victim = names[index % len(names)]
-            actions.append(
-                FaultAction(round(t, 2), "restart", victim, detail="storm")
-            )
-            index += 1
-            t += step * (0.75 + rng.random() * 0.5)
-        # One partition window mid-storm for good measure.
-        if spec.duration >= 30:
-            victim = names[index % len(names)]
-            actions.append(
-                FaultAction(
-                    round(horizon * 0.5, 2),
-                    "partition",
-                    victim,
-                    duration=min(4.0, spec.duration * 0.08),
-                )
-            )
-        return tuple(sorted(actions, key=lambda a: a.time))
+        return rolling_restarts(names, rng, spec.duration, step, 1, "storm")
+    if scenario == "shard-storm":
+        # The same wave over a sharded deployment: victims hop across
+        # communities so the overlay path keeps losing hops, and the
+        # partition window lands on a hub-community member.
+        return rolling_restarts(
+            names,
+            rng,
+            spec.duration,
+            max(5.0, spec.duration / 8.0),
+            max(1, len(names) // 2 + 1),
+            "shard",
+            partition_victim=names[0],
+        )
+    if scenario == "burst":
+        return burst_timeline(placements, kills=1, resets=1, seed=spec.seed)
     if scenario == "corrupt-wal":
         first = max(6.0, spec.duration / 3.0)
-        victims = [names[rng.randrange(len(names))]]
-        actions.append(FaultAction(round(first, 2), "corrupt_wal", victims[0]))
+        victim = names[rng.randrange(len(names))]
+        actions = [FaultAction(round(first, 2), "corrupt_wal", victim)]
         if spec.duration >= 45:
             second = min(horizon, first * 2)
-            other = names[(names.index(victims[0]) + 1) % len(names)]
+            other = names[(names.index(victim) + 1) % len(names)]
             actions.append(FaultAction(round(second, 2), "corrupt_wal", other))
         return tuple(actions)
     if scenario == "overload":
@@ -311,8 +227,76 @@ def timeline_for(scenario: str, spec: SoakSpec) -> Tuple[FaultAction, ...]:
 
 
 # ----------------------------------------------------------------------
-# Report
+# Reports
 # ----------------------------------------------------------------------
+@dataclass
+class LoadReport:
+    """Throughput/latency/error summary of one load phase: what
+    ``cluster load`` reports and what every soak summary embeds."""
+
+    ops: int
+    duration: float
+    throughput: float
+    p50: float
+    p95: float
+    p99: float
+    retries: int
+    failovers: int
+    #: Connections the sessions dialled (one per home used, plus one
+    #: per connection lost to a fault).
+    connects: int
+    #: Ops that exhausted their retry budget, attempts shed by
+    #: overloaded replicas, and per-op rates.
+    errors: int
+    sheds: int
+    retry_rate: float
+    error_rate: float
+    #: Effective batching/pipelining configuration the load ran with.
+    config: Dict[str, Any]
+
+    @classmethod
+    def of(
+        cls,
+        state: "_SoakState",
+        sessions: Sequence[SessionStats],
+        duration: float,
+        spec: "SoakSpec",
+        tcp_config: Mapping[str, Any],
+    ) -> "LoadReport":
+        latencies, errors = state.latencies, state.errors
+        ops = len(latencies)
+        retries = sum(s.retries for s in sessions)
+        return cls(
+            ops=ops,
+            duration=duration,
+            throughput=ops / duration if duration > 0 else 0.0,
+            p50=percentile(latencies, 0.50),
+            p95=percentile(latencies, 0.95),
+            p99=percentile(latencies, 0.99),
+            retries=retries,
+            failovers=sum(s.failovers for s in sessions),
+            connects=sum(s.connects for s in sessions),
+            errors=errors,
+            sheds=sum(s.sheds for s in sessions),
+            retry_rate=retries / ops if ops else 0.0,
+            error_rate=errors / (ops + errors) if (ops or errors) else 0.0,
+            config={
+                "sessions": spec.sessions,
+                "writes_per_session": spec.writes,
+                "pipeline_window": spec.pipeline_window,
+                "batch_window": tcp_config.get("batch_window", 0.0),
+                "batch_max": tcp_config.get("batch_max"),
+                "shed_threshold": tcp_config.get("shed_threshold"),
+            },
+        )
+
+    def to_json(self) -> Dict[str, Any]:
+        return dict(self.__dict__, config=dict(self.config))
+
+    def render(self) -> str:
+        return _render("load", self.to_json())
+
+
 @dataclass
 class SoakReport:
     """Final verdict + aggregates; the time series lives in the JSONL."""
@@ -320,145 +304,158 @@ class SoakReport:
     ok: bool
     scenario: str
     violations: List[str]
-    duration: float
+    duration: float  # boot to shutdown; ``load.duration`` is the load phase
     samples: int
-    ops: int
-    errors: int
-    sheds: int
-    retries: int
-    failovers: int
-    connects: int
+    load: LoadReport
     faults: int
-    mean_throughput: float
+    kills: int  # SIGKILLs delivered (kill, restart, corrupt_wal)
+    resets: int  # link resets that reached their victim
     peak_throughput: float
-    p50: float
-    p95: float
-    p99: float
     visibility_p95: Optional[float]
-    recovered: bool
+    recovered: Optional[bool]  # None: a counted run has no tail to judge
     resyncs: int
     quarantines: int
+    wal_events: int
     report_path: Optional[str]
 
     def to_json(self) -> Dict[str, Any]:
-        return dict(self.__dict__, violations=list(self.violations))
+        """One flat document: the run's keys, then the load record's
+        (its ``duration``, the load phase alone, as ``load_duration``)."""
+        doc = dict(self.__dict__, violations=list(self.violations))
+        load = doc.pop("load").to_json()
+        load["load_duration"] = load.pop("duration")
+        return {**doc, **load, "mean_throughput": load["throughput"]}
 
     def render(self) -> str:
-        table = Table(
-            f"soak {self.scenario}",
-            ["metric", "value"],
-        )
-        table.add_row("ok", self.ok)
-        table.add_row("duration_s", self.duration)
-        table.add_row("samples", self.samples)
-        table.add_row("ops", self.ops)
-        table.add_row("mean_throughput", self.mean_throughput)
-        table.add_row("peak_throughput", self.peak_throughput)
-        table.add_row("p50_ms", self.p50 * 1000)
-        table.add_row("p95_ms", self.p95 * 1000)
-        table.add_row("p99_ms", self.p99 * 1000)
-        table.add_row(
-            "visibility_p95_ms",
-            self.visibility_p95 * 1000 if self.visibility_p95 else "n/a",
-        )
-        table.add_row("errors", self.errors)
-        table.add_row("sheds", self.sheds)
-        table.add_row("retries", self.retries)
-        table.add_row("failovers", self.failovers)
-        table.add_row("connects", self.connects)
-        table.add_row("faults", self.faults)
-        table.add_row("resyncs", self.resyncs)
-        table.add_row("quarantines", self.quarantines)
-        table.add_row("recovered", self.recovered)
-        table.add_row("violations", len(self.violations))
-        return table.render()
+        return _render(f"soak {self.scenario}", self.to_json())
+
+
+def _render(title: str, doc: Mapping[str, Any]) -> str:
+    """A report document as a two-column table: every scalar, the
+    ``config`` mapping one level down, lists by their length."""
+    table = Table(title, ["metric", "value"])
+    rows: List[Tuple[str, Any]] = []
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            rows += [(f"{key}.{k}", v) for k, v in sorted(value.items())]
+        elif isinstance(value, list):
+            rows.append((key, len(value)))
+        else:
+            rows.append((key, value))
+    for key, value in rows:
+        cell = f"{value:.6g}" if isinstance(value, float) else value
+        table.add_row(key, cell)
+    return table.render()
 
 
 # ----------------------------------------------------------------------
 # Run state shared between the tasks
 # ----------------------------------------------------------------------
+@dataclass
 class _SoakState:
-    def __init__(self) -> None:
-        self.latencies_total: List[float] = []
-        self.interval_latencies: List[float] = []
-        self.interval_ops = 0
-        self.errors = 0
-        self.sheds_seen = 0
-        self.interval_errors = 0
-        self.visibility: List[float] = []
-        self.interval_visibility: List[float] = []
-        self.faults_done = 0
-        self.stop = False
+    latencies: List[float] = field(default_factory=list)
+    errors: int = 0
+    visibility: List[float] = field(default_factory=list)
+    deadline: float = math.inf  # a timed run sets it; a counted one never
+    stop: bool = False
 
-    def op_done(self, latency: float) -> None:
-        self.latencies_total.append(latency)
-        self.interval_latencies.append(latency)
-        self.interval_ops += 1
-
-    def op_failed(self) -> None:
-        self.errors += 1
-        self.interval_errors += 1
-
-    def take_interval(self) -> Tuple[int, List[float], int, List[float]]:
-        out = (
-            self.interval_ops,
-            self.interval_latencies,
-            self.interval_errors,
-            self.interval_visibility,
-        )
-        self.interval_ops = 0
-        self.interval_latencies = []
-        self.interval_errors = 0
-        self.interval_visibility = []
-        return out
+    def running(self) -> bool:
+        return not self.stop and time.monotonic() < self.deadline
 
 
-async def _soak_session(
+async def _session(
     name: str,
-    cluster: ProcessCluster,
+    addresses: Dict[str, Tuple[str, int]],
     graph: ShareGraph,
     spec: SoakSpec,
     state: _SoakState,
-    deadline: float,
-) -> ClusterClient:
+) -> SessionStats:
+    """One write session: random registers at a random sharer, until the
+    run stops or ``spec.writes`` are issued.  ``pipeline_window > 1``
+    keeps that many ops in flight per register burst.
+
+    An op that exhausts its retry budget mid-fault is counted and the
+    session moves on: one unlucky op must dent the error rate, not
+    vaporize every other session's measurements.
+    """
     rng = random.Random(f"{spec.seed}:{name}")
     registers = sorted(graph.registers, key=str)
+    budget = math.inf if spec.writes is None else spec.writes
     client = ClusterClient(
         name,
-        cluster.addresses,
+        addresses,
         op_timeout=1.0,
-        max_attempts=12,
+        max_attempts=40,
         retry_delay=0.05,
     )
     i = 0
-    while time.monotonic() < deadline and not state.stop:
-        register = rng.choice(registers)
-        targets = sorted(
-            (str(r) for r in graph.replicas_storing(register)),
-            key=lambda r: rng.random(),
-        )
-        try:
+    try:
+        while i < budget and state.running():
+            register = rng.choice(registers)
+            targets = sorted(
+                (str(r) for r in graph.replicas_storing(register)),
+                key=lambda r: rng.random(),
+            )
+            chunk = 1
             if spec.pipeline_window > 1:
-                chunk = spec.pipeline_window * 2
-                ops = [(register, f"{name}:{i + j}") for j in range(chunk)]
-                for result in await client.write_pipelined(
-                    ops, targets, window=spec.pipeline_window
-                ):
-                    state.op_done(result.latency)
-                i += chunk
-            else:
-                result = await client.write(register, f"{name}:{i}", targets)
-                state.op_done(result.latency)
-                i += 1
-        except RetryExhaustedError:
-            # Budget exhausted mid-fault: count it and keep soaking.
-            state.op_failed()
-            i += 1
-            await asyncio.sleep(0.1)
-        if spec.think_time > 0:
-            await asyncio.sleep(spec.think_time)
-    await client.close()
-    return client
+                chunk = int(min(budget - i, spec.pipeline_window * 2))
+            try:
+                if chunk == 1:
+                    results = [
+                        await client.write(register, f"{name}:{i}", targets)
+                    ]
+                else:
+                    ops = [(register, f"{name}:{i + j}") for j in range(chunk)]
+                    results = await client.write_pipelined(
+                        ops, targets, window=spec.pipeline_window
+                    )
+                state.latencies.extend(r.latency for r in results)
+            except RetryExhaustedError:
+                state.errors += 1
+                await asyncio.sleep(0.1)
+            i += chunk
+            if spec.think_time > 0:
+                await asyncio.sleep(spec.think_time)
+    finally:
+        await client.close()
+    return client.stats
+
+
+async def run_load(
+    addresses: Dict[str, Tuple[str, int]],
+    placements: Mapping[str, Any],
+    sessions: int = 4,
+    writes_per_session: int = 50,
+    seed: int = 0,
+    pipeline_window: int = 1,
+    tcp_config: Optional[Mapping[str, Any]] = None,
+) -> LoadReport:
+    """Drive concurrent counted write sessions against a running cluster.
+
+    The sessions retry, fail over and dedup, so the burst keeps making
+    progress through restarts and resets happening underneath.
+    ``tcp_config`` (the cluster's effective ``TcpConfig`` as a mapping,
+    e.g. the ``config`` section of ``cluster.json``) is echoed into the
+    report so batching/pipelining settings travel with the numbers.
+    """
+    graph = ShareGraph({r: set(x) for r, x in placements.items()})
+    spec = SoakSpec(
+        sessions=sessions,
+        writes=writes_per_session,
+        seed=seed,
+        pipeline_window=pipeline_window,
+    )
+    state = _SoakState()
+    started = time.monotonic()
+    stats = await asyncio.gather(
+        *(
+            _session(f"s{i}", addresses, graph, spec, state)
+            for i in range(sessions)
+        )
+    )
+    return LoadReport.of(
+        state, stats, time.monotonic() - started, spec, tcp_config or {}
+    )
 
 
 async def _visibility_probe(
@@ -466,7 +463,6 @@ async def _visibility_probe(
     graph: ShareGraph,
     spec: SoakSpec,
     state: _SoakState,
-    deadline: float,
 ) -> None:
     """Write a counter at one sharer, poll the other until it shows up.
 
@@ -488,98 +484,28 @@ async def _visibility_probe(
         retry_delay=0.05,
     )
     n = 0
-    while time.monotonic() < deadline and not state.stop:
-        n += 1
-        budget = min(5.0, max(1.0, spec.sample_interval * 2))
-        started = time.monotonic()
-        try:
-            await client.write(
-                register, f"{n}:probe", [writer_t, reader_t], priority=1
-            )
-            while time.monotonic() - started < budget:
-                result = await client.read(register, [reader_t])
-                value = result.value
-                seen = 0
-                if isinstance(value, str) and ":" in value:
-                    try:
-                        seen = int(value.split(":", 1)[0])
-                    except ValueError:
-                        seen = 0
-                if seen >= n:
-                    lag = time.monotonic() - started
-                    state.visibility.append(lag)
-                    state.interval_visibility.append(lag)
-                    break
-                await asyncio.sleep(0.02)
-        except RetryExhaustedError:
-            pass
-        await asyncio.sleep(max(0.2, spec.sample_interval / 2))
-    await client.close()
-
-
-async def _fault_executor(
-    cluster: ProcessCluster,
-    spec: SoakSpec,
-    timeline: Tuple[FaultAction, ...],
-    state: _SoakState,
-    writer: JsonlWriter,
-    t0: float,
-) -> List[asyncio.Task]:
-    """Execute the timeline at its offsets; windowed faults run as
-    subtasks so the schedule never blocks on a partition healing."""
-    subtasks: List[asyncio.Task] = []
-
-    async def window(action: FaultAction) -> None:
-        if action.kind == "partition":
-            cluster.sigstop(action.target)
+    try:
+        while state.running():
+            n += 1
+            budget = min(5.0, max(1.0, spec.sample_interval * 2))
+            started = time.monotonic()
             try:
-                await asyncio.sleep(action.duration)
-            finally:
-                cluster.sigcont(action.target)
-        else:  # slow: duty-cycle stalls shorter than the heartbeat timeout
-            cfg = cluster.config
-            stall = max(0.05, min(cfg.heartbeat_timeout * 0.4, 0.4))
-            until = time.monotonic() + action.duration
-            try:
-                while time.monotonic() < until:
-                    cluster.sigstop(action.target)
-                    await asyncio.sleep(stall)
-                    cluster.sigcont(action.target)
-                    await asyncio.sleep(stall)
-            finally:
-                cluster.sigcont(action.target)
-
-    for action in sorted(timeline, key=lambda a: a.time):
-        delay = t0 + action.time - time.monotonic()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        if state.stop:
-            break
-        record: Dict[str, Any] = {
-            "kind": "fault",
-            "t": round(time.monotonic() - t0, 3),
-            "action": action.kind,
-            "target": action.target,
-        }
-        if action.kind == "kill":
-            cluster.sigkill(action.target)
-        elif action.kind == "restart":
-            cluster.restart(action.target)
-        elif action.kind in ("partition", "slow"):
-            record["duration"] = action.duration
-            subtasks.append(asyncio.ensure_future(window(action)))
-        elif action.kind == "corrupt_wal":
-            cluster.sigkill(action.target)
-            line = corrupt_wal_record(cluster.wal_path(action.target))
-            record["line"] = line
-            cluster.spawn(action.target)
-        else:
-            raise ConfigurationError(f"unknown fault kind {action.kind!r}")
-        if action.detail:
-            record["detail"] = action.detail
-        state.faults_done += 1
-        writer.emit(record)
-    return subtasks
+                await client.write(
+                    register, f"{n}:probe", [writer_t, reader_t], priority=1
+                )
+                while time.monotonic() - started < budget:
+                    result = await client.read(register, [reader_t])
+                    # Only this probe writes "<n>:probe"; a load session
+                    # overwriting it first costs the interval its point.
+                    if result.value == f"{n}:probe":
+                        state.visibility.append(time.monotonic() - started)
+                        break
+                    await asyncio.sleep(0.02)
+            except RetryExhaustedError:
+                pass
+            await asyncio.sleep(max(0.2, spec.sample_interval / 2))
+    finally:
+        await client.close()
 
 
 async def _sampler(
@@ -588,26 +514,36 @@ async def _sampler(
     state: _SoakState,
     writer: JsonlWriter,
     t0: float,
-    deadline: float,
 ) -> List[Dict[str, Any]]:
-    """One JSONL sample per interval until the deadline."""
+    """One JSONL sample per interval while the run lasts.
+
+    Polling every replica's ``status`` takes time of its own (up to the
+    op timeout per SIGSTOPped replica), so a sample's rate is its ops
+    over the time *measured* since the previous sample was taken, and
+    that ``elapsed`` is part of the record.
+    """
     samples: List[Dict[str, Any]] = []
-    status_client = ClusterClient(
-        "soak-sampler", cluster.addresses, op_timeout=0.5
-    )
-    while time.monotonic() < deadline and not state.stop:
+    taken, seen_ops, seen_errors, seen_lags = t0, 0, 0, 0
+    while state.running():
         await asyncio.sleep(spec.sample_interval)
-        ops, latencies, errors, visibility = state.take_interval()
+        latencies = state.latencies[seen_ops:]
+        errors = state.errors - seen_errors
+        visibility = state.visibility[seen_lags:]
+        now = time.monotonic()
+        elapsed, taken = now - taken, now
+        seen_ops += len(latencies)
+        seen_errors += errors
+        seen_lags += len(visibility)
+        statuses = await cluster.statuses(op_timeout=0.5)
         replicas: Dict[str, Any] = {}
         for name in sorted(cluster.placements):
             if not cluster.alive(name):
                 replicas[name] = {"alive": False}
                 continue
-            try:
-                status = await status_client.status(name)
-            except Exception:
+            if name not in statuses:
                 replicas[name] = {"alive": True, "status": "unreachable"}
                 continue
+            status = statuses[name]
             metrics = status.get("metrics", {})
             replicas[name] = {
                 "alive": True,
@@ -620,9 +556,10 @@ async def _sampler(
             }
         sample = {
             "kind": "sample",
-            "t": round(time.monotonic() - t0, 3),
-            "ops": ops,
-            "throughput": round(ops / spec.sample_interval, 2),
+            "t": round(taken - t0, 3),
+            "elapsed": round(elapsed, 3),
+            "ops": len(latencies),
+            "throughput": round(len(latencies) / elapsed, 2),
             "p50": percentile(latencies, 0.50),
             "p95": percentile(latencies, 0.95),
             "p99": percentile(latencies, 0.99),
@@ -634,7 +571,6 @@ async def _sampler(
         }
         samples.append(sample)
         writer.emit(sample)
-    await status_client.close()
     return samples
 
 
@@ -644,18 +580,19 @@ def _throughput_recovered(
 ) -> bool:
     """Did interval throughput come back after the last scheduled fault?
 
-    Gate: the mean throughput of the post-fault tail must reach half the
-    pre-fault (or overall) mean.  Loose on purpose -- runner speed
-    varies -- but a replica stuck in a crash loop or a cluster wedged by
-    a bad resync keeps the tail near zero and fails it.
+    Gate: the mean throughput of the tail after the last fault *ended*
+    (a window's ``t + duration``) must reach half the mean before that.
+    Loose on purpose -- runner speed varies -- but a replica stuck in a
+    crash loop or a cluster wedged by a bad resync keeps the tail near
+    zero and fails it.
     """
     if not samples:
         return False
     if not faults:
         return True
-    last_fault_t = max(f["t"] for f in faults)
-    tail = [s["throughput"] for s in samples if s["t"] > last_fault_t]
-    before = [s["throughput"] for s in samples if s["t"] <= last_fault_t]
+    faults_end = max(f["t"] + f.get("duration", 0.0) for f in faults)
+    tail = [s["throughput"] for s in samples if s["t"] > faults_end]
+    before = [s["throughput"] for s in samples if s["t"] <= faults_end]
     if not tail:
         return False
     baseline = (sum(before) / len(before)) if before else None
@@ -687,129 +624,115 @@ async def run_soak(
     state = _SoakState()
     violations: List[str] = []
     samples: List[Dict[str, Any]] = []
-    window_tasks: List[asyncio.Task] = []
-    sessions: List[ClusterClient] = []
+    sessions: List[SessionStats] = []
     statuses: Dict[str, Dict[str, Any]] = {}
+    tasks: List[asyncio.Future] = []
+    load_duration = 0.0
     started = time.monotonic()
     with JsonlWriter(report_path) as writer:
-        writer.emit(
-            {
-                "kind": "header",
-                "scenario": spec.scenario,
-                "replicas": spec.replicas,
-                "sessions": spec.sessions,
-                "duration": spec.duration,
-                "sample_interval": spec.sample_interval,
-                "pipeline_window": spec.pipeline_window,
-                "think_time": spec.think_time,
-                "seed": spec.seed,
-                "config": dataclasses.asdict(config),
-                "timeline": [dataclasses.asdict(a) for a in timeline],
-            }
-        )
+        faults = ProcessFaults(cluster, timeline, writer.emit)
+        # The header is the experiment: every spec field, with the
+        # effective config and the resolved timeline in place of None.
+        header = dataclasses.replace(spec, config=config, timeline=timeline)
+        writer.emit({"kind": "header", **dataclasses.asdict(header)})
         try:
             cluster.start_all()
             await cluster.wait_ready()
             t0 = time.monotonic()
-            deadline = t0 + spec.duration
+            if spec.writes is None:
+                state.deadline = t0 + spec.duration
             session_tasks = [
                 asyncio.ensure_future(
-                    _soak_session(
-                        f"s{i}", cluster, graph, spec, state, deadline
-                    )
+                    _session(f"s{i}", cluster.addresses, graph, spec, state)
                 )
                 for i in range(spec.sessions)
             ]
-            probe_task = asyncio.ensure_future(
-                _visibility_probe(cluster, graph, spec, state, deadline)
+            fault_task = asyncio.ensure_future(faults.run(t0))
+            sampler = asyncio.ensure_future(
+                _sampler(cluster, spec, state, writer, t0)
             )
-            fault_task = asyncio.ensure_future(
-                _fault_executor(cluster, spec, timeline, state, writer, t0)
+            probe = asyncio.ensure_future(
+                _visibility_probe(cluster, graph, spec, state)
             )
-            samples = await _sampler(
-                cluster, spec, state, writer, t0, deadline
-            )
-            window_tasks = await fault_task
-            sessions = [s for s in await asyncio.gather(*session_tasks)]
-            await probe_task
-            for task in window_tasks:
-                if not task.done():
-                    task.cancel()
+            tasks = [*session_tasks, fault_task, sampler, probe]
+            sessions = await asyncio.gather(*session_tasks)
+            load_duration = time.monotonic() - t0
+            # The whole timeline runs even when a counted load finished
+            # first: a reset during settling is still a real fault.
+            await fault_task
+            state.stop = True
+            samples = await sampler
+            await probe
             # Heal: thaw everything, resurrect the dead, settle, drain.
-            for name in sorted(cluster.placements):
-                cluster.sigcont(name)
-                if not cluster.alive(name):
-                    cluster.spawn(name)
+            faults.heal()
             await cluster.wait_ready(timeout=30.0)
             statuses = await cluster.settle(timeout=spec.settle_timeout)
             await cluster.shutdown_all()
         except ConfigurationError as exc:
-            state.stop = True
             violations.append(f"soak did not settle: {exc}")
         finally:
             state.stop = True
+            for task in tasks:
+                task.cancel()
             cluster.terminate_all()
         duration = time.monotonic() - started
+        wal_events = 0
         try:
-            audit_violations, _ = audit_cluster(cluster, graph)
+            audit_violations, wal_events = audit_cluster(cluster, graph)
             violations.extend(audit_violations)
         except ProtocolError as exc:
             # A corrupt WAL at audit time means a replica never came
             # back to quarantine it -- report, don't crash the harness.
             violations.append(f"audit failed: {exc}")
-        fault_records = [r for r in writer.records if r["kind"] == "fault"]
-        recovered = _throughput_recovered(samples, fault_records)
-        if timeline and not recovered:
+        fired = [r for r in writer.records if r["kind"] == "fault"]
+        recovered = (
+            _throughput_recovered(samples, fired)
+            if spec.writes is None
+            else None
+        )
+        if timeline and recovered is False:
             violations.append(
                 "throughput did not recover after the last scheduled fault"
             )
-        resyncs = sum(
-            s.get("metrics", {}).get("resyncs_served", 0)
-            for s in statuses.values()
-        )
-        quarantines = sum(
-            s.get("metrics", {}).get("wal_quarantines", 0)
-            for s in statuses.values()
-        )
+        if spec.writes is not None and state.errors:
+            violations.append(
+                f"{state.errors} counted writes exhausted their retry budget"
+            )
+        metrics = [s.get("metrics", {}) for s in statuses.values()]
         report = SoakReport(
             ok=not violations,
             scenario=spec.scenario,
             violations=violations,
             duration=duration,
             samples=len(samples),
-            ops=len(state.latencies_total),
-            errors=state.errors,
-            sheds=sum(s.stats.sheds for s in sessions),
-            retries=sum(s.stats.retries for s in sessions),
-            failovers=sum(s.stats.failovers for s in sessions),
-            connects=sum(s.stats.connects for s in sessions),
-            faults=state.faults_done,
-            mean_throughput=(
-                len(state.latencies_total) / spec.duration
-                if spec.duration > 0
-                else 0.0
+            load=LoadReport.of(
+                state,
+                sessions,
+                load_duration,
+                spec,
+                dataclasses.asdict(config),
+            ),
+            faults=len(fired),
+            kills=sum(
+                r["action"] in ("kill", "restart", "corrupt_wal")
+                for r in fired
+            ),
+            resets=sum(
+                r["action"] == "reset" and "failed" not in r for r in fired
             ),
             peak_throughput=max(
                 (s["throughput"] for s in samples), default=0.0
             ),
-            p50=percentile(state.latencies_total, 0.50),
-            p95=percentile(state.latencies_total, 0.95),
-            p99=percentile(state.latencies_total, 0.99),
             visibility_p95=(
                 percentile(state.visibility, 0.95)
                 if state.visibility
                 else None
             ),
             recovered=recovered,
-            resyncs=resyncs,
-            quarantines=quarantines,
+            resyncs=sum(m.get("resyncs_served", 0) for m in metrics),
+            quarantines=sum(m.get("wal_quarantines", 0) for m in metrics),
+            wal_events=wal_events,
             report_path=report_path,
         )
         writer.emit({"kind": "summary", **report.to_json()})
     return report
-
-
-def write_soak_report(report: SoakReport, path: str) -> None:
-    """The aggregate summary as one JSON document (JSONL series aside)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)

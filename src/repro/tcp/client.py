@@ -19,15 +19,12 @@ requests unconfirmed.  Across a SIGKILL the dedup table dies with the
 process and a retried write may execute twice -- as two updates carrying
 the *same value*, which the store audit treats as equivalent (and real
 systems call idempotent at-least-once delivery).
-
-Per-operation wall-clock latencies are collected so load drivers can
-report p50/p95/p99 without extra plumbing.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -67,7 +64,6 @@ class OpResult:
 
 @dataclass
 class SessionStats:
-    ops: int = 0
     retries: int = 0
     failovers: int = 0
     #: Connections dialled (kept connections make this the number of
@@ -76,7 +72,6 @@ class SessionStats:
     #: Attempts rejected with a typed retryable shed reply (the replica
     #: was overloaded or recovering, not dead).
     sheds: int = 0
-    latencies: List[float] = field(default_factory=list)
 
 
 async def _read_reply(reader: asyncio.StreamReader) -> Dict[str, Any]:
@@ -236,16 +231,14 @@ class ClusterClient:
             doc, targets
         )
         uid = reply.get("uid")
-        return self._done(
-            OpResult(
-                op="write",
-                register=register,
-                value=value,
-                uid=(uid[0], int(uid[1])) if uid else None,
-                latency=latency,
-                replica=replica,
-                attempts=attempts,
-            )
+        return OpResult(
+            op="write",
+            register=register,
+            value=value,
+            uid=(uid[0], int(uid[1])) if uid else None,
+            latency=latency,
+            replica=replica,
+            attempts=attempts,
         )
 
     async def write_pipelined(
@@ -319,16 +312,14 @@ class ClusterClient:
                             f"{reply}"
                         )
                     uid = reply.get("uid")
-                    results[next_recv] = self._done(
-                        OpResult(
-                            op="write",
-                            register=doc["register"],
-                            value=ops[next_recv][1],
-                            uid=(uid[0], int(uid[1])) if uid else None,
-                            latency=loop.time() - sent_at[next_recv],
-                            replica=replica,
-                            attempts=1,
-                        )
+                    results[next_recv] = OpResult(
+                        op="write",
+                        register=doc["register"],
+                        value=ops[next_recv][1],
+                        uid=(uid[0], int(uid[1])) if uid else None,
+                        latency=loop.time() - sent_at[next_recv],
+                        replica=replica,
+                        attempts=1,
                     )
                     next_recv += 1
         except _ATTEMPT_ERRORS:
@@ -343,16 +334,14 @@ class ClusterClient:
                 doc, targets
             )
             uid = reply.get("uid")
-            results[index] = self._done(
-                OpResult(
-                    op="write",
-                    register=doc["register"],
-                    value=ops[index][1],
-                    uid=(uid[0], int(uid[1])) if uid else None,
-                    latency=loop.time() - started,
-                    replica=replica,
-                    attempts=attempts + 1,
-                )
+            results[index] = OpResult(
+                op="write",
+                register=doc["register"],
+                value=ops[index][1],
+                uid=(uid[0], int(uid[1])) if uid else None,
+                latency=loop.time() - started,
+                replica=replica,
+                attempts=attempts + 1,
             )
         return [r for r in results if r is not None]
 
@@ -368,16 +357,14 @@ class ClusterClient:
             doc, targets
         )
         value, _ = decode_value(bytes.fromhex(reply["value"]))
-        return self._done(
-            OpResult(
-                op="read",
-                register=register,
-                value=value,
-                uid=None,
-                latency=latency,
-                replica=replica,
-                attempts=attempts,
-            )
+        return OpResult(
+            op="read",
+            register=register,
+            value=value,
+            uid=None,
+            latency=latency,
+            replica=replica,
+            attempts=attempts,
         )
 
     async def status(self, replica: str) -> Dict[str, Any]:
@@ -434,11 +421,6 @@ class ClusterClient:
         if last_shed:
             raise ReplicaOverloadedError(message, self.max_attempts)
         raise RetryExhaustedError(message, self.max_attempts)
-
-    def _done(self, result: OpResult) -> OpResult:
-        self.stats.ops += 1
-        self.stats.latencies.append(result.latency)
-        return result
 
 
 def percentile(latencies: Sequence[float], fraction: float) -> float:

@@ -157,7 +157,6 @@ class ProcessCluster:
             r: (host, p) for r, p in self.ports.items()
         }
         self.processes: Dict[str, subprocess.Popen] = {}
-        self.restarts: Dict[str, int] = {}
 
     # -- process control -------------------------------------------------
     def spawn(self, replica: str) -> None:
@@ -200,7 +199,6 @@ class ProcessCluster:
 
     def restart(self, replica: str) -> None:
         self.sigkill(replica)
-        self.restarts[replica] = self.restarts.get(replica, 0) + 1
         self.spawn(replica)
 
     def sigstop(self, replica: str) -> None:
@@ -235,32 +233,42 @@ class ProcessCluster:
         client = ClusterClient("boot-probe", self.addresses, op_timeout=1.0)
         deadline = time.monotonic() + timeout
         pending = set(self.processes)
-        while pending:
-            if time.monotonic() > deadline:
-                raise ConfigurationError(
-                    f"replicas never became ready: {sorted(pending)}"
-                )
-            for replica in sorted(pending):
+        try:
+            while pending:
+                if time.monotonic() > deadline:
+                    raise ConfigurationError(
+                        f"replicas never became ready: {sorted(pending)}"
+                    )
+                for replica in sorted(pending):
+                    try:
+                        reply = await client.admin(replica, {"op": "ping"})
+                    except Exception:
+                        continue
+                    if reply.get("ok"):
+                        pending.discard(replica)
+                await asyncio.sleep(0.1)
+        finally:
+            await client.close()
+
+    async def statuses(
+        self, op_timeout: float = 1.0
+    ) -> Dict[str, Dict[str, Any]]:
+        """The ``status`` of every live replica that answers within
+        ``op_timeout`` (a SIGSTOPped one costs exactly that long)."""
+        client = ClusterClient(
+            "status-probe", self.addresses, op_timeout=op_timeout
+        )
+        out: Dict[str, Dict[str, Any]] = {}
+        try:
+            for replica in sorted(self.placements):
+                if not self.alive(replica):
+                    continue
                 try:
-                    reply = await client.admin(replica, {"op": "ping"})
+                    out[replica] = await client.status(replica)
                 except Exception:
                     continue
-                if reply.get("ok"):
-                    pending.discard(replica)
-            await asyncio.sleep(0.1)
-        await client.close()
-
-    async def statuses(self) -> Dict[str, Dict[str, Any]]:
-        client = ClusterClient("status-probe", self.addresses, op_timeout=1.0)
-        out: Dict[str, Dict[str, Any]] = {}
-        for replica in sorted(self.placements):
-            if not self.alive(replica):
-                continue
-            try:
-                out[replica] = await client.status(replica)
-            except Exception:
-                continue
-        await client.close()
+        finally:
+            await client.close()
         return out
 
     def converged(self, statuses: Dict[str, Dict[str, Any]]) -> bool:
@@ -303,13 +311,15 @@ class ProcessCluster:
 
     async def shutdown_all(self, timeout: float = 15.0) -> None:
         client = ClusterClient("shutdown-probe", self.addresses, op_timeout=1.0)
-        for replica in sorted(self.placements):
-            if self.alive(replica):
-                try:
-                    await client.admin(replica, {"op": "shutdown"})
-                except Exception:
-                    pass
-        await client.close()
+        try:
+            for replica in sorted(self.placements):
+                if self.alive(replica):
+                    try:
+                        await client.admin(replica, {"op": "shutdown"})
+                    except Exception:
+                        pass
+        finally:
+            await client.close()
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline and any(
             self.alive(r) for r in self.processes

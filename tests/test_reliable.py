@@ -9,11 +9,10 @@ from repro import DSMSystem, ShareGraph
 from repro.errors import ConfigurationError, ProtocolError, RetryExhaustedError
 from repro.harness.chaos import (
     ChaosSpec,
-    CrashEvent,
-    derive_crashes,
     run_chaos_campaign,
     run_chaos_trial,
 )
+from repro.harness.timeline import FaultAction, derive_crashes, downtime
 from repro.network import ChannelFaults, FaultPlan, ReliableNetwork
 from repro.network.delays import FixedDelay, UniformDelay
 from repro.sim import Simulator
@@ -228,23 +227,30 @@ def test_crash_recovery_under_faults(seed):
 # Chaos campaign
 # ----------------------------------------------------------------------
 def test_chaos_spec_validation():
-    with pytest.raises(ConfigurationError):
-        CrashEvent(5.0, 1, 5.0)
+    with pytest.raises(ConfigurationError):  # restart not after its kill
+        downtime((FaultAction(5.0, "kill", 1), FaultAction(5.0, "restart", 1)))
+    with pytest.raises(ConfigurationError):  # killed while already down
+        downtime((FaultAction(5.0, "kill", 1), FaultAction(6.0, "kill", 1)))
     with pytest.raises(ConfigurationError):
         ChaosSpec(placements=fig5_placements(), horizon=0.0)
 
 
 def test_derive_crashes_is_deterministic_and_disjoint():
     graph = ShareGraph(fig5_placements())
-    a = derive_crashes(graph, 4, 300.0, seed=11)
-    b = derive_crashes(graph, 4, 300.0, seed=11)
+    a = derive_crashes(graph.replicas, 4, 300.0, seed=11)
+    b = derive_crashes(graph.replicas, 4, 300.0, seed=11)
     assert a == b
-    assert len(a) == 4
-    for i, e1 in enumerate(a):
-        assert e1.recover_at <= 0.9 * 300.0
-        for e2 in a[i + 1:]:
-            if e1.replica == e2.replica:
-                assert e1.recover_at <= e2.time or e2.recover_at <= e1.time
+    assert [x.kind for x in a].count("kill") == 4
+    assert [x.kind for x in a].count("restart") == 4
+    assert [x.time for x in a] == sorted(x.time for x in a)
+    # downtime() pairs every kill with its restart and raises on overlap.
+    windows = downtime(a)
+    assert sum(len(w) for w in windows.values()) == 4
+    for spans in windows.values():
+        for i, (start, end) in enumerate(spans):
+            assert start < end <= 0.9 * 300.0
+            for other_start, other_end in spans[i + 1:]:
+                assert end <= other_start or other_end <= start
 
 
 def test_chaos_campaign_acceptance():

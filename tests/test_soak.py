@@ -14,19 +14,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.harness.report import JsonlWriter
 from repro.harness.soak import (
-    FaultAction,
     SoakSpec,
-    corrupt_wal_record,
+    _sampler,
+    _SoakState,
+    _throughput_recovered,
     run_soak,
     scenario_config,
+    soak_placements,
     timeline_for,
 )
+from repro.harness.timeline import FaultAction, corrupt_wal_record, downtime
 from repro.tcp import TcpCluster, TcpConfig
 from repro.tcp.wal import WriteAheadLog, read_wal
 from repro.wire.codec import encode_value
@@ -60,10 +64,11 @@ class TestTimelines:
             timeline_for("thunderstorm", SoakSpec())
 
     def test_faults_leave_a_recovery_tail(self):
-        for scenario in ("crash-storm", "corrupt-wal", "overload"):
+        for scenario in ("crash-storm", "corrupt-wal", "overload", "burst"):
             spec = SoakSpec(scenario=scenario, duration=60, replicas=5)
             timeline = timeline_for(scenario, spec)
             assert timeline, scenario
+            downtime(timeline)  # every preset passes validation
             names = {f"r{i}" for i in range(5)}
             for action in timeline:
                 assert action.target in names
@@ -99,6 +104,31 @@ class TestTimelines:
         spec = SoakSpec(scenario="crash-storm", timeline=explicit)
         assert timeline_for("crash-storm", spec) == explicit
 
+    def test_shard_storm_hops_communities_and_pins_its_partition(self):
+        spec = SoakSpec(scenario="shard-storm", duration=90, replicas=8)
+        timeline = timeline_for("shard-storm", spec)
+        restarts = [a.target for a in timeline if a.kind == "restart"]
+        assert len(restarts) >= 3 and len(set(restarts)) >= 2
+        (partition,) = [a for a in timeline if a.kind == "partition"]
+        assert partition.target == sorted(soak_placements(spec))[0]
+
+    def test_burst_draws_the_requested_restarts_and_resets(self):
+        from repro.harness.process_chaos import ring_placements
+        from repro.harness.timeline import burst_timeline
+
+        ring = ring_placements(5)
+        timeline = burst_timeline(ring, kills=2, resets=3, seed=11)
+        assert timeline == burst_timeline(ring, kills=2, resets=3, seed=11)
+        kinds = [a.kind for a in timeline]
+        assert kinds.count("restart") == 2 and kinds.count("reset") == 3
+        for action in timeline:
+            if action.kind == "reset":  # a link to a real neighbour
+                assert set(ring[action.target]) & set(ring[action.detail])
+        # Each restart leaves its victim a cooldown before the next fault.
+        for now, after in zip(timeline, timeline[1:]):
+            if now.kind == "restart":
+                assert after.time - now.time >= 0.6
+
 
 class TestCorruptWalRecord:
     def test_too_short_logs_are_left_alone(self, tmp_path):
@@ -125,6 +155,72 @@ class TestCorruptWalRecord:
 
         with pytest.raises(WalCorruptionError):
             list(read_wal(path))
+
+
+# ----------------------------------------------------------------------
+# The recovery gate and the sampler (pure / stubbed: no processes)
+# ----------------------------------------------------------------------
+def test_recovery_tail_starts_where_the_last_fault_ends():
+    """A trailing ``slow`` window (the overload preset ends with one)
+    depresses throughput for its whole duration; those samples are
+    *inside* the fault, not the recovery after it."""
+    rate = lambda t: 100.0 if t <= 10 or t > 18 else 0.0  # noqa: E731
+    samples = [{"t": float(t), "throughput": rate(t)} for t in range(1, 23)]
+    slow = {"kind": "fault", "t": 10.0, "action": "slow", "duration": 8.0}
+    assert _throughput_recovered(samples, [slow])
+    # ...and a run that stays at zero after the window still fails it.
+    dead = [dict(s, throughput=0.0) if s["t"] > 18 else s for s in samples]
+    assert not _throughput_recovered(dead, [slow])
+
+
+def test_sampler_divides_by_the_measured_interval():
+    """Polling ``status`` takes time of its own -- most of all during the
+    stalls the series exists to show -- so a sample's rate is its ops
+    over the measured time since the previous sample, not the nominal
+    interval."""
+
+    class SlowStatusCluster:
+        placements = {"r0": ["x"]}
+
+        def alive(self, name):
+            return True
+
+        async def statuses(self, op_timeout):
+            await asyncio.sleep(0.3)
+            return {}
+
+    async def scenario():
+        state = _SoakState()
+        spec = SoakSpec(sample_interval=0.1)
+
+        async def load():  # a steady 100 ops/s
+            while state.running():
+                state.latencies.append(0.001)
+                await asyncio.sleep(0.01)
+
+        loader = asyncio.ensure_future(load())
+        with JsonlWriter(None) as writer:
+            sampler = asyncio.ensure_future(
+                _sampler(SlowStatusCluster(), spec, state, writer, time.monotonic())
+            )
+            await asyncio.sleep(1.3)
+            state.stop = True
+            samples = await sampler
+            await loader
+        return samples
+
+    samples = drive(scenario())
+    assert len(samples) >= 3
+    for sample in samples[1:]:  # the first interval has no poll in it
+        assert 0.35 <= sample["elapsed"] <= 0.6
+        assert sample["ops"] / sample["elapsed"] == pytest.approx(
+            sample["throughput"], abs=0.5
+        )
+        # 100 ops/s offered; the nominal-interval division said ~400.
+        assert sample["throughput"] < 150
+        assert sample["replicas"] == {
+            "r0": {"alive": True, "status": "unreachable"}
+        }
 
 
 # ----------------------------------------------------------------------
@@ -228,11 +324,11 @@ class TestSoakSmoke:
             run_soak(spec, str(tmp_path / "work"), report_path=report_path)
         )
         assert report.ok, report.violations
-        assert report.ops > 0
-        assert report.faults == 1
+        assert report.load.ops > 0
+        assert (report.faults, report.kills, report.resets) == (1, 1, 0)
         assert report.samples >= 8
         assert report.recovered
-        assert report.p99 >= report.p50 > 0
+        assert report.load.p99 >= report.load.p50 > 0
 
         with open(report_path, encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh if line.strip()]
@@ -243,10 +339,24 @@ class TestSoakSmoke:
         samples = [r for r in records if r["kind"] == "sample"]
         assert len(samples) == report.samples
         assert all("replicas" in s and "throughput" in s for s in samples)
-        # The header pins the whole configuration for reproducibility.
+        assert all(s["elapsed"] >= spec.sample_interval for s in samples)
+        # The header pins the whole configuration for reproducibility:
+        # the failed run's timeline can be replayed from its own report.
         header = records[0]
         assert header["scenario"] == "crash-storm"
-        assert header["timeline"][0]["target"] == "r1"
+        assert (
+            tuple(FaultAction(**doc) for doc in header["timeline"])
+            == spec.timeline
+        )
+        # The summary keeps every key it had before the load record was
+        # embedded, flat.
+        assert {
+            "ok", "scenario", "violations", "duration", "samples", "ops",
+            "errors", "sheds", "retries", "failovers", "connects",
+            "faults", "mean_throughput", "peak_throughput", "p50", "p95",
+            "p99", "visibility_p95", "recovered", "resyncs", "quarantines",
+            "report_path",
+        } <= set(records[-1])
 
 
 def test_jsonl_writer_none_path_is_in_memory_only():

@@ -21,13 +21,12 @@ from repro.checker import check_history
 from repro.errors import ConfigurationError, ProtocolError
 from repro.harness.chaos import store_divergence
 from repro.harness.process_chaos import (
-    ProcessChaosSpec,
     audit_cluster,
     merge_wal_histories,
     ring_placements,
-    run_load,
-    run_process_chaos_trial,
 )
+from repro.harness.soak import SoakSpec, run_load, run_soak
+from repro.harness.timeline import burst_timeline
 from repro.tcp.cluster import (
     ProcessCluster,
     read_cluster_config,
@@ -249,18 +248,26 @@ class TestProcessCluster:
         """The acceptance scenario: a 5-replica cluster under load with
         >= 1 SIGKILL/restart and >= 1 forced connection reset passes the
         causal-consistency checker and the store-divergence audit."""
-        spec = ProcessChaosSpec(
+        spec = SoakSpec(
+            scenario="burst",
             replicas=5,
             sessions=3,
-            writes_per_session=15,
+            writes=15,
             seed=11,
-            kills=1,
-            resets=1,
+            timeline=burst_timeline(
+                ring_placements(5), kills=1, resets=1, seed=11
+            ),
         )
-        report = drive(run_process_chaos_trial(spec, str(tmp_path)))
+        report = drive(run_soak(spec, str(tmp_path)))
         assert report.ok, report.violations
         assert report.kills >= 1
         assert report.resets >= 1
-        assert report.ops == 45
-        assert report.p99 >= report.p50 > 0
+        assert report.load.ops == 45
+        assert report.load.p99 >= report.load.p50 > 0
         assert report.wal_events > 0
+        # `cluster chaos --report` keeps every key it wrote before.
+        assert {
+            "ok", "violations", "ops", "duration", "throughput", "p50",
+            "p95", "p99", "kills", "resets", "retries", "failovers",
+            "connects", "resyncs", "wal_events",
+        } <= set(report.to_json())

@@ -22,7 +22,7 @@ from repro.core.share_graph import ShareGraph
 from repro.errors import ProtocolError, WalCorruptionError
 from repro.harness.chaos import store_divergence
 from repro.harness.process_chaos import merge_wal_histories
-from repro.harness.soak import corrupt_wal_record
+from repro.harness.timeline import corrupt_wal_record
 from repro.tcp import TcpCluster, TcpConfig
 from repro.tcp.wal import (
     WriteAheadLog,
