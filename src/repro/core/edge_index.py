@@ -21,9 +21,15 @@ system), not per-message data, so the table stays tiny.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Tuple
+from struct import Struct
+from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 Key = Hashable
+
+#: What a lane-packed timestamp needs to know about its index: every
+#: lane's top bit as one integer, and the packer (whose ``size`` is the
+#: packed byte length).
+Lanes = Tuple[int, Struct]
 
 
 def _canonical_key(key: Key) -> Tuple[str, str]:
@@ -39,7 +45,7 @@ class EdgeIndex:
     object, otherwise the identity fast paths silently degrade).
     """
 
-    __slots__ = ("keys", "order", "position", "key_hash")
+    __slots__ = ("keys", "order", "position", "key_hash", "_lanes")
 
     _intern: Dict[FrozenSet[Key], "EdgeIndex"] = {}
 
@@ -50,6 +56,7 @@ class EdgeIndex:
             key: pos for pos, key in enumerate(self.order)
         }
         self.key_hash: int = hash(keys)
+        self._lanes: Optional[Lanes] = None
 
     @classmethod
     def of(cls, keys: Iterable[Key]) -> "EdgeIndex":
@@ -59,6 +66,19 @@ class EdgeIndex:
         if index is None:
             index = cls._intern[key_set] = cls(key_set)
         return index
+
+    def lanes(self) -> Lanes:
+        """The constants of a timestamp's lane-packed form over this
+        index (``Timestamp._packed``), built on first use and shared by
+        every policy and timestamp over the index."""
+        lanes = self._lanes
+        if lanes is None:
+            width = len(self.order)
+            lanes = self._lanes = (
+                int.from_bytes(b"\x00\x00\x00\x80" * width, "little"),
+                Struct("<%di" % width),
+            )
+        return lanes
 
     def __len__(self) -> int:
         return len(self.order)

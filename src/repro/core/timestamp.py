@@ -29,10 +29,16 @@ walks or per-edge hashing.  Value semantics (equality, hashing, the
 ``Mapping``-flavoured accessors) are unchanged: the Definition 12
 ``timestamps_used`` counting and every dict-constructed timestamp
 interoperate with array-constructed ones transparently.
+
+Wide timestamps additionally cache their counters as one integer of
+32-bit lanes (``Timestamp._packed``), over which ``merge`` between two
+timestamps on one index is a handful of big-integer operations instead
+of a walk (:data:`LANE_MIN_WIDTH`).  It is a cache: the tuple decides.
 """
 
 from __future__ import annotations
 
+from struct import error as StructError
 from typing import (
     Any,
     Callable,
@@ -60,6 +66,14 @@ from repro.types import Edge, RegisterName, ReplicaId
 #: ``docs/performance.md`` section 6; only tests patch it.
 FRAME_KERNEL_MIN_CELLS = 1024
 
+#: ``merge_delta`` takes the lane-packed path (one big-integer
+#: expression over :attr:`Timestamp._packed` instead of the plan walk)
+#: only for a sender on this policy's own interned index whose width
+#: reaches this many counters; below it the fixed cost of the
+#: big-integer operations exceeds the walk.  Crossover measured in
+#: ``docs/performance.md`` section 9; only tests patch it.
+LANE_MIN_WIDTH = 64
+
 
 def _uvarint_size(value: int) -> int:
     """Size of ``value`` as a LEB128 varint.
@@ -84,7 +98,9 @@ class Timestamp:
     policies use on the hot path.
     """
 
-    __slots__ = ("_eindex", "_values", "_hash", "_wire_size", "_np")
+    __slots__ = (
+        "_eindex", "_values", "_hash", "_wire_size", "_np", "_packed"
+    )
 
     def __init__(self, counters: Mapping[Edge, int]) -> None:
         eindex = EdgeIndex.of(counters.keys())
@@ -98,6 +114,9 @@ class Timestamp:
         # frame kernels (repro.core.frame_kernels).  The tuple stays the
         # source of truth for equality/hash/wire semantics.
         self._np: Optional[object] = None
+        # Lazily built lane-packed form of ``_values`` (:meth:`_pack`),
+        # owned by the policy's merge.  A cache under ``_np``'s rules.
+        self._packed: Optional[int] = None
 
     @classmethod
     def from_array(
@@ -110,6 +129,7 @@ class Timestamp:
         ts._hash = None
         ts._wire_size = None
         ts._np = None
+        ts._packed = None
         return ts
 
     @classmethod
@@ -162,6 +182,22 @@ class Timestamp:
     def total(self) -> int:
         """Sum of all counters (a cheap progress measure)."""
         return sum(self._values)
+
+    def _pack(self) -> Optional[int]:
+        """The counters as one integer of 32-bit little-endian lanes,
+        cached on ``_packed``; ``None`` (nothing cached) when a counter
+        has outgrown its lane.  Every lane's top bit is clear -- the
+        packer is signed, so it refuses a counter of 2**31 or more --
+        which is what lets ``merge_delta`` compare and select all lanes
+        at once without a borrow or a carry crossing between two."""
+        packed = self._packed
+        if packed is None:
+            try:
+                raw = self._eindex.lanes()[1].pack(*self._values)
+            except StructError:
+                return None
+            packed = self._packed = int.from_bytes(raw, "little")
+        return packed
 
     def dominates(self, other: "Timestamp") -> bool:
         """Element-wise ``>=`` over the shared index."""
@@ -435,6 +471,9 @@ class EdgeIndexedPolicy:
         self._bumps: Dict[RegisterName, Tuple[int, ...]] = {
             x: tuple(ps) for x, ps in bumps.items()
         }
+        # The same bumps as lane-packed addends (one per bumped lane),
+        # built on a register's first advance of a packed timestamp.
+        self._bump_lanes: Dict[RegisterName, int] = {}
         # merge / ready: per-sender-index plans, built lazily (one sender
         # index is shared by every message from that sender, so each plan
         # is computed once per run).
@@ -523,6 +562,19 @@ class EdgeIndexedPolicy:
                     if nv >= 128 or ov >= 128:
                         size += _uvarint_size(nv) - _uvarint_size(ov)
                 out._wire_size = size
+            packed = ts._packed
+            if packed is not None:
+                # Carry the lane cache forward with one add, unless a
+                # bump filled a lane's top bit (counter reached 2**31):
+                # every later lane comparison would silently be wrong.
+                bump = self._bump_lanes.get(register)
+                if bump is None:
+                    bump = self._bump_lanes[register] = sum(
+                        1 << 32 * pos for pos in positions
+                    )
+                packed += bump
+                if not packed & self._eindex.lanes()[0]:
+                    out._packed = packed
             order = self._eindex.order
             return out, frozenset(order[pos] for pos in positions)
         # Foreign index (not produced by this policy): generic path.
@@ -546,9 +598,19 @@ class EdgeIndexedPolicy:
 
         The changed positions are collected during the element-wise max
         walk itself, so the delivery engine's wake set costs no second
-        pass over the counters.
+        pass over the counters.  A sender on this policy's own interned
+        index, :data:`LANE_MIN_WIDTH` counters or wider, is merged by
+        :meth:`_merge_lanes` instead of walked; the answer is the same.
         """
-        if ts._eindex is self._eindex:
+        eindex = self._eindex
+        if ts._eindex is eindex:
+            if (
+                sender_ts._eindex is eindex
+                and len(ts._values) >= LANE_MIN_WIDTH
+            ):
+                merged = self._merge_lanes(ts, sender_ts)
+                if merged is not None:
+                    return merged
             values = ts._values
             sender_values = sender_ts._values
             out: Optional[List[int]] = None
@@ -580,6 +642,54 @@ class EdgeIndexedPolicy:
             if other is not None and other > ts[e]:
                 changes[e] = other
         return ts.replace(changes), frozenset(changes)
+
+    def _merge_lanes(
+        self, ts: Timestamp, sender_ts: Timestamp
+    ) -> Optional[Tuple[Timestamp, FrozenSet[Edge]]]:
+        """:meth:`merge_delta` for two timestamps on this policy's own
+        index, all lanes compared and selected at once; ``None`` when a
+        counter does not fit a lane (``docs/performance.md`` section 9).
+
+        Both operands have every lane's top bit clear, so with those
+        bits set in ``own`` lane ``p`` of ``own - theirs`` is ``2**31 +
+        a - b``, inside ``[1, 2**32)``: no lane borrows from the one
+        above, and the top bit survives exactly where ``a >= b``.
+        ``held - (held >> 31)`` widens the surviving bits to 31-bit
+        masks; under them the difference is ``a - b`` where own holds
+        and 0 where the sender raises, and adding that to ``theirs``
+        makes every lane ``max(a, b)`` with no carry.  Only the raised
+        lanes -- a zero top byte in ``held`` -- are then visited, to
+        patch the value tuple, the wire-size memo and the raised set.
+        """
+        own, theirs = ts._pack(), sender_ts._pack()
+        if own is None or theirs is None:
+            return None
+        eindex = self._eindex
+        top_bits, packer = eindex.lanes()
+        diff = (own | top_bits) - theirs
+        held = diff & top_bits
+        if held == top_bits:
+            return ts, frozenset()
+        top_bytes = held.to_bytes(packer.size, "little")[3::4]
+        values = ts._values
+        sender_values = sender_ts._values
+        order = eindex.order
+        out = list(values)
+        raised: List[Edge] = []
+        grown = 0
+        pos = top_bytes.find(0)
+        while pos >= 0:
+            nv = out[pos] = sender_values[pos]
+            # nv > values[pos]: below 128 both encode in one byte
+            if nv >= 128:
+                grown += _uvarint_size(nv) - _uvarint_size(values[pos])
+            raised.append(order[pos])
+            pos = top_bytes.find(0, pos + 1)
+        new_ts = Timestamp.from_array(eindex, out)
+        new_ts._packed = theirs + (diff & (held - (held >> 31)))
+        if ts._wire_size is not None:
+            new_ts._wire_size = ts._wire_size + grown
+        return new_ts, frozenset(raised)
 
     def ready(
         self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp

@@ -48,7 +48,11 @@ def encode_timestamp(ts: Timestamp, order: Sequence[Edge] = None) -> bytes:
 def decode_timestamp(
     data: bytes, order: Sequence[Edge], offset: int = 0
 ) -> Tuple[Timestamp, int]:
-    """Decode counters against the shared edge order."""
+    """Decode counters against the shared edge order.
+
+    A counter above ``2**63 - 1`` is refused: a ten-byte varint can carry
+    up to ``2**70 - 1``, and the frame kernels hold counters as int64.
+    """
     count, offset = decode_uvarint(data, offset)
     if count != len(order):
         raise WireDecodeError(
@@ -57,6 +61,8 @@ def decode_timestamp(
     counters: Dict[Edge, int] = {}
     for e in order:
         value, offset = decode_uvarint(data, offset)
+        if value >> 63:
+            raise WireDecodeError(f"timestamp counter {value} exceeds int64")
         counters[e] = value
     return Timestamp(counters), offset
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro import ShareGraph
@@ -74,5 +76,24 @@ def force_frame_kernels(monkeypatch):
         numpy = pytest.importorskip("numpy") if numpy_side else None
         monkeypatch.setattr(timestamp, "FRAME_KERNEL_MIN_CELLS", 0)
         monkeypatch.setattr(frame_kernels, "_np", numpy)
+
+    return force
+
+
+@pytest.fixture
+def force_lane_merge(monkeypatch):
+    """Take the policy's merge-path decision away from it.
+
+    ``force_lane_merge(True)`` sends every merge between two timestamps
+    on one interned index, however narrow, down the lane-packed path
+    (width threshold 0); ``force_lane_merge(False)`` puts that path out
+    of reach, so every merge is the plan walk.  Undone at teardown.
+    """
+    from repro.core import timestamp
+
+    def force(lanes: bool) -> None:
+        monkeypatch.setattr(
+            timestamp, "LANE_MIN_WIDTH", 0 if lanes else sys.maxsize
+        )
 
     return force

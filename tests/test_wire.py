@@ -83,6 +83,22 @@ def test_timestamp_order_mismatch_detected():
         decode_timestamp(encoded, [(1, 2), (2, 1)])
 
 
+def test_timestamp_counter_above_int64_refused():
+    # A ten-byte varint carries up to 2**70 - 1; decode_uvarint admits it
+    # (values are a different contract), a timestamp counter may not be it.
+    huge = 2**70 - 1
+    assert decode_uvarint(encode_uvarint(huge))[0] == huge
+    order = [(1, 2), (2, 1)]
+    for counter in (2**63, huge):
+        crafted = (
+            encode_uvarint(2) + encode_uvarint(3) + encode_uvarint(counter)
+        )
+        with pytest.raises(WireDecodeError, match="exceeds int64"):
+            decode_timestamp(crafted, order)
+    top = Timestamp({(1, 2): 3, (2, 1): 2**63 - 1})
+    assert decode_timestamp(encode_timestamp(top), order)[0] == top
+
+
 def test_fresh_timestamp_is_one_byte_per_counter():
     ts = Timestamp.zeros([(1, 2), (2, 1), (3, 1)])
     assert timestamp_wire_bytes(ts) == 1 + 3
