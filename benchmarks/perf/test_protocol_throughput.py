@@ -65,7 +65,7 @@ def test_dense_not_slower_than_legacy() -> None:
 
 def test_batched_column_reduces_messages() -> None:
     """The batched column (the scenario's flush window on; the policy
-    folds the wide frames it produces with the numpy frame kernels) must
+    folds the frames it produces in big-integer lanes) must
     ship measurably fewer wire messages on the dense stress case, and
     still pass the causal-consistency verification run_scenario
     performs."""

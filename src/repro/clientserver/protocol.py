@@ -129,34 +129,21 @@ class AugmentedServerPolicy(EdgeIndexedPolicy):
     ) -> Timestamp:
         """``advance(i, tau, c, mu, x, v)``: bump ``e_ik`` for ``x in
         X_ik`` from tau's own value, take ``max(tau, mu)`` elsewhere."""
-        if ts._eindex is self._eindex:
-            old = ts._values
-            values = list(old)
-            mu_values = mu._values
-            for pos, mpos in self._merge_plan(mu._eindex):
-                v = mu_values[mpos]
-                if v > values[pos]:
-                    values[pos] = v
-            # Own out-edges carrying the register bump from tau's value;
-            # mu can never exceed tau there (only i bumps them), but the
-            # historical definition reads tau, so restore before +1.
-            for pos in self._bumps.get(register, ()):
-                values[pos] = old[pos] + 1
-            return Timestamp.from_array(self._eindex, values)
-        i = self.replica_id
-        counters: Dict[Edge, int] = {}
-        for e in self.edges:
-            j, k = e
-            if j == i and register in self.graph.shared(i, k):
-                counters[e] = ts[e] + 1
-            else:
-                client_val = mu.get(e)
-                counters[e] = (
-                    max(ts[e], client_val)
-                    if client_val is not None
-                    else ts[e]
-                )
-        return Timestamp(counters)
+        if ts._eindex is not self._eindex:
+            raise self._foreign(ts)
+        old = ts._values
+        values = list(old)
+        mu_values = mu._values
+        for pos, mpos in self._merge_plan(mu._eindex):
+            v = mu_values[mpos]
+            if v > values[pos]:
+                values[pos] = v
+        # Own out-edges carrying the register bump from tau's value;
+        # mu can never exceed tau there (only i bumps them), but the
+        # historical definition reads tau, so restore before +1.
+        for pos in self._bumps.get(register, ()):
+            values[pos] = old[pos] + 1
+        return Timestamp.from_array(self._eindex, values)
 
 
 class CSReplica(CoreAdapter):

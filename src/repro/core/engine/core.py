@@ -496,8 +496,9 @@ class ProtocolCore:
         channels), the frame is applied with a single folded merge and
         one timestamp materialization -- no enqueue, no candidate
         search, no per-member merge.  Any frame the kernel cannot prove
-        (stale, gapped, or blocked members) or declines (too small, no
-        numpy) takes the generic path below, identically in every case.
+        (stale, gapped, or blocked members) or declines (no shared wide
+        edge index, a counter outside the lane range) takes the generic
+        path below, identically in every case.
         """
         arrived = self._clock()
         if (

@@ -31,16 +31,15 @@ walks or per-edge hashing.  Value semantics (equality, hashing, the
 interoperate with array-constructed ones transparently.
 
 Wide timestamps additionally cache their counters as one integer of
-32-bit lanes (``Timestamp._packed``), over which ``merge`` between two
-timestamps on one index is a handful of big-integer operations instead
-of a walk (:data:`LANE_MIN_WIDTH`).  It is a cache: the tuple decides.
+32-bit lanes (``Timestamp._packed``), over which a ``merge`` on one
+index, or the fold of a whole batch frame, is a handful of big-integer
+operations, not a walk (:data:`LANE_MIN_WIDTH`).  The tuple decides.
 """
 
 from __future__ import annotations
 
 from struct import error as StructError
 from typing import (
-    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -56,22 +55,15 @@ from typing import (
 from repro.core.edge_index import EdgeIndex
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp_graph import all_timestamp_graphs, timestamp_graph
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.types import Edge, RegisterName, ReplicaId
 
-#: A batch frame is handed to the numpy kernels
-#: (:mod:`repro.core.frame_kernels`) only when ``members x counters``
-#: reaches this many cells; below it the array round-trip costs more than
-#: the member-by-member walk it replaces.  Crossover measured in
-#: ``docs/performance.md`` section 6; only tests patch it.
-FRAME_KERNEL_MIN_CELLS = 1024
-
-#: ``merge_delta`` takes the lane-packed path (one big-integer
-#: expression over :attr:`Timestamp._packed` instead of the plan walk)
-#: only for a sender on this policy's own interned index whose width
-#: reaches this many counters; below it the fixed cost of the
-#: big-integer operations exceeds the walk.  Crossover measured in
-#: ``docs/performance.md`` section 9; only tests patch it.
+#: ``merge_delta``, ``merge_run`` and ``blocked_many`` take the
+#: lane-packed path (big-integer expressions over
+#: :attr:`Timestamp._packed` instead of the plan walk) only for a sender
+#: on this policy's own interned index whose width reaches this many
+#: counters; below it the fixed cost of the big-integer operations
+#: exceeds the walk (``docs/performance.md`` section 8).  Only tests patch it.
 LANE_MIN_WIDTH = 64
 
 
@@ -98,9 +90,7 @@ class Timestamp:
     policies use on the hot path.
     """
 
-    __slots__ = (
-        "_eindex", "_values", "_hash", "_wire_size", "_np", "_packed"
-    )
+    __slots__ = ("_eindex", "_values", "_hash", "_wire_size", "_packed")
 
     def __init__(self, counters: Mapping[Edge, int]) -> None:
         eindex = EdgeIndex.of(counters.keys())
@@ -110,12 +100,9 @@ class Timestamp:
         )
         self._hash: Optional[int] = None
         self._wire_size: Optional[int] = None
-        # Lazily built int64 ndarray view of ``_values``, owned by the
-        # frame kernels (repro.core.frame_kernels).  The tuple stays the
-        # source of truth for equality/hash/wire semantics.
-        self._np: Optional[object] = None
         # Lazily built lane-packed form of ``_values`` (:meth:`_pack`),
-        # owned by the policy's merge.  A cache under ``_np``'s rules.
+        # owned by the policy's merge and frame fold.  The tuple stays
+        # the source of truth for equality/hash/wire semantics.
         self._packed: Optional[int] = None
 
     @classmethod
@@ -128,7 +115,6 @@ class Timestamp:
         ts._values = tuple(values)
         ts._hash = None
         ts._wire_size = None
-        ts._np = None
         ts._packed = None
         return ts
 
@@ -294,7 +280,8 @@ class TimestampPolicy(Protocol):
         in order into ``(new_ts, raised_keys | None)``; ``blocked_many``
         (same arguments) proves no buffered update of ``k`` turns ready
         at any frontier up to ``ts``.  ``None`` / ``False`` mean "cannot
-        prove".  Fallback: enqueue the frame, drain member by member.
+        prove" (all a policy with no proof cheaper than member by member
+        need answer).  Fallback: enqueue the frame, drain member by member.
 
     Stabilization (the GST layer, :mod:`repro.gst`)
         ``stabilizing: bool`` -- when true the engine splits *applied*
@@ -490,9 +477,9 @@ class EdgeIndexedPolicy:
         self._sender_seq_pos: Dict[
             ReplicaId, Tuple[EdgeIndex, Optional[int]]
         ] = {}
-        # Per-sender index-array plans, compiled by the frame kernels on
-        # that sender's first wide frame (None = cannot be served).
-        self._frame_plans: Dict[Tuple[ReplicaId, EdgeIndex], Any] = {}
+        # Per-sender top bits of the third-party lanes, built by the
+        # frame hooks on that sender's first wide frame.
+        self._third_masks: Dict[ReplicaId, int] = {}
 
     def _merge_plan(
         self, sender_index: EdgeIndex
@@ -544,47 +531,40 @@ class EdgeIndexedPolicy:
         The delta comes for free from the bump table, saving the delivery
         engine a full post-hoc scan when computing its wake set.
         """
-        if ts._eindex is self._eindex:
-            positions = self._bumps.get(register)
-            if not positions:
-                return ts, frozenset()
-            old_values = ts._values
-            values = list(old_values)
+        if ts._eindex is not self._eindex:
+            raise self._foreign(ts)
+        positions = self._bumps.get(register)
+        if not positions:
+            return ts, frozenset()
+        old_values = ts._values
+        values = list(old_values)
+        for pos in positions:
+            values[pos] += 1
+        out = Timestamp.from_array(self._eindex, values)
+        if ts._wire_size is not None:
+            size = ts._wire_size
             for pos in positions:
-                values[pos] += 1
-            out = Timestamp.from_array(self._eindex, values)
-            if ts._wire_size is not None:
-                size = ts._wire_size
-                for pos in positions:
-                    nv = values[pos]
-                    ov = old_values[pos]
-                    # counters < 128 (the common case) encode in one byte
-                    if nv >= 128 or ov >= 128:
-                        size += _uvarint_size(nv) - _uvarint_size(ov)
-                out._wire_size = size
-            packed = ts._packed
-            if packed is not None:
-                # Carry the lane cache forward with one add, unless a
-                # bump filled a lane's top bit (counter reached 2**31):
-                # every later lane comparison would silently be wrong.
-                bump = self._bump_lanes.get(register)
-                if bump is None:
-                    bump = self._bump_lanes[register] = sum(
-                        1 << 32 * pos for pos in positions
-                    )
-                packed += bump
-                if not packed & self._eindex.lanes()[0]:
-                    out._packed = packed
-            order = self._eindex.order
-            return out, frozenset(order[pos] for pos in positions)
-        # Foreign index (not produced by this policy): generic path.
-        i = self.replica_id
-        changes: Dict[Edge, int] = {}
-        for e in self.edges:
-            j, k = e
-            if j == i and register in self.graph.shared(i, k):
-                changes[e] = ts[e] + 1
-        return ts.replace(changes), frozenset(changes)
+                nv = values[pos]
+                ov = old_values[pos]
+                # counters < 128 (the common case) encode in one byte
+                if nv >= 128 or ov >= 128:
+                    size += _uvarint_size(nv) - _uvarint_size(ov)
+            out._wire_size = size
+        packed = ts._packed
+        if packed is not None:
+            # Carry the lane cache forward with one add, unless a
+            # bump filled a lane's top bit (counter reached 2**31):
+            # every later lane comparison would silently be wrong.
+            bump = self._bump_lanes.get(register)
+            if bump is None:
+                bump = self._bump_lanes[register] = sum(
+                    1 << 32 * pos for pos in positions
+                )
+            packed += bump
+            if not packed & self._eindex.lanes()[0]:
+                out._packed = packed
+        order = self._eindex.order
+        return out, frozenset(order[pos] for pos in positions)
 
     def merge(
         self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
@@ -603,52 +583,55 @@ class EdgeIndexedPolicy:
         :meth:`_merge_lanes` instead of walked; the answer is the same.
         """
         eindex = self._eindex
-        if ts._eindex is eindex:
-            if (
-                sender_ts._eindex is eindex
-                and len(ts._values) >= LANE_MIN_WIDTH
-            ):
-                merged = self._merge_lanes(ts, sender_ts)
-                if merged is not None:
-                    return merged
-            values = ts._values
-            sender_values = sender_ts._values
-            out: Optional[List[int]] = None
-            changed: List[int] = []
-            for pos, sender_pos in self._merge_plan(sender_ts._eindex):
-                v = sender_values[sender_pos]
-                if v > values[pos]:
-                    if out is None:
-                        out = list(values)
-                    out[pos] = v
-                    changed.append(pos)
-            if out is None:
-                return ts, frozenset()
-            new_ts = Timestamp.from_array(self._eindex, out)
-            if ts._wire_size is not None:
-                new_values = new_ts._values
-                size = ts._wire_size
-                for pos in changed:
-                    nv = new_values[pos]
-                    ov = values[pos]
-                    if nv >= 128 or ov >= 128:
-                        size += _uvarint_size(nv) - _uvarint_size(ov)
-                new_ts._wire_size = size
-            order = self._eindex.order
-            return new_ts, frozenset(order[pos] for pos in changed)
-        changes = {}
-        for e in self.edges:
-            other = sender_ts.get(e)
-            if other is not None and other > ts[e]:
-                changes[e] = other
-        return ts.replace(changes), frozenset(changes)
+        if ts._eindex is not eindex:
+            raise self._foreign(ts)
+        if sender_ts._eindex is eindex and len(ts._values) >= LANE_MIN_WIDTH:
+            merged = self._merge_lanes(ts, sender_ts)
+            if merged is not None:
+                return merged
+        values = ts._values
+        sender_values = sender_ts._values
+        out: Optional[List[int]] = None
+        changed: List[int] = []
+        for pos, sender_pos in self._merge_plan(sender_ts._eindex):
+            v = sender_values[sender_pos]
+            if v > values[pos]:
+                if out is None:
+                    out = list(values)
+                out[pos] = v
+                changed.append(pos)
+        if out is None:
+            return ts, frozenset()
+        new_ts = Timestamp.from_array(eindex, out)
+        if ts._wire_size is not None:
+            new_values = new_ts._values
+            size = ts._wire_size
+            for pos in changed:
+                nv = new_values[pos]
+                ov = values[pos]
+                if nv >= 128 or ov >= 128:
+                    size += _uvarint_size(nv) - _uvarint_size(ov)
+            new_ts._wire_size = size
+        order = eindex.order
+        return new_ts, frozenset(order[pos] for pos in changed)
+
+    def _foreign(self, ts: Timestamp) -> ProtocolError:
+        """The refusal of a local timestamp this policy did not produce:
+        interning gives every timestamp over ``E_i`` this policy's own
+        index, so another index is another edge set -- a caller bug.  (A
+        *sender's* index may differ freely; that is paired by plan.)"""
+        return ProtocolError(
+            f"policy of replica {self.replica_id!r} was handed a local "
+            f"timestamp over {sorted(map(str, ts.index))}, not its own "
+            f"edge set {sorted(map(str, self.edges))}"
+        )
 
     def _merge_lanes(
         self, ts: Timestamp, sender_ts: Timestamp
     ) -> Optional[Tuple[Timestamp, FrozenSet[Edge]]]:
         """:meth:`merge_delta` for two timestamps on this policy's own
         index, all lanes compared and selected at once; ``None`` when a
-        counter does not fit a lane (``docs/performance.md`` section 9).
+        counter does not fit a lane (``docs/performance.md`` section 8).
 
         Both operands have every lane's top bit clear, so with those
         bits set in ``own`` lane ``p`` of ``own - theirs`` is ``2**31 +
@@ -657,36 +640,44 @@ class EdgeIndexedPolicy:
         ``held - (held >> 31)`` widens the surviving bits to 31-bit
         masks; under them the difference is ``a - b`` where own holds
         and 0 where the sender raises, and adding that to ``theirs``
-        makes every lane ``max(a, b)`` with no carry.  Only the raised
-        lanes -- a zero top byte in ``held`` -- are then visited, to
-        patch the value tuple, the wire-size memo and the raised set.
+        makes every lane ``max(a, b)`` with no carry.
         """
         own, theirs = ts._pack(), sender_ts._pack()
         if own is None or theirs is None:
             return None
-        eindex = self._eindex
-        top_bits, packer = eindex.lanes()
+        top_bits = self._eindex.lanes()[0]
         diff = (own | top_bits) - theirs
         held = diff & top_bits
+        merged = theirs + (diff & (held - (held >> 31)))
+        return self._raised_lanes(ts, held, merged, sender_ts._values)
+
+    def _raised_lanes(
+        self, ts: Timestamp, held: int, packed: int, source: Sequence[int]
+    ) -> Tuple[Timestamp, FrozenSet[Edge]]:
+        """The tail of both lane paths: ``ts`` with the lanes whose top
+        bit ``held`` lacks raised to ``source``'s counters, born with
+        ``packed`` as its lanes.  Only those lanes -- a zero top byte in
+        ``held`` -- are visited, to patch values, wire size and raised set."""
+        eindex = self._eindex
+        top_bits, packer = eindex.lanes()
         if held == top_bits:
             return ts, frozenset()
         top_bytes = held.to_bytes(packer.size, "little")[3::4]
         values = ts._values
-        sender_values = sender_ts._values
         order = eindex.order
         out = list(values)
         raised: List[Edge] = []
         grown = 0
         pos = top_bytes.find(0)
         while pos >= 0:
-            nv = out[pos] = sender_values[pos]
+            nv = out[pos] = source[pos]
             # nv > values[pos]: below 128 both encode in one byte
             if nv >= 128:
                 grown += _uvarint_size(nv) - _uvarint_size(values[pos])
             raised.append(order[pos])
             pos = top_bytes.find(0, pos + 1)
         new_ts = Timestamp.from_array(eindex, out)
-        new_ts._packed = theirs + (diff & (held - (held >> 31)))
+        new_ts._packed = packed
         if ts._wire_size is not None:
             new_ts._wire_size = ts._wire_size + grown
         return new_ts, frozenset(raised)
@@ -694,58 +685,59 @@ class EdgeIndexedPolicy:
     def ready(
         self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
     ) -> bool:
-        if ts._eindex is self._eindex:
-            own_pos, sender_pos, third = self._ready_plan(
-                sender, sender_ts._eindex
-            )
-            values = ts._values
-            sender_values = sender_ts._values
-            if (
-                own_pos is not None
-                and values[own_pos] != sender_values[sender_pos] - 1
-            ):
-                return False
-            for pos, spos in third:
-                if values[pos] < sender_values[spos]:
-                    return False
-            return True
-        i = self.replica_id
-        e_ki = (sender, i)
-        own = ts.get(e_ki)
-        incoming = sender_ts.get(e_ki)
-        if own is None or incoming is None:
-            # The sender edge is not tracked: deliver immediately (this is
-            # only reachable for deliberately crippled policies).
-            pass
-        elif own != incoming - 1:
+        if ts._eindex is not self._eindex:
+            raise self._foreign(ts)
+        own_pos, sender_pos, third = self._ready_plan(
+            sender, sender_ts._eindex
+        )
+        values = ts._values
+        sender_values = sender_ts._values
+        if (
+            own_pos is not None
+            and values[own_pos] != sender_values[sender_pos] - 1
+        ):
             return False
-        for e in self._incoming:
-            j = e[0]
-            if j == sender:
-                continue
-            other = sender_ts.get(e)
-            if other is not None and ts[e] < other:
+        for pos, spos in third:
+            if values[pos] < sender_values[spos]:
                 return False
         return True
 
-    def _frame_kernels(self, ts: Timestamp, members: int) -> Optional[Any]:
-        """The numpy kernel module when a frame of ``members`` timestamps
-        repays an array round-trip, else ``None`` -- decided from the
-        frame length and this policy's timestamp width, before anything
-        is imported.  A foreign index, a subclass with its own ``J`` or
-        merge, and a missing numpy also answer ``None``."""
-        cls = type(self)
+    def _lane_frame(
+        self,
+        ts: Timestamp,
+        sender: ReplicaId,
+        sender_timestamps: Sequence[Timestamp],
+    ) -> Optional[Tuple[int, int, int]]:
+        """``(sender-edge position, top bits of the sender's third-party
+        lanes, ts's lanes)`` when the frame hooks can serve this frame,
+        else ``None``.  :meth:`merge_delta`'s gate, frame-wide -- ``ts``
+        and every member on this policy's own index, of
+        :data:`LANE_MIN_WIDTH` counters or more -- plus this class's own
+        ``J`` and merge (a subclass overriding either gets ``None``) and
+        a tracked sender edge, without which there is no gap check."""
+        eindex = self._eindex
+        seq_pos = self._seq_pos.get(sender)
         if (
-            not members
-            or members * len(ts._values) < FRAME_KERNEL_MIN_CELLS
-            or ts._eindex is not self._eindex
-            or cls.ready is not EdgeIndexedPolicy.ready
-            or cls.merge_delta is not EdgeIndexedPolicy.merge_delta
+            seq_pos is None
+            or ts._eindex is not eindex
+            or len(ts._values) < LANE_MIN_WIDTH
+            or type(self).ready is not EdgeIndexedPolicy.ready
+            or type(self).merge_delta is not EdgeIndexedPolicy.merge_delta
         ):
             return None
-        from repro.core import frame_kernels
-
-        return frame_kernels if frame_kernels._np is not None else None
+        for member in sender_timestamps:
+            if member._eindex is not eindex:
+                return None
+        own = ts._pack()
+        if own is None:
+            return None
+        third_mask = self._third_masks.get(sender)
+        if third_mask is None:
+            third_mask = self._third_masks[sender] = sum(
+                1 << 32 * pos + 31
+                for pos, _ in self._ready_plan(sender, eindex)[2]
+            )
+        return seq_pos, third_mask, own
 
     def merge_run(
         self,
@@ -754,13 +746,42 @@ class EdgeIndexedPolicy:
         sender_timestamps: Sequence[Timestamp],
     ) -> Optional[Tuple[Timestamp, Optional[FrozenSet[Edge]]]]:
         """Fold a consecutively-ready frame into ``(post-frame timestamp,
-        raised keys)``; ``None`` -- too small a frame, or not provably
-        ready in order -- means the generic enqueue-and-drain path
-        (:func:`repro.core.frame_kernels.merge_run`)."""
-        kernels = self._frame_kernels(ts, len(sender_timestamps))
-        if kernels is None:
+        raised keys)``, byte-identical to ``ready`` + ``merge_delta``
+        member by member.  ``None`` -- :meth:`_lane_frame` declines, a
+        counter is outside the lane range, or a member is not provably
+        ready in order -- means the generic enqueue-and-drain path;
+        nothing is ever half folded.
+
+        Per member, the sender edge must read one more than the member
+        before it; then one subtraction answers ``J``'s third-party
+        clause against the running max (the counters as of the previous
+        member) and :meth:`_merge_lanes`'s select.  The running max is a
+        max of in-range lanes, so it never sets a top bit.  The caller
+        folds only when no buffered update could apply between members.
+        """
+        plan = self._lane_frame(ts, sender, sender_timestamps)
+        if plan is None:
             return None
-        return kernels.merge_run(self, ts, sender, sender_timestamps)
+        seq_pos, third_mask, own = plan
+        top_bits, packer = self._eindex.lanes()
+        seq = ts._values[seq_pos]
+        running = own
+        for member in sender_timestamps:
+            seq += 1
+            theirs = member._pack() if member._values[seq_pos] == seq else None
+            if theirs is None:
+                return None
+            diff = (running | top_bits) - theirs
+            held = diff & top_bits
+            if held & third_mask != third_mask:
+                return None
+            running = theirs + (diff & (held - (held >> 31)))
+        return self._raised_lanes(
+            ts,
+            ((own | top_bits) - running) & top_bits,
+            running,
+            packer.unpack(running.to_bytes(packer.size, "little")),
+        )
 
     def blocked_many(
         self,
@@ -769,12 +790,27 @@ class EdgeIndexedPolicy:
         sender_timestamps: Sequence[Timestamp],
     ) -> bool:
         """True when provably no member satisfies ``J`` at any frontier
-        up to ``ts``; ``False`` means "cannot prove", never "ready"
-        (:func:`repro.core.frame_kernels.blocked_many`)."""
-        kernels = self._frame_kernels(ts, len(sender_timestamps))
-        if kernels is None:
+        between the current timestamp and ``ts`` (inclusive); ``False``
+        means "cannot prove", never "ready".
+
+        Counters only grow and ``own + 1 == seq`` makes ``own`` pass
+        through ``seq - 1``, so a member ready at *some* frontier up to
+        ``ts`` has ``seq <= ts[e_ki] + 1`` and third-party counters that
+        ``ts`` dominates (:meth:`merge_run`'s lane test; a member that
+        needs it but is outside the lane range cannot be proved).
+        """
+        plan = self._lane_frame(ts, sender, sender_timestamps)
+        if plan is None:
             return False
-        return kernels.blocked_many(self, ts, sender, sender_timestamps)
+        seq_pos, third_mask, own = plan
+        own |= self._eindex.lanes()[0]
+        reachable = ts._values[seq_pos] + 1
+        for member in sender_timestamps:
+            if member._values[seq_pos] <= reachable:
+                theirs = member._pack()
+                if theirs is None or (own - theirs) & third_mask == third_mask:
+                    return False
+        return True
 
     def blocking_edge(
         self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
@@ -823,11 +859,10 @@ class EdgeIndexedPolicy:
 
     def next_seq(self, ts: Timestamp, sender: ReplicaId) -> Optional[int]:
         """Sender-edge value the next applicable update must carry."""
-        if ts._eindex is self._eindex:
-            pos = self._seq_pos.get(sender)
-            return None if pos is None else ts._values[pos] + 1
-        own = ts.get((sender, self.replica_id))
-        return None if own is None else own + 1
+        if ts._eindex is not self._eindex:
+            raise self._foreign(ts)
+        pos = self._seq_pos.get(sender)
+        return None if pos is None else ts._values[pos] + 1
 
     def counters(self) -> int:
         return len(self.edges)

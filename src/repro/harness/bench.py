@@ -532,13 +532,12 @@ def run_scenario(
 ) -> BenchResult:
     """Run one scenario ``repeats`` times; keep the fastest run.
 
-    Per-sender position plans compile on each sender's first message
-    (its frame plan on its first wide frame), inside the timed region:
-    a one-off cost per (receiver, sender) pair.
+    Per-sender position plans compile on each sender's first message,
+    inside the timed region: a one-off cost per (receiver, sender) pair.
 
     ``batched`` turns the scenario's flush window on (and, on
     ``tcp-*-pipelined`` scenarios, the pipelined client); whether a
-    frame then reaches the numpy frame kernels is the policy's call.
+    frame is then folded in lanes or drained is the policy's call.
     """
     writes = scenario.quick_writes if quick else scenario.writes
     best: Optional[BenchResult] = None
@@ -915,20 +914,19 @@ def check_regression(
     (the matrix may grow between commits).  The ``optimized`` sections
     are always compared; when *both* documents also carry a ``batched``
     section, its rows are gated the same way (so a regression in the
-    frame kernels or the coalescing path fails CI even while the
+    frame fold or the coalescing path fails CI even while the
     unbatched path stays fast).  The baseline exists for speedup context
     only.
 
     Two row classes get a widened tolerance (at least 50%): rows measured
     over real sockets (identified by their latency percentiles) are
     wall-clock timed, not CPU timed, so their run-to-run variance is far
-    higher than the simulator rows'; and the ``batched`` section compounds
-    two extra noise sources -- numpy kernel timing is allocator/cache
-    sensitive, and at quick sizes the flush windows spend a larger
-    fraction of the run ramping up than the committed full-mode steady
-    state.  A genuine fast-path regression (the run fold no longer
-    firing) drops the dense batched rows by ~70%, so the widened gate
-    still catches it without tripping on noise.
+    higher than the simulator rows'; and in the ``batched`` section, at
+    quick sizes, the flush windows spend a larger fraction of the run
+    ramping up than the committed full-mode steady state.  A genuine
+    fast-path regression (the run fold no longer firing) drops the dense
+    batched rows by ~70%, so the widened gate still catches it without
+    tripping on noise.
 
     The memory gate compares the deterministic per-scenario high-water
     marks (pending buffers, retransmit logs): the workload and all fault

@@ -201,7 +201,7 @@ class TreeOverlaySystem:
 
     ``system_kwargs`` (``batch_window`` etc.) pass through to
     :class:`DSMSystem` and compose with the overlay: forwarding writes
-    ride the same batch frames, and so the same frame kernels, as direct
+    ride the same batch frames, and so the same frame hooks, as direct
     ones.
     """
 

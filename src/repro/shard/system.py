@@ -8,7 +8,7 @@ built from the *per-group* edge sets of
 :meth:`~repro.shard.plan.ShardPlan.replica_edges`, so every compiled
 :class:`~repro.core.timestamp.EdgeIndex` plan stays group-sized no
 matter how many groups the deployment has.  Send-side batching is on by
-default, so full frames reach the policy's frame kernels: this is the
+default, so full frames reach the policy's frame hooks: this is the
 throughput configuration the ``shard-*`` bench rows measure.
 
 Cross-group writes ride the tree overlay: a write of a cross register at

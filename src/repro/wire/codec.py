@@ -51,7 +51,7 @@ def decode_timestamp(
     """Decode counters against the shared edge order.
 
     A counter above ``2**63 - 1`` is refused: a ten-byte varint can carry
-    up to ``2**70 - 1``, and the frame kernels hold counters as int64.
+    up to ``2**70 - 1``, and the format's counters are int64.
     """
     count, offset = decode_uvarint(data, offset)
     if count != len(order):

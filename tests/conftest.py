@@ -61,33 +61,15 @@ def triangle_graph() -> ShareGraph:
 
 
 @pytest.fixture
-def force_frame_kernels(monkeypatch):
-    """Take the policy's frame-size decision away from it.
-
-    ``force_frame_kernels(True)`` sends every batch frame, however
-    small, to the numpy kernels (cell threshold 0);
-    ``force_frame_kernels(False)`` makes numpy look uninstalled, so
-    every frame takes the scalar member-by-member path.  Undone at
-    teardown.
-    """
-    from repro.core import frame_kernels, timestamp
-
-    def force(numpy_side: bool) -> None:
-        numpy = pytest.importorskip("numpy") if numpy_side else None
-        monkeypatch.setattr(timestamp, "FRAME_KERNEL_MIN_CELLS", 0)
-        monkeypatch.setattr(frame_kernels, "_np", numpy)
-
-    return force
-
-
-@pytest.fixture
 def force_lane_merge(monkeypatch):
     """Take the policy's merge-path decision away from it.
 
     ``force_lane_merge(True)`` sends every merge between two timestamps
-    on one interned index, however narrow, down the lane-packed path
-    (width threshold 0); ``force_lane_merge(False)`` puts that path out
-    of reach, so every merge is the plan walk.  Undone at teardown.
+    on one interned index, and every batch frame of them, however
+    narrow, down the lane-packed path (width threshold 0);
+    ``force_lane_merge(False)`` puts that path out of reach, so every
+    merge is the plan walk and every frame drains member by member.
+    Undone at teardown.
     """
     from repro.core import timestamp
 

@@ -5,8 +5,8 @@ coalesced frame through ``ProtocolCore.remote_batch`` must leave the
 receiver in exactly the state that delivering the members one by one
 through ``remote_update`` would -- same store, same timestamp, same
 apply order -- whether the frame takes the generic buffer-and-drain
-path or the run-apply fast path (one numpy fold), which the policy
-picks per frame from the frame's size.  On top of that sit the
+path or the run-apply fast path (one lane fold), which the policy
+picks per frame from the timestamps' width.  On top of that sit the
 adapter invariants: a flush window reduces message count without
 breaking the causal checker, rejects configurations it cannot honour
 (ARQ fault plans ack individual updates), and converges under the
@@ -178,11 +178,11 @@ def _assert_same_outcome(a, b):
         assert ts._wire_size == timestamp_wire_bytes(Timestamp(ts.to_dict()))
 
 
-@pytest.mark.parametrize("numpy_side", [False, True], ids=["scalar", "vectorized"])
+@pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "vectorized"])
 class TestRemoteBatchEquivalence:
     @pytest.fixture(autouse=True)
-    def _side(self, force_frame_kernels, numpy_side):
-        force_frame_kernels(numpy_side)
+    def _side(self, force_lane_merge, lanes):
+        force_lane_merge(lanes)
 
     def test_ready_frame_matches_sequential_delivery(self):
         graph = ShareGraph(TRIANGLE)
@@ -227,11 +227,11 @@ class TestRemoteBatchEquivalence:
 
 class TestRunApplyFastPath:
     """Engine behaviour around an accepted fold, on graphs far too
-    narrow for the policy to pick numpy unforced."""
+    narrow for the policy to pick the lanes unforced."""
 
     @pytest.fixture(autouse=True)
-    def _numpy_side(self, force_frame_kernels):
-        force_frame_kernels(True)
+    def _lanes(self, force_lane_merge):
+        force_lane_merge(True)
 
     def test_ready_frame_takes_one_fold(self):
         graph = ShareGraph(TRIANGLE)
@@ -351,46 +351,47 @@ class TestRunApplyFastPath:
 
 
 class TestFrameKernelSelection:
-    """The policy picks numpy per frame from the frame it is handed:
-    ``members x counters`` against one constant, nothing a caller sets.
-    Replica 2 of an 8-clique tracks 56 counters, so the default 1,024
-    cells fall between a 10- and a 20-member frame."""
+    """The policy picks the lane fold per frame from what it is handed:
+    one shared index of ``LANE_MIN_WIDTH`` counters or more, nothing a
+    caller sets and nothing about the frame's length.  Every replica of
+    a clique tracks every edge, so a 9-clique's 72 counters fold and an
+    8-clique's 56 do not."""
 
-    GRAPH = ShareGraph(clique_placements(8))
-
-    def _deliver(self, count, frame_size):
-        pytest.importorskip("numpy")
-        updates = _issue_run(self.GRAPH, count, register="x0")
-        seq, bat = _receiver_pair(self.GRAPH, _CountingPolicy)
+    def _deliver(self, graph, count, frame_size):
+        updates = _issue_run(graph, count, register="x0")
+        seq, bat = _receiver_pair(graph, _CountingPolicy)
         for u in updates:
             seq.core.remote_update(1, u)
         for start in range(0, count, frame_size):
             bat.core.remote_batch(1, updates[start : start + frame_size])
         _assert_same_outcome(seq, bat)
         assert bat.core.metrics.applied_remote == count
-        return bat.core.policy.run_hits
+        return bat.core.policy
 
     def test_wide_multi_member_frame_folds(self):
-        assert len(EdgeIndexedPolicy(self.GRAPH, 2).edges) == 56
-        assert self._deliver(40, frame_size=20) == 2
+        graph = ShareGraph(clique_placements(9))
+        for frame_size in (1, 20):
+            policy = self._deliver(graph, 40, frame_size)
+            assert len(policy.edges) == 72
+            assert policy.run_hits == 40 // frame_size
 
-    @pytest.mark.parametrize("frame_size", [1, 10], ids=["one-member", "narrow"])
-    def test_small_frame_declines_without_importing_the_kernels(
-        self, monkeypatch, frame_size
-    ):
-        import repro.core
-
-        monkeypatch.delitem(sys.modules, "repro.core.frame_kernels", raising=False)
-        monkeypatch.delattr(repro.core, "frame_kernels", raising=False)
-        assert self._deliver(20, frame_size) == 0
-        assert "repro.core.frame_kernels" not in sys.modules
+    @pytest.mark.parametrize("frame_size", [1, 20], ids=["one-member", "long"])
+    def test_narrow_frame_builds_no_lanes(self, monkeypatch, frame_size):
+        graph = ShareGraph(clique_placements(8))
+        eindex = EdgeIndexedPolicy(graph, 2)._eindex
+        # Interned for the process: a forcing test may have been here.
+        monkeypatch.setattr(eindex, "_lanes", None)
+        policy = self._deliver(graph, 40, frame_size)
+        assert len(policy.edges) == 56
+        assert policy.run_hits == 0
+        assert eindex._lanes is None and not policy._third_masks
 
 
 def test_default_and_narrow_batched_runs_never_import_numpy():
     """What keeps ``peak_rss_mb`` and the sparse workloads where they
-    are: without batch frames -- however wide the timestamps -- and with
-    batch frames of narrow timestamps, a whole run leaves numpy (and the
-    kernel module) unimported."""
+    are: with or without batch frames, however wide the timestamps, a
+    whole run leaves numpy unimported (nothing in ``src/`` names it; the
+    wide batched case is what used to load it)."""
     script = """
 import sys
 from repro import DSMSystem
@@ -401,12 +402,12 @@ from repro.workloads import (
 for placements, kwargs in (
     (random_placements(12, 30, 5, seed=11), {}),
     (clique_placements(8), {"batch_window": 0.25}),
+    (random_placements(24, 80, 10, seed=11), {"batch_window": 4.0}),
 ):
     system = DSMSystem(placements, seed=7, **kwargs)
     run_workload(system, uniform_writes(system.graph, 200, rate=40.0, seed=13))
     assert system.check().ok
 assert "numpy" not in sys.modules, "numpy imported"
-assert "repro.core.frame_kernels" not in sys.modules, "kernels imported"
 """
     subprocess.run([sys.executable, "-c", script], check=True, timeout=120)
 
@@ -436,21 +437,19 @@ class TestSimulatedSystems:
                 )
 
     def test_vectorized_batched_run_is_byte_identical_to_scalar(
-        self, force_frame_kernels, monkeypatch
+        self, force_lane_merge, monkeypatch
     ):
-        from repro.core import frame_kernels
-
         folds = []
-        kernel = frame_kernels.merge_run
+        kernel = EdgeIndexedPolicy.merge_run
 
         def spy(*args):
             folds.append(kernel(*args))
             return folds[-1]
 
-        monkeypatch.setattr(frame_kernels, "merge_run", spy)
+        monkeypatch.setattr(EdgeIndexedPolicy, "merge_run", spy)
 
-        def run(numpy_side):
-            force_frame_kernels(numpy_side)
+        def run(lanes):
+            force_lane_merge(lanes)
             placements = random_placements(8, 24, 4, seed=21)
             system = DSMSystem(placements, seed=7, batch_window=2.0)
             stream = uniform_writes(system.graph, 150, seed=3)
@@ -474,7 +473,7 @@ class TestSimulatedSystems:
             return stores, stamps, events
 
         scalar = run(False)
-        assert not folds
+        assert folds and not any(folds)
         assert scalar == run(True)
         assert any(fold is not None for fold in folds)
 

@@ -109,13 +109,14 @@ def test_identical_traces_chaos(name, placements, writes, rate) -> None:
     "name,placements,writes,rate", CASES, ids=[c[0] for c in CASES]
 )
 def test_identical_traces_vectorized(
-    name, placements, writes, rate, force_frame_kernels
+    name, placements, writes, rate, force_lane_merge
 ) -> None:
-    """The numpy frame kernels against the flat-list oracle, which has
-    no frame hooks and so takes every frame member by member: with a
-    flush window on both sides and every frame forced to the kernels,
-    folding must be invisible in the trace."""
-    force_frame_kernels(True)
+    """The lane fold against the flat-list oracle, which has no frame
+    hooks and so takes every frame member by member: with a flush
+    window on both sides and the lane gate forced open, folding must be
+    invisible in the trace (ring-8, clique-6 and dense-12 fold; tree-8
+    has no two replicas on one index and declines every frame)."""
+    force_lane_merge(True)
     old = run_trace(
         placements, writes, rate, legacy_policy_factory, batch_window=2.0
     )
@@ -125,12 +126,12 @@ def test_identical_traces_vectorized(
     assert old[2] and new[2], f"{name}: checker verdicts diverged (vectorized)"
 
 
-def test_identical_traces_vectorized_chaos(force_frame_kernels) -> None:
-    """One dense case under loss/duplication with the kernels forced on.
+def test_identical_traces_vectorized_chaos(force_lane_merge) -> None:
+    """One dense case under loss/duplication with the lanes forced on.
     The ARQ layer acks single updates, so no frame exists to fold: the
     retransmitted duplicates must reach the same per-update path, and
-    the same trace, as without numpy."""
-    force_frame_kernels(True)
+    the same trace, as the walk."""
+    force_lane_merge(True)
     name, placements, writes, rate = CASES[-1]
     old = run_trace(placements, writes, rate, legacy_policy_factory, FAULTS)
     new = run_trace(placements, writes, rate, faults=FAULTS)

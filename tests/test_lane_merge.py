@@ -1,15 +1,22 @@
-"""The lane-packed ``merge_delta`` against the plan walk it stands in for.
+"""The lane-packed ``merge_delta`` and frame fold against the plan walk
+they stand in for.
 
 ``EdgeIndexedPolicy.merge_delta`` merges two timestamps on one interned
 index, :data:`~repro.core.timestamp.LANE_MIN_WIDTH` counters or wider,
-as one big-integer expression over their ``_packed`` caches.  Three
-groups of tests hold that to "same answer, by construction":
+as one big-integer expression over their ``_packed`` caches, and
+``merge_run`` / ``blocked_many`` fold or fence a whole batch frame of
+them the same way.  Three groups of tests hold that to "same answer, by
+construction" (``test_vectorized`` adds the fold's parity on real
+graphs):
 
-* a property over widths 1-600 and counters straddling every boundary
-  the kernel knows about (one varint byte, two, the lane range), cold
-  and with caches carried through advance -> merge -> merge chains;
+* two properties over widths 1-600 and counters straddling every
+  boundary the kernel knows about (one varint byte, two, the lane
+  range): single merges cold and with caches carried through advance ->
+  merge -> merge chains, and frames of 1-24 members with a stale,
+  gapped or third-party-blocked member at any position;
 * the range fence: a counter that reaches ``2**31`` leaves the lanes and
-  the walk answers, silently and correctly;
+  the walk -- or, for a frame, the generic drain -- answers, silently
+  and correctly;
 * selection, and the suites that fence every merge change -- the
   engine-vs-oracle differentials, cross-runtime equality, policy
   conformance and the batching outcome check -- once with the lanes
@@ -18,6 +25,7 @@ groups of tests hold that to "same answer, by construction":
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -34,6 +42,7 @@ from repro.core.system import DSMSystem
 from repro.core.timestamp import LANE_MIN_WIDTH, EdgeIndexedPolicy, Timestamp
 from repro.wire.codec import timestamp_wire_bytes
 from repro.workloads import (
+    clique_placements,
     fig5_placements,
     random_placements,
     ring_placements,
@@ -47,6 +56,7 @@ from tests import (
     test_differential_engine,
     test_engine_core,
     test_policy_conformance,
+    test_vectorized,
 )
 
 # Replica 1 shares x with 2 and y with 2 and 3, so advancing on x bumps
@@ -140,6 +150,106 @@ def test_lanes_equal_the_walk(width, seed, ceiling, force_lane_merge):
             assert packed == (_fresh(out)._pack() if fits else None)
 
 
+SENDER_EDGE, THIRD_EDGE = (2, 1), (3, 1)  # as replica 1 hears replica 2
+FOLD_POOL = [v for v in BOUNDARIES if v < 16_386]
+
+
+def _frame(policy, rng, length, defect, at):
+    """Replica 1's timestamp and a frame of ``length`` arbitrary
+    timestamps from replica 2 in which every member is ready in order,
+    except that member ``at`` is ``defect``: ``"stale"`` / ``"gapped"``
+    (sender edge one short / one past) or ``"blocked"`` (a third-party
+    counter one past everything before it)."""
+    position = policy._eindex.position
+    width = len(position)
+
+    def draw():
+        return [
+            rng.choice(FOLD_POOL) if rng.random() < 0.4 else rng.randrange(200)
+            for _ in range(width)
+        ]
+
+    own = draw()
+    seq_pos, third_pos = position.get(SENDER_EDGE), position.get(THIRD_EDGE)
+    heard = own[third_pos] if third_pos is not None else 0
+    frame = []
+    for member in range(length):
+        values = draw()
+        if seq_pos is not None:
+            values[seq_pos] = own[seq_pos] + member + 1
+            if member == at and defect in ("stale", "gapped"):
+                values[seq_pos] += -1 if defect == "stale" else 1
+        if third_pos is not None:
+            if member == at and defect == "blocked":
+                values[third_pos] = heard + 1
+            else:
+                values[third_pos] = rng.choice([0, heard, rng.randrange(heard + 1)])
+            heard = max(heard, values[third_pos])
+        frame.append(Timestamp.from_array(policy._eindex, values))
+    return Timestamp.from_array(policy._eindex, own), frame
+
+
+@given(
+    width=st.integers(1, 600),
+    length=st.integers(1, 24),
+    defect=st.sampled_from([None, "stale", "gapped", "blocked"]),
+    at=st.integers(0, 23),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=552, length=10, defect=None, at=0, seed=1)
+@example(width=552, length=24, defect="blocked", at=23, seed=2)
+@example(width=LANE_MIN_WIDTH, length=3, defect="gapped", at=0, seed=3)
+@example(width=4, length=5, defect="stale", at=4, seed=4)
+@example(width=3, length=2, defect="blocked", at=1, seed=5)
+@example(width=1, length=1, defect=None, at=0, seed=6)
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_fold_equals_the_step_simulation(
+    width, length, defect, at, seed, force_lane_merge
+):
+    """The fold is the step simulation or declines exactly when the
+    simulation meets an unready member; ``blocked_many`` says "blocked"
+    exactly when no member passes ``J`` with the gap test relaxed to
+    ``seq <= own + 1``.  Below two counters replica 1 does not track
+    the sender edge, so there is no gap test and both hooks decline."""
+    policy = _policy(width)
+    own, frame = _frame(policy, random.Random(seed), length, defect, at % length)
+    timestamp_wire_bytes(own)
+    force_lane_merge(False)
+    assert policy.merge_run(own, 2, frame) is None
+    assert policy.blocked_many(own, 2, frame) is False
+    want = test_vectorized._step_simulation(policy, own, 2, frame)
+    force_lane_merge(True)
+    got = policy.merge_run(_fresh(own), 2, [_fresh(ts) for ts in frame])
+    blocked = policy.blocked_many(own, 2, frame)
+    position = policy._eindex.position
+    if SENDER_EDGE not in position:
+        assert got is None and blocked is False
+        return
+    assert blocked == (
+        not any(
+            ts[SENDER_EDGE] <= own[SENDER_EDGE] + 1
+            and ts.get(THIRD_EDGE, 0) <= own.get(THIRD_EDGE, 0)
+            for ts in frame
+        )
+    )
+    unready = defect is not None and (defect != "blocked" or THIRD_EDGE in position)
+    assert (want is None) == unready
+    if want is None:
+        assert got is None
+        return
+    out, keys = got
+    assert out._values == want[0]._values
+    assert keys == want[1]
+    assert out._packed == _fresh(out)._pack() is not None
+    assert out._wire_size is None  # no memo on the operand, none invented
+    assert policy.merge_run(own, 2, frame)[0]._wire_size == want[0]._wire_size
+    assert want[0]._wire_size == timestamp_wire_bytes(_fresh(out))
+
+
 # ----------------------------------------------------------------------
 # The lane range is checked, not assumed
 # ----------------------------------------------------------------------
@@ -213,11 +323,46 @@ def test_sender_counter_beyond_the_lane_range(big, force_lane_merge):
     _assert_walk_agrees(force_lane_merge, policy, [(ts, sender_ts, merged, keys)])
 
 
+def test_frame_member_beyond_the_lane_range_takes_the_generic_path():
+    """552 counters, ten members, the third carrying ``2**31`` on an
+    edge ``J`` does not read: no partial fold -- both hooks decline, the
+    frame drains member by member, and the receiver ends exactly where
+    ten ``remote_update`` calls leave it."""
+    graph = ShareGraph(random_placements(24, 80, 10, seed=11))
+    register = sorted(graph.shared(1, 2), key=str)[0]
+    updates = test_batching._issue_run(graph, 10, register=register)
+    eindex = updates[2].timestamp.edge_index
+    values = list(updates[2].timestamp.values_array)
+    values[eindex.position[(5, 7)]] = LANE_LIMIT
+    updates[2] = dataclasses.replace(
+        updates[2], timestamp=Timestamp.from_array(eindex, values)
+    )
+    seq, bat = test_batching._receiver_pair(graph, test_batching._CountingPolicy)
+    policy, own = bat.core.policy, bat.core.timestamp
+    assert eindex is policy._eindex and len(eindex) == 552
+    stamps = [u.timestamp for u in updates]
+    assert policy.merge_run(own, 1, stamps[:2]) is not None
+    assert policy.merge_run(own, 1, stamps) is None
+    # Gapped past the frontier: the sequence test alone proves it, no
+    # lanes needed.  Within reach, dominance would need the member's.
+    assert policy.blocked_many(own, 1, stamps[2:]) is True
+    heard_two = policy.merge(policy.merge(own, 1, stamps[0]), 1, stamps[1])
+    assert policy.blocked_many(heard_two, 1, stamps[2:]) is False
+    for u in updates:
+        seq.core.remote_update(1, u)
+    bat.core.remote_batch(1, updates)
+    test_batching._assert_same_outcome(seq, bat)
+    assert policy.run_hits == 1  # the two-member probe above, not the frame
+    assert bat.core.metrics.applied_remote == 10
+    assert bat.core.timestamp[(5, 7)] == LANE_LIMIT
+    assert bat.core.timestamp._packed is None
+
+
 # ----------------------------------------------------------------------
 # Selection: which systems take the lanes, unforced
 # ----------------------------------------------------------------------
-def _run(placements, writes=120, rate=20.0):
-    system = DSMSystem(placements, seed=7)
+def _run(placements, writes=120, rate=20.0, **kwargs):
+    system = DSMSystem(placements, seed=7, **kwargs)
     run_workload(system, uniform_writes(system.graph, writes, rate=rate, seed=13))
     assert system.check().ok
     return system
@@ -241,18 +386,44 @@ def test_dense_system_takes_the_lane_path_unforced():
     assert policy._eindex in policy._merge_plans
 
 
+def test_dense_batched_system_folds_unforced(monkeypatch):
+    folds = []
+    fold = EdgeIndexedPolicy.merge_run
+    monkeypatch.setattr(
+        EdgeIndexedPolicy,
+        "merge_run",
+        lambda *args: folds.append(fold(*args)) or folds[-1],
+    )
+    system = _run(random_placements(24, 80, 10, seed=11), batch_window=4.0)
+    folded = [run[0] for run in folds if run is not None]
+    assert len(folded) > 100 and len(folded) > 0.9 * len(folds)
+    # Born with their lanes: the next merge or fold packs nothing.
+    assert all(ts._packed == _fresh(ts)._pack() is not None for ts in folded)
+    assert all(r.core.policy._third_masks for r in system.replicas.values())
+
+
 @pytest.mark.parametrize(
-    "placements",
-    [tree_placements(16), fig5_placements(), ring_placements(8)],
-    ids=["tree-16", "fig5", "ring-8"],
-)
-def test_narrow_systems_never_pack(placements, monkeypatch):
+    "placements,kwargs",
+    [
+        (tree_placements(16), {}),
+        (fig5_placements(), {}),
+        (ring_placements(8), {}),
+        (tree_placements(16), {"batch_window": 4.0}),
+        (ring_placements(8), {"batch_window": 4.0}),
+        (clique_placements(8), {"batch_window": 4.0}),
+    ],
+    ids=[
+        "tree-16", "fig5", "ring-8",
+        "tree-16-batched", "ring-8-batched", "clique-8-batched",
+    ],
+)  # fmt: skip
+def test_narrow_systems_never_pack(placements, kwargs, monkeypatch):
     packs = []
     pack = Timestamp._pack
     monkeypatch.setattr(
         Timestamp, "_pack", lambda ts: packs.append(ts) or pack(ts)
     )
-    system = DSMSystem(placements, seed=7)
+    system = DSMSystem(placements, seed=7, **kwargs)
     indexes = {r.core.policy._eindex for r in system.replicas.values()}
     for eindex in indexes:
         # Interned for the process: another test may have forced lanes
@@ -263,6 +434,7 @@ def test_narrow_systems_never_pack(placements, monkeypatch):
     assert packs == []
     assert all(eindex._lanes is None for eindex in indexes)
     assert all(r.timestamp._packed is None for r in system.replicas.values())
+    assert not any(r.core.policy._third_masks for r in system.replicas.values())
 
 
 def test_subclass_calling_super_gets_the_same_answers(force_lane_merge):
@@ -355,16 +527,30 @@ class TestBothSidesOfTheGate:
     def test_policy_conformance(self, check, tag):
         check(tag)
 
-    @pytest.mark.parametrize("numpy_side", [False, True], ids=["scalar", "vectorized"])
-    def test_remote_batch_equivalence(self, numpy_side, force_frame_kernels):
-        force_frame_kernels(numpy_side)
-        suite = test_batching.TestRemoteBatchEquivalence()
-        suite.test_ready_frame_matches_sequential_delivery()
-        suite.test_gapped_frame_buffers_then_drains_identically()
-        suite.test_handle_remote_batch_event_dispatches()
-
-    def test_wide_frames_fold_between_single_merges(self):
-        # clique-8, 56 counters, twenty-member frames: a fold's result
-        # has no lanes yet, so the next single merge packs it cold.
-        pytest.importorskip("numpy")
-        test_batching.TestFrameKernelSelection().test_wide_multi_member_frame_folds()
+    def test_wide_frames_fold_between_single_merges(self, lanes, monkeypatch):
+        """clique-9, 72 counters: frames of seven with a single update
+        between each.  A fold's result is born with its lanes, so the
+        chain packs the receivers' starting timestamps and each arriving
+        one once -- never a timestamp a receiver itself produced."""
+        cold = []
+        pack = Timestamp._pack
+        monkeypatch.setattr(
+            Timestamp,
+            "_pack",
+            lambda ts: (ts._packed is None and cold.append(ts)) or pack(ts),
+        )
+        graph = ShareGraph(clique_placements(9))
+        updates = test_batching._issue_run(graph, 40, register="x0")
+        seq, bat = test_batching._receiver_pair(graph, test_batching._CountingPolicy)
+        arrived = [u.timestamp for u in updates]
+        arrived += [seq.core.timestamp, bat.core.timestamp]
+        for u in updates:
+            seq.core.remote_update(1, u)
+        for start in range(0, 40, 8):
+            bat.core.remote_batch(1, updates[start : start + 7])
+            bat.core.remote_update(1, updates[start + 7])
+        test_batching._assert_same_outcome(seq, bat)
+        assert bat.core.policy.run_hits == (5 if lanes else 0)
+        if lanes:
+            assert bat.core.timestamp._packed is not None
+            assert all(any(ts is a for a in arrived) for ts in cold)

@@ -175,11 +175,11 @@ def test_end_to_end_zipf_run_checks_and_audits_clean():
     assert system.delivery_hops
 
 
-def test_scalar_and_vectorized_sharded_runs_agree(force_frame_kernels):
+def test_scalar_and_vectorized_sharded_runs_agree(force_lane_merge):
     plan = social_shard_plan(replicas=16, group_size=4, seed=6)
 
-    def run(numpy_side):
-        force_frame_kernels(numpy_side)
+    def run(lanes):
+        force_lane_merge(lanes)
         system = ShardedSystem(plan, seed=3)
         stream = zipf_writes(
             plan.logical_graph(), 200, rate=100.0, skew=0.9, seed=2

@@ -103,7 +103,7 @@ def test_ring_placements_shape():
 # ----------------------------------------------------------------------
 #: The ``config`` section exactly as the last commit that had
 #: ``TcpConfig.vectorized`` wrote it (``write_cluster_config`` defaults).
-PRE_FRAME_KERNEL_CONFIG = {
+CONFIG_WITH_VECTORIZED = {
     "backoff_base": 0.05,
     "backoff_cap": 2.0,
     "backoff_factor": 2.0,
@@ -131,8 +131,8 @@ def test_cluster_config_with_a_removed_setting_is_named_not_a_typeerror(tmp_path
     doc = read_cluster_config(path)
     assert doc["config"] == dataclasses.asdict(TcpConfig())
     # The only key the old file has and this version does not.
-    assert set(PRE_FRAME_KERNEL_CONFIG) - set(doc["config"]) == {"vectorized"}
-    doc["config"] = PRE_FRAME_KERNEL_CONFIG
+    assert set(CONFIG_WITH_VECTORIZED) - set(doc["config"]) == {"vectorized"}
+    doc["config"] = CONFIG_WITH_VECTORIZED
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     with pytest.raises(ConfigurationError, match="vectorized"):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import EdgeIndexedPolicy, ShareGraph, Timestamp, timestamp_graph
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 
 
 @pytest.fixture
@@ -169,3 +169,24 @@ def test_unsafe_constructor_allows_missing_edges(fig5_graph):
 
 def test_initial_is_all_zero(policy):
     assert all(c == 0 for _, c in policy.initial().items())
+
+
+def test_local_timestamp_over_another_edge_set_is_refused(fig5_graph, policy):
+    """Interning hands every timestamp over ``E_1`` the policy's own
+    index, however it was built; one over any other edge set is a
+    caller's mistake, named rather than served.  (A *sender's* index may
+    differ freely: that is every heterogeneous graph.)"""
+    own = Timestamp({e: 0 for e in policy.edges})
+    sender_ts = EdgeIndexedPolicy(fig5_graph, 2).initial()
+    assert own.edge_index is policy.initial().edge_index
+    assert sender_ts.edge_index is not own.edge_index
+    assert policy.ready(own, 2, sender_ts) is False  # nothing sent yet
+    for call in (
+        lambda ts: policy.advance_delta(ts, "y"),
+        lambda ts: policy.merge_delta(ts, 2, sender_ts),
+        lambda ts: policy.ready(ts, 2, sender_ts),
+        lambda ts: policy.next_seq(ts, 2),
+    ):
+        call(own)
+        with pytest.raises(ProtocolError, match=r"\(2, 3\).*not its own edge set"):
+            call(sender_ts)

@@ -176,22 +176,11 @@ def _drive_overlay(plan, graph, writes=150, **system_kwargs):
     return system
 
 
-def test_overlay_frame_plans_compile_on_first_frame(ring6, force_frame_kernels):
-    force_frame_kernels(True)
-    plan = restrict_to_tree(ring6, star_tree(6))
-    idle = TreeOverlaySystem(plan, seed=1, batch_window=2.0)
-    # Nothing is compiled at wiring: a replica pays for a sender's frame
-    # plan when that sender's first frame reaches the kernels.
-    assert not any(r.policy._frame_plans for r in idle.system.replicas.values())
-    busy = _drive_overlay(plan, ring6, batch_window=2.0)
-    assert any(r.policy._frame_plans for r in busy.system.replicas.values())
-
-
-def test_overlay_vectorized_run_matches_scalar(ring6, force_frame_kernels):
+def test_overlay_vectorized_run_matches_scalar(ring6, force_lane_merge):
     plan = restrict_to_tree(ring6, star_tree(6))
 
-    def snapshot(numpy_side, **system_kwargs):
-        force_frame_kernels(numpy_side)
+    def snapshot(lanes, **system_kwargs):
+        force_lane_merge(lanes)
         system = _drive_overlay(plan, ring6, **system_kwargs)
         stores = {
             rid: dict(system.system.replica(rid).store)
@@ -205,16 +194,10 @@ def test_overlay_vectorized_run_matches_scalar(ring6, force_frame_kernels):
 
     assert snapshot(False) == snapshot(True)
     # The same holds with send-side batching on: coalescing changes the
-    # schedule, but the scalar walk and the numpy kernels must cover
-    # that new schedule identically (frame folds included).
+    # schedule, but the plan walk and the lanes must cover that new
+    # schedule identically (a star's hub and leaves track different
+    # edge sets, so every frame here declines the fold and drains).
     assert snapshot(False, batch_window=2.0) == snapshot(True, batch_window=2.0)
-
-
-def test_overlay_vectorized_falls_back_without_numpy(ring6, force_frame_kernels):
-    force_frame_kernels(False)
-    plan = restrict_to_tree(ring6, star_tree(6))
-    system = _drive_overlay(plan, ring6, writes=60, batch_window=2.0)
-    assert system.system.quiescent()  # ran to completion on the scalar path
 
 
 def test_overlay_batched_run_converges_with_fewer_messages(ring6):
