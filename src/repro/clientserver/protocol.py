@@ -131,9 +131,9 @@ class AugmentedServerPolicy(EdgeIndexedPolicy):
         X_ik`` from tau's own value, take ``max(tau, mu)`` elsewhere."""
         if ts._eindex is not self._eindex:
             raise self._foreign(ts)
-        old = ts._values
+        old = ts.values_array
         values = list(old)
-        mu_values = mu._values
+        mu_values = mu.values_array
         for pos, mpos in self._merge_plan(mu._eindex):
             v = mu_values[mpos]
             if v > values[pos]:

@@ -27,9 +27,10 @@ from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 Key = Hashable
 
 #: What a lane-packed timestamp needs to know about its index: every
-#: lane's top bit as one integer, and the packer (whose ``size`` is the
-#: packed byte length).
-Lanes = Tuple[int, Struct]
+#: lane's top bit as one integer, the packer (whose ``size`` is the
+#: packed byte length), and ``2**31 - 2**k`` in every lane for the
+#: varint thresholds ``k`` = 7, 14, 21, 28 -- the first is bits 7-30.
+Lanes = Tuple[int, Struct, Tuple[int, ...]]
 
 
 def _canonical_key(key: Key) -> Tuple[str, str]:
@@ -74,9 +75,11 @@ class EdgeIndex:
         lanes = self._lanes
         if lanes is None:
             width = len(self.order)
+            top = int.from_bytes(b"\x00\x00\x00\x80" * width, "little")
             lanes = self._lanes = (
-                int.from_bytes(b"\x00\x00\x00\x80" * width, "little"),
+                top,
                 Struct("<%di" % width),
+                tuple((top >> 31) * (2**31 - 2**k) for k in (7, 14, 21, 28)),
             )
         return lanes
 

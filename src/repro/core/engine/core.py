@@ -38,6 +38,7 @@ from typing import (
     AbstractSet,
     Any,
     Callable,
+    Container,
     Dict,
     FrozenSet,
     Iterable,
@@ -72,14 +73,14 @@ from repro.wire.codec import stabilize_frame_wire_bytes, timestamp_wire_bytes
 # by key is O(1).
 _PendingEntry = Tuple[Update, float, Optional[int]]
 
-#: ``advance`` plus the changed keys (``None`` = unknown delta).
+#: ``advance`` plus the changed keys (any container; ``None`` = unknown).
 _AdvanceDelta = Callable[
-    [Timestamp, RegisterName], Tuple[Timestamp, Optional[FrozenSet[Edge]]]
+    [Timestamp, RegisterName], Tuple[Timestamp, Optional[Container[Edge]]]
 ]
 #: ``merge`` plus the raised keys (``None`` = unknown delta).
 _MergeDelta = Callable[
     [Timestamp, ReplicaId, Timestamp],
-    Tuple[Timestamp, Optional[FrozenSet[Edge]]],
+    Tuple[Timestamp, Optional[Container[Edge]]],
 ]
 #: The local counter the first false conjunct of ``J`` reads.
 _BlockingEdge = Callable[[Timestamp, ReplicaId, Timestamp], Edge]
@@ -87,7 +88,7 @@ _BlockingEdge = Callable[[Timestamp, ReplicaId, Timestamp], Edge]
 #: frame is consecutively ready against an empty buffer, else None.
 _MergeRun = Callable[
     [Timestamp, ReplicaId, Sequence[Timestamp]],
-    Optional[Tuple[Timestamp, Optional[FrozenSet[Edge]]]],
+    Optional[Tuple[Timestamp, Optional[Container[Edge]]]],
 ]
 #: Proof that no queued member can become ready at any frontier up to
 #: the given timestamp (False = cannot prove, take the generic path).
@@ -761,18 +762,19 @@ class ProtocolCore:
             return
         self._wake_on_changed(after.diff_keys(before))
 
-    def _wake_on_changed(self, changed: Optional[FrozenSet[Edge]]) -> None:
+    def _wake_on_changed(self, changed: Optional[Container[Edge]]) -> None:
         if not self._queues:
             return
         blocked = self._blocked_on
-        if changed is None or (changed and self._blocking_edge is None):
+        if changed is None or (self._blocking_edge is None and changed):
             # Unknown delta (incomparable representations), or a policy
             # that cannot name the counter a blocked update waits on:
             # conservatively recheck every sender.
             self._dirty.update(self._queues)
             blocked.clear()
-        else:
-            for edge in blocked.keys() & changed:
+        elif blocked:
+            # ``changed`` may be a lazy view: test only the filed edges.
+            for edge in [e for e in blocked if e in changed]:
                 self._dirty.update(blocked.pop(edge))
 
     def _find_candidate(self, sender: ReplicaId) -> Optional[int]:
@@ -939,7 +941,7 @@ class ProtocolCore:
         updates: Sequence[Update],
         arrived: float,
         new_ts: Timestamp,
-        changed: Optional[FrozenSet[Edge]],
+        changed: Optional[Container[Edge]],
     ) -> None:
         """Apply a consecutively-ready frame under one merged timestamp.
 

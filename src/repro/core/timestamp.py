@@ -30,20 +30,23 @@ walks or per-edge hashing.  Value semantics (equality, hashing, the
 ``timestamps_used`` counting and every dict-constructed timestamp
 interoperate with array-constructed ones transparently.
 
-Wide timestamps additionally cache their counters as one integer of
-32-bit lanes (``Timestamp._packed``), over which a ``merge`` on one
-index, or the fold of a whole batch frame, is a handful of big-integer
-operations, not a walk (:data:`LANE_MIN_WIDTH`).  The tuple decides.
+Wide timestamps on a policy's own index are one integer of 32-bit lanes
+instead (``Timestamp._packed``, :data:`LANE_MIN_WIDTH`): ``advance``,
+``merge``, ``J`` and a batch frame's fold are a few big-integer
+operations, and the tuple is unpacked only when something reads it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from struct import error as StructError
 from typing import (
     Callable,
+    Container,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -58,12 +61,12 @@ from repro.core.timestamp_graph import all_timestamp_graphs, timestamp_graph
 from repro.errors import ConfigurationError, ProtocolError
 from repro.types import Edge, RegisterName, ReplicaId
 
-#: ``merge_delta``, ``merge_run`` and ``blocked_many`` take the
-#: lane-packed path (big-integer expressions over
-#: :attr:`Timestamp._packed` instead of the plan walk) only for a sender
-#: on this policy's own interned index whose width reaches this many
-#: counters; below it the fixed cost of the big-integer operations
-#: exceeds the walk (``docs/performance.md`` section 8).  Only tests patch it.
+#: ``advance_delta``, ``merge_delta``, ``merge_run`` and ``blocked_many``
+#: take the lane-packed path (big-integer expressions over
+#: :attr:`Timestamp._packed`, returning timestamps born from lanes) only
+#: on this policy's own interned index and only when its width reaches
+#: this many counters; below it the fixed cost of the big-integer
+#: operations exceeds the walk (``docs/performance.md`` section 8).
 LANE_MIN_WIDTH = 64
 
 
@@ -87,7 +90,7 @@ class Timestamp:
 
     Internally the counters live in a flat tuple positioned by an interned
     :class:`EdgeIndex`; :meth:`from_array` is the zero-copy constructor the
-    policies use on the hot path.
+    policies use on the hot path, :meth:`_from_lanes` the lanes-only one.
     """
 
     __slots__ = ("_eindex", "_values", "_hash", "_wire_size", "_packed")
@@ -95,14 +98,13 @@ class Timestamp:
     def __init__(self, counters: Mapping[Edge, int]) -> None:
         eindex = EdgeIndex.of(counters.keys())
         self._eindex: EdgeIndex = eindex
-        self._values: Tuple[int, ...] = tuple(
+        self._values: Optional[Tuple[int, ...]] = tuple(
             counters[e] for e in eindex.order
         )
         self._hash: Optional[int] = None
         self._wire_size: Optional[int] = None
-        # Lazily built lane-packed form of ``_values`` (:meth:`_pack`),
-        # owned by the policy's merge and frame fold.  The tuple stays
-        # the source of truth for equality/hash/wire semantics.
+        # The counters as 32-bit lanes of one integer (:meth:`_pack`): the
+        # representation when born from lanes, else a cache a merge fills.
         self._packed: Optional[int] = None
 
     @classmethod
@@ -116,6 +118,13 @@ class Timestamp:
         ts._hash = None
         ts._wire_size = None
         ts._packed = None
+        return ts
+
+    @classmethod
+    def _from_lanes(cls, eindex: EdgeIndex, packed: int) -> "Timestamp":
+        """A timestamp held as lanes alone (every lane's top bit clear)."""
+        ts = cls.from_array(eindex, ())
+        ts._values, ts._packed = None, packed
         return ts
 
     @classmethod
@@ -136,38 +145,52 @@ class Timestamp:
     @property
     def values_array(self) -> Tuple[int, ...]:
         """The flat counters in :attr:`edge_index` order."""
-        return self._values
+        return self._unpack() if self._values is None else self._values
+
+    def _unpack(self) -> Tuple[int, ...]:
+        """Unpack, once, the tuple of a timestamp born from lanes."""
+        packer = self._eindex.lanes()[1]
+        raw = self._packed.to_bytes(packer.size, "little")
+        values = self._values = packer.unpack(raw)
+        return values
+
+    def _at(self, pos: int) -> int:
+        """The counter at ``pos``, read from its lane if there is no tuple."""
+        values = self._values
+        if values is None:
+            return self._packed >> (pos << 5) & 0xFFFFFFFF
+        return values[pos]
 
     def __getitem__(self, e: Edge) -> int:
-        return self._values[self._eindex.position[e]]
+        return self.values_array[self._eindex.position[e]]
 
     def get(self, e: Edge, default: Optional[int] = None) -> Optional[int]:
         pos = self._eindex.position.get(e)
-        return default if pos is None else self._values[pos]
+        return default if pos is None else self.values_array[pos]
 
     def __contains__(self, e: Edge) -> bool:
         return e in self._eindex.position
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._eindex.order)
 
     def items(self) -> Iterable[Tuple[Edge, int]]:
-        return zip(self._eindex.order, self._values)
+        return zip(self._eindex.order, self.values_array)
 
     def to_dict(self) -> Dict[Edge, int]:
-        return dict(zip(self._eindex.order, self._values))
+        return dict(self.items())
 
     def replace(self, changes: Mapping[Edge, int]) -> "Timestamp":
         """A copy with some counters replaced (must already be indexed)."""
         position = self._eindex.position
-        values = list(self._values)
+        values = list(self.values_array)
         for e, value in changes.items():
             values[position[e]] = value  # KeyError on unindexed edges
         return Timestamp.from_array(self._eindex, values)
 
     def total(self) -> int:
         """Sum of all counters (a cheap progress measure)."""
-        return sum(self._values)
+        return sum(self.values_array)
 
     def _pack(self) -> Optional[int]:
         """The counters as one integer of 32-bit little-endian lanes,
@@ -179,7 +202,7 @@ class Timestamp:
         packed = self._packed
         if packed is None:
             try:
-                raw = self._eindex.lanes()[1].pack(*self._values)
+                raw = self._eindex.lanes()[1].pack(*self.values_array)
             except StructError:
                 return None
             packed = self._packed = int.from_bytes(raw, "little")
@@ -187,8 +210,9 @@ class Timestamp:
 
     def dominates(self, other: "Timestamp") -> bool:
         """Element-wise ``>=`` over the shared index."""
+        values, other_values = self.values_array, other.values_array
         if self._eindex is other._eindex:
-            return all(a >= b for a, b in zip(self._values, other._values))
+            return all(a >= b for a, b in zip(values, other_values))
         position = self._eindex.position
         other_position = other._eindex.position
         if len(other_position) < len(position):
@@ -196,7 +220,7 @@ class Timestamp:
         else:
             smaller, larger = position, other_position
         return all(
-            self._values[position[e]] >= other._values[other_position[e]]
+            values[position[e]] >= other_values[other_position[e]]
             for e in smaller
             if e in larger
         )
@@ -209,12 +233,13 @@ class Timestamp:
         """
         if self._eindex is not other._eindex:
             return None
-        if self._values == other._values:
+        values, other_values = self.values_array, other.values_array
+        if values == other_values:
             return frozenset()
         order = self._eindex.order
         return frozenset(
             order[pos]
-            for pos, (a, b) in enumerate(zip(self._values, other._values))
+            for pos, (a, b) in enumerate(zip(values, other_values))
             if a != b
         )
 
@@ -222,11 +247,12 @@ class Timestamp:
         if not isinstance(other, Timestamp):
             return NotImplemented
         # Interning guarantees equal index sets share one EdgeIndex.
-        return self._eindex is other._eindex and self._values == other._values
+        same = self._eindex is other._eindex
+        return same and self.values_array == other.values_array
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._eindex.key_hash, self._values))
+            self._hash = hash((self._eindex.key_hash, self.values_array))
         return self._hash
 
     def __repr__(self) -> str:
@@ -237,6 +263,32 @@ class Timestamp:
 
         inner = ", ".join(f"{fmt(e)}={c}" for e, c in self.items())
         return f"Timestamp({inner})"
+
+
+class RaisedLanes(AbstractSet[Edge]):
+    """The edges a lane merge raised, as a view over its ``held``: each
+    membership test reads one bit, and only iteration visits lanes."""
+
+    __slots__ = ("_eindex", "_held")
+
+    def __init__(self, eindex: EdgeIndex, held: int) -> None:
+        self._eindex = eindex
+        self._held = held
+
+    def __contains__(self, e: object) -> bool:
+        pos = self._eindex.position.get(e)  # type: ignore[arg-type]
+        return pos is not None and not self._held >> (pos << 5 | 31) & 1
+
+    def __iter__(self) -> Iterator[Edge]:
+        order, packer = self._eindex.order, self._eindex.lanes()[1]
+        top_bytes = self._held.to_bytes(packer.size, "little")[3::4]
+        pos = top_bytes.find(0)
+        while pos >= 0:
+            yield order[pos]
+            pos = top_bytes.find(0, pos + 1)
+
+    def __len__(self) -> int:
+        return len(self._eindex) - self._held.bit_count()
 
 
 class TimestampPolicy(Protocol):
@@ -256,9 +308,9 @@ class TimestampPolicy(Protocol):
 
     Hot-path deltas
         ``advance_delta(ts, register)`` / ``merge_delta(ts, k, T)``
-        return ``(new_ts, changed_keys | None)`` so the delivery engine's
-        wake sets cost no second scan.  Fallback: plain
-        ``advance``/``merge`` plus :meth:`Timestamp.diff_keys`.
+        return ``(new_ts, changed_keys | None)``, the keys any container
+        of edges, so the engine's wake sets cost no second scan.
+        Fallback: ``advance``/``merge`` plus :meth:`Timestamp.diff_keys`.
 
     Seq-indexed delivery
         ``exact_sender_fifo: bool`` plus ``sender_seq(k, T)`` /
@@ -477,9 +529,8 @@ class EdgeIndexedPolicy:
         self._sender_seq_pos: Dict[
             ReplicaId, Tuple[EdgeIndex, Optional[int]]
         ] = {}
-        # Per-sender top bits of the third-party lanes, built by the
-        # frame hooks on that sender's first wide frame.
-        self._third_masks: Dict[ReplicaId, int] = {}
+        # The top bits of the incoming lanes (_third_mask).
+        self._incoming_mask: Optional[int] = None
 
     def _merge_plan(
         self, sender_index: EdgeIndex
@@ -516,6 +567,18 @@ class EdgeIndexedPolicy:
             plan = self._ready_plans[key] = (own_pos, sender_pos, third)
         return plan
 
+    def _third_mask(self, sender: ReplicaId) -> int:
+        """The top bits of ``sender``'s third-party lanes: the incoming
+        lanes' but the sender's (one mask per policy, not per sender)."""
+        mask = self._incoming_mask
+        if mask is None:
+            position = self._eindex.position
+            mask = self._incoming_mask = sum(
+                1 << (position[e] << 5 | 31) for e in self._incoming
+            )
+        pos = self._seq_pos.get(sender)
+        return mask if pos is None else mask ^ (1 << (pos << 5 | 31))
+
     # ------------------------------------------------------------------
     def initial(self) -> Timestamp:
         return self._zero
@@ -529,18 +592,31 @@ class EdgeIndexedPolicy:
         """``advance`` plus the set of keys it changed (``None`` = unknown).
 
         The delta comes for free from the bump table, saving the delivery
-        engine a full post-hoc scan when computing its wake set.
+        engine a full post-hoc scan when computing its wake set.  A wide
+        result is born from lanes, unless a bump fills a lane's top bit.
         """
-        if ts._eindex is not self._eindex:
+        eindex = self._eindex
+        if ts._eindex is not eindex:
             raise self._foreign(ts)
         positions = self._bumps.get(register)
         if not positions:
             return ts, frozenset()
-        old_values = ts._values
+        order = eindex.order
+        keys = frozenset(order[pos] for pos in positions)
+        if len(order) >= LANE_MIN_WIDTH and ts._pack() is not None:
+            bump = self._bump_lanes.get(register)
+            if bump is None:
+                bump = self._bump_lanes[register] = sum(
+                    1 << (pos << 5) for pos in positions
+                )
+            packed = ts._packed + bump
+            if not packed & eindex.lanes()[0]:
+                return self._born(ts, packed), keys
+        old_values = ts._values or ts.values_array
         values = list(old_values)
         for pos in positions:
             values[pos] += 1
-        out = Timestamp.from_array(self._eindex, values)
+        out = Timestamp.from_array(eindex, values)
         if ts._wire_size is not None:
             size = ts._wire_size
             for pos in positions:
@@ -550,21 +626,7 @@ class EdgeIndexedPolicy:
                 if nv >= 128 or ov >= 128:
                     size += _uvarint_size(nv) - _uvarint_size(ov)
             out._wire_size = size
-        packed = ts._packed
-        if packed is not None:
-            # Carry the lane cache forward with one add, unless a
-            # bump filled a lane's top bit (counter reached 2**31):
-            # every later lane comparison would silently be wrong.
-            bump = self._bump_lanes.get(register)
-            if bump is None:
-                bump = self._bump_lanes[register] = sum(
-                    1 << 32 * pos for pos in positions
-                )
-            packed += bump
-            if not packed & self._eindex.lanes()[0]:
-                out._packed = packed
-        order = self._eindex.order
-        return out, frozenset(order[pos] for pos in positions)
+        return out, keys
 
     def merge(
         self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
@@ -573,24 +635,30 @@ class EdgeIndexedPolicy:
 
     def merge_delta(
         self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
-    ) -> Tuple[Timestamp, Optional[FrozenSet[Edge]]]:
-        """``merge`` plus the set of keys it raised (``None`` = unknown).
+    ) -> Tuple[Timestamp, Optional[Container[Edge]]]:
+        """``merge`` plus the keys it raised (``None`` = unknown).
 
         The changed positions are collected during the element-wise max
         walk itself, so the delivery engine's wake set costs no second
-        pass over the counters.  A sender on this policy's own interned
-        index, :data:`LANE_MIN_WIDTH` counters or wider, is merged by
-        :meth:`_merge_lanes` instead of walked; the answer is the same.
+        pass over the counters.  A wide sender on this policy's own index
+        is merged in lanes (:meth:`_lane_diff`): under ``held - (held >>
+        31)`` the difference is ``a - b`` where own holds and 0 where the
+        sender raises, so adding it to ``b`` makes each lane ``max(a, b)``.
         """
         eindex = self._eindex
         if ts._eindex is not eindex:
             raise self._foreign(ts)
-        if sender_ts._eindex is eindex and len(ts._values) >= LANE_MIN_WIDTH:
-            merged = self._merge_lanes(ts, sender_ts)
-            if merged is not None:
-                return merged
-        values = ts._values
-        sender_values = sender_ts._values
+        if sender_ts._eindex is eindex and len(eindex.order) >= LANE_MIN_WIDTH:
+            diff = self._lane_diff(ts, sender_ts)
+            if diff is not None:
+                top_bits = eindex.lanes()[0]
+                held = diff & top_bits
+                if held == top_bits:
+                    return ts, frozenset()
+                merged = sender_ts._packed + (diff & (held - (held >> 31)))
+                return self._born(ts, merged), RaisedLanes(eindex, held)
+        values = ts._values or ts.values_array
+        sender_values = sender_ts._values or sender_ts.values_array
         out: Optional[List[int]] = None
         changed: List[int] = []
         for pos, sender_pos in self._merge_plan(sender_ts._eindex):
@@ -604,10 +672,9 @@ class EdgeIndexedPolicy:
             return ts, frozenset()
         new_ts = Timestamp.from_array(eindex, out)
         if ts._wire_size is not None:
-            new_values = new_ts._values
             size = ts._wire_size
             for pos in changed:
-                nv = new_values[pos]
+                nv = out[pos]
                 ov = values[pos]
                 if nv >= 128 or ov >= 128:
                     size += _uvarint_size(nv) - _uvarint_size(ov)
@@ -626,72 +693,49 @@ class EdgeIndexedPolicy:
             f"edge set {sorted(map(str, self.edges))}"
         )
 
-    def _merge_lanes(
-        self, ts: Timestamp, sender_ts: Timestamp
-    ) -> Optional[Tuple[Timestamp, FrozenSet[Edge]]]:
-        """:meth:`merge_delta` for two timestamps on this policy's own
-        index, all lanes compared and selected at once; ``None`` when a
-        counter does not fit a lane (``docs/performance.md`` section 8).
+    def _born(self, ts: Timestamp, packed: int) -> Timestamp:
+        """The ending of every lane path: ``packed`` as a timestamp born
+        from lanes, keeping ``ts``'s wire-size memo when no lane changed
+        in bits 7-30 (which fix a counter's varint length)."""
+        out = Timestamp._from_lanes(self._eindex, packed)
+        moved = packed ^ ts._packed  # type: ignore[operator]
+        if ts._wire_size is not None and not moved & self._eindex.lanes()[2][0]:
+            out._wire_size = ts._wire_size
+        return out
 
-        Both operands have every lane's top bit clear, so with those
-        bits set in ``own`` lane ``p`` of ``own - theirs`` is ``2**31 +
-        a - b``, inside ``[1, 2**32)``: no lane borrows from the one
-        above, and the top bit survives exactly where ``a >= b``.
-        ``held - (held >> 31)`` widens the surviving bits to 31-bit
-        masks; under them the difference is ``a - b`` where own holds
-        and 0 where the sender raises, and adding that to ``theirs``
-        makes every lane ``max(a, b)`` with no carry.
-        """
-        own, theirs = ts._pack(), sender_ts._pack()
+    def _lane_diff(self, ts: Timestamp, sender_ts: Timestamp) -> Optional[int]:
+        """``ts``'s lanes, top bits set, minus ``sender_ts``'s on this
+        policy's own index (``None`` if a counter overflows a lane): lane
+        ``p`` is ``2**31 + a - b`` in ``[1, 2**32)``, so no lane borrows and
+        the top bit survives exactly where ``a >= b``."""
+        if sender_ts._eindex is not self._eindex:
+            return None
+        own = ts._packed or ts._pack()  # (an all-zero 0 returns itself)
+        theirs = sender_ts._packed or sender_ts._pack()
         if own is None or theirs is None:
             return None
-        top_bits = self._eindex.lanes()[0]
-        diff = (own | top_bits) - theirs
-        held = diff & top_bits
-        merged = theirs + (diff & (held - (held >> 31)))
-        return self._raised_lanes(ts, held, merged, sender_ts._values)
-
-    def _raised_lanes(
-        self, ts: Timestamp, held: int, packed: int, source: Sequence[int]
-    ) -> Tuple[Timestamp, FrozenSet[Edge]]:
-        """The tail of both lane paths: ``ts`` with the lanes whose top
-        bit ``held`` lacks raised to ``source``'s counters, born with
-        ``packed`` as its lanes.  Only those lanes -- a zero top byte in
-        ``held`` -- are visited, to patch values, wire size and raised set."""
-        eindex = self._eindex
-        top_bits, packer = eindex.lanes()
-        if held == top_bits:
-            return ts, frozenset()
-        top_bytes = held.to_bytes(packer.size, "little")[3::4]
-        values = ts._values
-        order = eindex.order
-        out = list(values)
-        raised: List[Edge] = []
-        grown = 0
-        pos = top_bytes.find(0)
-        while pos >= 0:
-            nv = out[pos] = source[pos]
-            # nv > values[pos]: below 128 both encode in one byte
-            if nv >= 128:
-                grown += _uvarint_size(nv) - _uvarint_size(values[pos])
-            raised.append(order[pos])
-            pos = top_bytes.find(0, pos + 1)
-        new_ts = Timestamp.from_array(eindex, out)
-        new_ts._packed = packed
-        if ts._wire_size is not None:
-            new_ts._wire_size = ts._wire_size + grown
-        return new_ts, frozenset(raised)
+        return (own | self._eindex.lanes()[0]) - theirs
 
     def ready(
         self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
     ) -> bool:
         if ts._eindex is not self._eindex:
             raise self._foreign(ts)
+        values, sender_values = ts._values, sender_ts._values
+        if values is None or sender_values is None:
+            diff = self._lane_diff(ts, sender_ts)
+            if diff is not None:
+                pos = self._seq_pos.get(sender)
+                if pos is not None and (
+                    diff >> (pos << 5) & 0xFFFFFFFF != 0x7FFFFFFF
+                ):
+                    return False
+                mask = self._third_mask(sender)
+                return diff & mask == mask
+            values, sender_values = ts.values_array, sender_ts.values_array
         own_pos, sender_pos, third = self._ready_plan(
             sender, sender_ts._eindex
         )
-        values = ts._values
-        sender_values = sender_ts._values
         if (
             own_pos is not None
             and values[own_pos] != sender_values[sender_pos] - 1
@@ -701,6 +745,20 @@ class EdgeIndexedPolicy:
             if values[pos] < sender_values[spos]:
                 return False
         return True
+
+    def _lane_block(self, diff: int, sender: ReplicaId) -> Edge:
+        """:meth:`blocking_edge` over :meth:`_lane_diff`'s lanes: the sender
+        edge unless its lane reads ``2**31 - 1``, else the first third
+        party, in the walk's order, whose lane lost its top bit."""
+        eindex = self._eindex
+        pos = self._seq_pos.get(sender)
+        if pos is not None and diff >> (pos << 5) & 0xFFFFFFFF != 0x7FFFFFFF:
+            return eindex.order[pos]
+        top_bytes = diff.to_bytes(eindex.lanes()[1].size, "little")[3::4]
+        return next(
+            e for e in self._incoming
+            if e[0] != sender and top_bytes[eindex.position[e]] < 0x80
+        )
 
     def _lane_frame(
         self,
@@ -720,7 +778,7 @@ class EdgeIndexedPolicy:
         if (
             seq_pos is None
             or ts._eindex is not eindex
-            or len(ts._values) < LANE_MIN_WIDTH
+            or len(eindex) < LANE_MIN_WIDTH
             or type(self).ready is not EdgeIndexedPolicy.ready
             or type(self).merge_delta is not EdgeIndexedPolicy.merge_delta
         ):
@@ -731,20 +789,14 @@ class EdgeIndexedPolicy:
         own = ts._pack()
         if own is None:
             return None
-        third_mask = self._third_masks.get(sender)
-        if third_mask is None:
-            third_mask = self._third_masks[sender] = sum(
-                1 << 32 * pos + 31
-                for pos, _ in self._ready_plan(sender, eindex)[2]
-            )
-        return seq_pos, third_mask, own
+        return seq_pos, self._third_mask(sender), own
 
     def merge_run(
         self,
         ts: Timestamp,
         sender: ReplicaId,
         sender_timestamps: Sequence[Timestamp],
-    ) -> Optional[Tuple[Timestamp, Optional[FrozenSet[Edge]]]]:
+    ) -> Optional[Tuple[Timestamp, Optional[Container[Edge]]]]:
         """Fold a consecutively-ready frame into ``(post-frame timestamp,
         raised keys)``, byte-identical to ``ready`` + ``merge_delta``
         member by member.  ``None`` -- :meth:`_lane_frame` declines, a
@@ -755,20 +807,21 @@ class EdgeIndexedPolicy:
         Per member, the sender edge must read one more than the member
         before it; then one subtraction answers ``J``'s third-party
         clause against the running max (the counters as of the previous
-        member) and :meth:`_merge_lanes`'s select.  The running max is a
-        max of in-range lanes, so it never sets a top bit.  The caller
-        folds only when no buffered update could apply between members.
+        member) and :meth:`merge_delta`'s select.  The running max is a
+        max of in-range lanes, so it never sets a top bit, and the fold
+        ends as a single lane merge does.  The caller folds only when no
+        buffered update could apply between members.
         """
         plan = self._lane_frame(ts, sender, sender_timestamps)
         if plan is None:
             return None
         seq_pos, third_mask, own = plan
-        top_bits, packer = self._eindex.lanes()
-        seq = ts._values[seq_pos]
+        top_bits = self._eindex.lanes()[0]
+        seq = ts._at(seq_pos)
         running = own
         for member in sender_timestamps:
             seq += 1
-            theirs = member._pack() if member._values[seq_pos] == seq else None
+            theirs = member._pack() if member._at(seq_pos) == seq else None
             if theirs is None:
                 return None
             diff = (running | top_bits) - theirs
@@ -776,12 +829,10 @@ class EdgeIndexedPolicy:
             if held & third_mask != third_mask:
                 return None
             running = theirs + (diff & (held - (held >> 31)))
-        return self._raised_lanes(
-            ts,
-            ((own | top_bits) - running) & top_bits,
-            running,
-            packer.unpack(running.to_bytes(packer.size, "little")),
-        )
+        held = ((own | top_bits) - running) & top_bits
+        if held == top_bits:
+            return ts, frozenset()
+        return self._born(ts, running), RaisedLanes(self._eindex, held)
 
     def blocked_many(
         self,
@@ -804,9 +855,9 @@ class EdgeIndexedPolicy:
             return False
         seq_pos, third_mask, own = plan
         own |= self._eindex.lanes()[0]
-        reachable = ts._values[seq_pos] + 1
+        reachable = ts._at(seq_pos) + 1
         for member in sender_timestamps:
-            if member._values[seq_pos] <= reachable:
+            if member._at(seq_pos) <= reachable:
                 theirs = member._pack()
                 if theirs is None or (own - theirs) & third_mask == third_mask:
                     return False
@@ -821,8 +872,12 @@ class EdgeIndexedPolicy:
         :meth:`ready`'s order: ``e_ki`` when the sequence conjunct fails,
         else the first third-party edge ``tau`` does not dominate.  Off
         the hot path (the engine asks once per blocked sender), so one
-        edge-keyed walk serves native and foreign indexes alike.
+        edge-keyed walk serves native and foreign indexes alike -- but a
+        timestamp held as lanes is read in lanes, not unpacked.
         """
+        diff = self._lane_diff(ts, sender_ts) if ts._values is None else None
+        if diff is not None:
+            return self._lane_block(diff, sender)
         e_ki = (sender, self.replica_id)
         own, incoming = ts.get(e_ki), sender_ts.get(e_ki)
         if own is not None and incoming is not None and own != incoming - 1:
@@ -855,14 +910,20 @@ class EdgeIndexedPolicy:
                 sender_ts._eindex.position.get((sender, self.replica_id)),
             )
         pos = cached[1]
-        return None if pos is None else sender_ts._values[pos]
+        if pos is None:
+            return None
+        values = sender_ts._values
+        return sender_ts._at(pos) if values is None else values[pos]
 
     def next_seq(self, ts: Timestamp, sender: ReplicaId) -> Optional[int]:
         """Sender-edge value the next applicable update must carry."""
         if ts._eindex is not self._eindex:
             raise self._foreign(ts)
         pos = self._seq_pos.get(sender)
-        return None if pos is None else ts._values[pos] + 1
+        if pos is None:
+            return None
+        values = ts._values
+        return (ts._at(pos) if values is None else values[pos]) + 1
 
     def counters(self) -> int:
         return len(self.edges)

@@ -102,7 +102,7 @@ class GstPolicy:
         self, ts: Timestamp, register: RegisterName
     ) -> Tuple[Timestamp, Optional[FrozenSet[Edge]]]:
         """Local write: clock ``+1``, channel seq ``+1`` per recipient."""
-        values = list(ts._values)
+        values = list(ts.values_array)
         values[self._clock_pos] += 1
         positions = self._bumps.get(register, ())
         for pos in positions:
@@ -125,7 +125,7 @@ class GstPolicy:
         i = self.replica_id
         seq = sender_ts.get((sender, i))
         clock = sender_ts.get((CLOCK, sender))
-        values = ts._values
+        values = ts.values_array
         out: Optional[List[int]] = None
         changed: List[int] = []
         recv_pos = self._recv_pos.get(sender)
@@ -154,7 +154,7 @@ class GstPolicy:
         recv_pos = self._recv_pos.get(sender)
         if seq is None or recv_pos is None:
             return True
-        return seq == ts._values[recv_pos] + 1
+        return seq == ts.values_array[recv_pos] + 1
 
     def counters(self) -> int:
         """Local metadata: clock + 2 counters per neighbour channel."""
@@ -174,13 +174,13 @@ class GstPolicy:
 
     def next_seq(self, ts: Timestamp, sender: ReplicaId) -> Optional[int]:
         recv_pos = self._recv_pos.get(sender)
-        return None if recv_pos is None else ts._values[recv_pos] + 1
+        return None if recv_pos is None else ts.values_array[recv_pos] + 1
 
     # -- stabilization surface -----------------------------------------
     def update_timestamp(self, ts: Timestamp, dst: ReplicaId) -> Timestamp:
         """The two-counter wire timestamp for the channel to ``dst``."""
         eindex = self._wire_eindex[dst]
-        values = ts._values
+        values = ts.values_array
         i = self.replica_id
         return Timestamp.from_array(
             eindex,
@@ -195,10 +195,10 @@ class GstPolicy:
     def sent_count(self, ts: Timestamp, dst: ReplicaId) -> int:
         """Updates dispatched so far on the channel to ``dst``."""
         pos = self._send_pos.get(dst)
-        return 0 if pos is None else ts._values[pos]
+        return 0 if pos is None else ts.values_array[pos]
 
     def own_clock(self, ts: Timestamp) -> int:
-        return ts._values[self._clock_pos]
+        return ts.values_array[self._clock_pos]
 
     def stabilization_clock(
         self, src: ReplicaId, sender_ts: Timestamp
@@ -209,7 +209,7 @@ class GstPolicy:
 
     def merge_clock(self, ts: Timestamp, clock: int) -> Timestamp:
         """Lamport receive rule for stabilize frames (max, no bump)."""
-        values = ts._values
+        values = ts.values_array
         if clock <= values[self._clock_pos]:
             return ts
         out = list(values)

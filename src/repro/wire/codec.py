@@ -37,11 +37,12 @@ def encode_timestamp(ts: Timestamp, order: Sequence[Edge] = None) -> bytes:
     if order is None:
         order = canonical_edge_order(ts.index)
     out = bytearray(encode_uvarint(len(order)))
+    values, position = ts.values_array, ts.edge_index.position
     for e in order:
-        value = ts.get(e)
-        if value is None:
+        pos = position.get(e)
+        if pos is None:
             raise ProtocolError(f"timestamp missing edge {e!r}")
-        out += encode_uvarint(value)
+        out += encode_uvarint(values[pos])
     return bytes(out)
 
 
@@ -73,14 +74,27 @@ def timestamp_wire_bytes(ts: Timestamp) -> int:
     Timestamps are immutable, so the size is memoized on the value: a
     fan-out of N recipients (and any retransmissions) computes it once.
     Works on any timestamp-like object; only :class:`Timestamp` (which
-    reserves a ``_wire_size`` slot) gets the memo.
+    reserves a ``_wire_size`` slot) gets the memo.  One held as lanes is
+    sized without unpacking: a byte per counter, plus one per lane at or
+    past each threshold ``2**k`` -- adding ``2**31 - 2**k`` sets exactly
+    those lanes' top bits, and never carries.
     """
     cached = getattr(ts, "_wire_size", None)
     if cached is not None:
         return cached
     size = uvarint_size(len(ts))
-    for _, value in ts.items():
-        size += uvarint_size(value)
+    packed = getattr(ts, "_packed", None)
+    if packed is None:
+        for _, value in ts.items():
+            size += uvarint_size(value)
+    else:
+        top_bits, _, steps = ts.edge_index.lanes()
+        size += len(ts)
+        for step in steps:
+            over = (packed + step) & top_bits
+            if not over:
+                break  # no lane reaches 2**k, so none reaches 2**(k + 7)
+            size += over.bit_count()
     try:
         ts._wire_size = size
     except AttributeError:

@@ -1,13 +1,14 @@
-"""The lane-packed ``merge_delta`` and frame fold against the plan walk
+"""Timestamps held as lanes, and the lane paths against the plan walk
 they stand in for.
 
-``EdgeIndexedPolicy.merge_delta`` merges two timestamps on one interned
-index, :data:`~repro.core.timestamp.LANE_MIN_WIDTH` counters or wider,
-as one big-integer expression over their ``_packed`` caches, and
-``merge_run`` / ``blocked_many`` fold or fence a whole batch frame of
-them the same way.  Three groups of tests hold that to "same answer, by
-construction" (``test_vectorized`` adds the fold's parity on real
-graphs):
+On one interned index of :data:`~repro.core.timestamp.LANE_MIN_WIDTH`
+counters or wider, ``EdgeIndexedPolicy.advance_delta`` and
+``merge_delta`` return timestamps born from lanes (``_packed`` alone,
+the counter tuple unpacked only when read), ``ready`` and its hooks read
+those lanes, and ``merge_run`` / ``blocked_many`` fold or fence a whole
+batch frame the same way.  Four groups of tests hold that to "same
+answer, by construction" (``test_vectorized`` adds the fold's parity on
+real graphs):
 
 * two properties over widths 1-600 and counters straddling every
   boundary the kernel knows about (one varint byte, two, the lane
@@ -17,6 +18,10 @@ graphs):
 * the range fence: a counter that reaches ``2**31`` leaves the lanes and
   the walk -- or, for a frame, the generic drain -- answers, silently
   and correctly;
+* the representation: a lane-born timestamp reads, hashes, compares,
+  encodes and sizes as its tuple-born twin; ``J``, its blocking edge and
+  the raised-key view answer as the walk; a dense round never unpacks
+  and a sparse one never packs;
 * selection, and the suites that fence every merge change -- the
   engine-vs-oracle differentials, cross-runtime equality, policy
   conformance and the batching outcome check -- once with the lanes
@@ -40,7 +45,7 @@ from repro.baselines.legacy import legacy_policy_factory
 from repro.core.share_graph import ShareGraph
 from repro.core.system import DSMSystem
 from repro.core.timestamp import LANE_MIN_WIDTH, EdgeIndexedPolicy, Timestamp
-from repro.wire.codec import timestamp_wire_bytes
+from repro.wire.codec import encode_timestamp, timestamp_wire_bytes
 from repro.workloads import (
     clique_placements,
     fig5_placements,
@@ -83,11 +88,23 @@ def _fresh(ts: Timestamp) -> Timestamp:
     return Timestamp.from_array(ts.edge_index, ts.values_array)
 
 
+def _fits(*stamps: Timestamp) -> bool:
+    return all(_fresh(ts)._pack() is not None for ts in stamps)
+
+
+def _assert_wire_size(ts: Timestamp, want: int) -> None:
+    """A lane path carries the memo only while no varint changed length;
+    either way the size is right, and computed without unpacking."""
+    assert ts._wire_size in (None, want)
+    assert timestamp_wire_bytes(ts) == want
+
+
 def _chain(policy, own_values, sender_values, warm):
     """advance, merge each sender, advance, merge the first again (which
     raises nothing).  Per step: the result, the keys, the result's lanes
     as it was born, and whether it should have been born with any --
-    an advance carries its operand's, a merge packs what it is given."""
+    both operands of a merge, and an advance's operand and result, fit
+    the lanes."""
     eindex = policy._eindex
     own = Timestamp.from_array(eindex, own_values)
     senders = [Timestamp.from_array(eindex, v) for v in sender_values]
@@ -98,12 +115,13 @@ def _chain(policy, own_values, sender_values, warm):
     steps = []
     ts = own
     for op in ("y", *senders, "x", senders[0]):
+        before = ts
         if isinstance(op, Timestamp):
-            fits = all(_fresh(t)._pack() is not None for t in (ts, op))
             ts, keys = policy.merge_delta(ts, 2, op)
+            fits = _fits(before, op)
         else:
-            fits = ts._packed is not None
             ts, keys = policy.advance_delta(ts, op)
+            fits = _fits(before, ts)
         steps.append((ts, keys, ts._packed, fits))
     return steps
 
@@ -144,9 +162,9 @@ def test_lanes_equal_the_walk(width, seed, ceiling, force_lane_merge):
         for (want, want_keys, _, _), (out, keys, packed, fits) in zip(
             walked, steps
         ):
-            assert out._values == want._values
+            assert out.values_array == want.values_array
             assert keys == want_keys
-            assert out._wire_size == timestamp_wire_bytes(_fresh(out))
+            _assert_wire_size(out, timestamp_wire_bytes(_fresh(out)))
             assert packed == (_fresh(out)._pack() if fits else None)
 
 
@@ -242,12 +260,12 @@ def test_fold_equals_the_step_simulation(
         assert got is None
         return
     out, keys = got
-    assert out._values == want[0]._values
+    assert out.values_array == want[0].values_array
     assert keys == want[1]
     assert out._packed == _fresh(out)._pack() is not None
     assert out._wire_size is None  # no memo on the operand, none invented
-    assert policy.merge_run(own, 2, frame)[0]._wire_size == want[0]._wire_size
     assert want[0]._wire_size == timestamp_wire_bytes(_fresh(out))
+    _assert_wire_size(policy.merge_run(own, 2, frame)[0], want[0]._wire_size)
 
 
 # ----------------------------------------------------------------------
@@ -272,10 +290,10 @@ def _assert_walk_agrees(force_lane_merge, policy, merges):
         timestamp_wire_bytes(own)
         want, want_keys = policy.merge_delta(own, 2, _fresh(sender_ts))
         assert want._packed is None
-        assert merged._values == want._values
+        assert merged.values_array == want.values_array
         assert keys == want_keys
-        assert merged._wire_size == want._wire_size
-        assert merged._wire_size == timestamp_wire_bytes(_fresh(merged))
+        assert want._wire_size == timestamp_wire_bytes(_fresh(merged))
+        _assert_wire_size(merged, want._wire_size)
 
 
 def test_own_counter_crossing_the_lane_range(force_lane_merge):
@@ -290,7 +308,7 @@ def test_own_counter_crossing_the_lane_range(force_lane_merge):
     merges = []
 
     ts, _ = policy.advance_delta(ts, "x")  # 2**31 - 1: the last that fits
-    assert ts._values[pos] == LANE_LIMIT - 1
+    assert ts.values_array[pos] == LANE_LIMIT - 1
     assert ts._packed == _fresh(ts)._pack() is not None
     sender_ts = _small_timestamp(policy, 1)
     merged, keys = policy.merge_delta(ts, 2, sender_ts)
@@ -298,12 +316,12 @@ def test_own_counter_crossing_the_lane_range(force_lane_merge):
     merges.append((ts, sender_ts, merged, keys))
 
     ts, _ = policy.advance_delta(merged, "x")  # 2**31: the cache is dropped
-    assert ts._values[pos] == LANE_LIMIT
+    assert ts.values_array[pos] == LANE_LIMIT
     assert ts._packed is None and ts._pack() is None
     sender_ts = _small_timestamp(policy, 2)
     merged, keys = policy.merge_delta(ts, 2, sender_ts)
     assert merged._packed is None
-    assert merged._values[pos] == LANE_LIMIT
+    assert merged.values_array[pos] == LANE_LIMIT
     merges.append((ts, sender_ts, merged, keys))
     _assert_walk_agrees(force_lane_merge, policy, merges)
 
@@ -314,12 +332,12 @@ def test_sender_counter_beyond_the_lane_range(big, force_lane_merge):
     ts = _small_timestamp(policy, 3)
     timestamp_wire_bytes(ts)
     assert ts._pack() is not None
-    values = list(_small_timestamp(policy, 4)._values)
+    values = list(_small_timestamp(policy, 4).values_array)
     values[17] = big
     sender_ts = Timestamp.from_array(policy._eindex, values)
     merged, keys = policy.merge_delta(ts, 2, sender_ts)
     assert sender_ts._packed is None and merged._packed is None
-    assert merged._values[17] == big
+    assert merged.values_array[17] == big
     _assert_walk_agrees(force_lane_merge, policy, [(ts, sender_ts, merged, keys)])
 
 
@@ -359,6 +377,205 @@ def test_frame_member_beyond_the_lane_range_takes_the_generic_path():
 
 
 # ----------------------------------------------------------------------
+# Born from lanes: the tuple is a view that nothing on the hot path reads
+# ----------------------------------------------------------------------
+WIRE_POOL = [
+    0, 1, 126, 127, 128, 129, 16_383, 16_384, 2**21 - 1, 2**21,
+    2**28 - 1, 2**28, LANE_LIMIT - 2, LANE_LIMIT - 1,
+]  # fmt: skip
+
+
+def _born(ts: Timestamp) -> Timestamp:
+    """The same value held as lanes alone, as the lane paths return it."""
+    return Timestamp._from_lanes(ts.edge_index, _fresh(ts)._pack())
+
+
+@given(width=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+@example(width=552, seed=1)
+@example(width=1, seed=2)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_lane_born_equals_its_tuple_born_twin(width, seed, force_lane_merge):
+    """Every reader answers alike for both forms, each from a cold
+    lane-born copy; the wire size is read off the lanes unpacked, and
+    an advance that fills a lane's top bit drops the lanes."""
+    rng = random.Random(seed)
+    policy = _policy(width)
+    eindex = policy._eindex
+
+    def draw():
+        values = [
+            rng.choice(WIRE_POOL) if rng.random() < 0.5 else rng.randrange(300)
+            for _ in range(width)
+        ]
+        if rng.random() < 0.3:
+            values[eindex.position[(1, 2)]] = LANE_LIMIT - 1
+        return Timestamp.from_array(eindex, values)
+
+    twin, other = draw(), draw()
+    cold = _born(twin)
+    assert timestamp_wire_bytes(cold) == timestamp_wire_bytes(_fresh(twin))
+    assert cold._values is None
+    assert _born(twin) == twin and twin == _born(twin) and _born(twin) == cold
+    assert (_born(twin) == other) == (twin == other)
+    readers = [
+        hash,
+        lambda ts: list(ts.items()),
+        lambda ts: ts.to_dict(),
+        lambda ts: [ts[e] for e in eindex.order],
+        lambda ts: ts.values_array,
+        lambda ts: ts.total(),
+        lambda ts: (ts.dominates(other), other.dominates(ts)),
+        lambda ts: ts.dominates(_born(other)),
+        lambda ts: (ts.diff_keys(other), ts.diff_keys(_born(other))),
+        encode_timestamp,
+    ]
+    for read in readers:
+        assert read(_born(twin)) == read(_fresh(twin))
+    force_lane_merge(True)
+    advanced, keys = policy.advance_delta(_born(twin), "x")
+    force_lane_merge(False)
+    assert (advanced, keys) == policy.advance_delta(_fresh(twin), "x")
+    assert (advanced._packed is None) == (twin[(1, 2)] == LANE_LIMIT - 1)
+
+
+@given(
+    width=st.integers(2, 600),
+    length=st.integers(1, 6),
+    defect=st.sampled_from([None, "stale", "gapped", "blocked"]),
+    at=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=552, length=3, defect="blocked", at=0, seed=1)
+@example(width=552, length=2, defect="stale", at=1, seed=2)
+@example(width=LANE_MIN_WIDTH, length=4, defect="gapped", at=2, seed=3)
+@settings(max_examples=60, deadline=None)
+def test_lane_predicate_equals_the_walk(width, length, defect, at, seed):
+    """``ready``, ``next_seq``, ``sender_seq`` and ``blocking_edge``
+    read lanes when a tuple is missing and answer as the walk does.
+    Each member meets replica 1 as the frame left it: ready in turn,
+    unless it is the stale, gapped or third-party-blocked one."""
+    policy = _policy(width)
+    own, frame = _frame(policy, random.Random(seed), length, defect, at % length)
+    for member in frame:
+        assert policy.next_seq(_born(own), 2) == policy.next_seq(own, 2)
+        assert policy.sender_seq(2, _born(member)) == policy.sender_seq(2, member)
+        want = policy.ready(own, 2, member)
+        for receiver, update in (
+            (_born(own), _born(member)),
+            (_born(own), member),
+            (own, _born(member)),
+        ):
+            assert policy.ready(receiver, 2, update) == want
+        if want:
+            own = _fresh(policy.merge(own, 2, member))
+            continue
+        lane_own = _born(own)
+        block = policy.blocking_edge(lane_own, 2, _born(member))
+        assert block == policy.blocking_edge(own, 2, member)
+        assert lane_own._values is None
+
+
+@given(width=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+@example(width=552, seed=1)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_raised_view_equals_the_walks_frozenset(width, seed, force_lane_merge):
+    rng = random.Random(seed)
+    policy = _policy(width)
+    order = policy._eindex.order
+    own, theirs = (
+        Timestamp.from_array(policy._eindex, [rng.randrange(4) for _ in order])
+        for _ in range(2)
+    )
+    force_lane_merge(False)
+    want = policy.merge_delta(own, 2, theirs)[1]
+    force_lane_merge(True)
+    view = policy.merge_delta(_fresh(own), 2, _fresh(theirs))[1]
+    assert isinstance(want, frozenset)
+    assert list(view) == [e for e in order if e in want]
+    assert [e for e in order if e in view] == list(view)
+    assert len(view) == len(want) and view == want
+    assert (0, 0) not in view  # an edge the index does not hold
+
+
+@pytest.mark.parametrize(
+    "untracked", [False, True], ids=["edge", "untracked-sender-edge"]
+)
+def test_lane_blocking_edge_equals_the_walk(untracked):
+    """Random blocked pairs on clique-6 (five incoming edges per
+    replica); ``untracked`` drops the sender edge from the receiver's
+    index, so ``J`` has no sequence conjunct and only third parties
+    block.  The lane-born receiver is read, never unpacked."""
+    graph = ShareGraph(clique_placements(6))
+    replicas = sorted(graph.replicas)
+    rng = random.Random(5)
+    blocked = 0
+    for _ in range(300):
+        rid, sender = rng.sample(replicas, 2)
+        policy = EdgeIndexedPolicy(graph, rid)
+        if untracked:
+            policy = EdgeIndexedPolicy.unsafe_with_edges(
+                graph, rid, policy.edges - {(sender, rid)}
+            )
+        eindex = policy._eindex
+        own = [rng.randrange(4) for _ in eindex.order]
+        theirs = [max(0, v + rng.choice((-1, 0, 0, 1))) for v in own]
+        seq_pos = eindex.position.get((sender, rid))
+        if seq_pos is not None and rng.random() < 0.7:
+            theirs[seq_pos] = own[seq_pos] + 1
+        own_ts, sender_ts = (Timestamp.from_array(eindex, v) for v in (own, theirs))
+        if policy.ready(own_ts, sender, sender_ts):
+            continue
+        blocked += 1
+        want = policy.blocking_edge(own_ts, sender, sender_ts)
+        lane_own = _born(own_ts)
+        for lane_sender in (_born(sender_ts), sender_ts):
+            assert policy.ready(lane_own, sender, lane_sender) is False
+            assert policy.blocking_edge(lane_own, sender, lane_sender) == want
+        assert lane_own._values is None
+    assert blocked > 100
+
+
+def test_dense_round_is_born_from_lanes_and_never_unpacked(monkeypatch):
+    """552 counters, shipped gate: every replica ends on a timestamp held
+    as lanes alone, and nothing -- ``J``, the wake sets, ``blocking_edge``,
+    wire sizing, the history check -- ever unpacks one."""
+    unpacked = []
+    unpack = Timestamp._unpack
+    monkeypatch.setattr(
+        Timestamp, "_unpack", lambda ts: unpacked.append(ts) or unpack(ts)
+    )
+    system = _run(random_placements(24, 80, 10, seed=11))
+    assert unpacked == []
+    assert all(r.timestamp._values is None for r in system.replicas.values())
+
+
+def test_sparse_round_holds_no_lanes(monkeypatch):
+    """The sparse shape, a tree of 16: no timestamp anywhere is packed or
+    born from lanes, so every path runs the tuple code it always ran."""
+    lanes = []
+    pack, born = Timestamp._pack, Timestamp._from_lanes
+    monkeypatch.setattr(
+        Timestamp, "_pack", lambda ts: lanes.append(ts) or pack(ts)
+    )
+    monkeypatch.setattr(
+        Timestamp,
+        "_from_lanes",
+        classmethod(lambda cls, *args: lanes.append(args) or born(*args)),
+    )
+    system = _run(tree_placements(16), writes=400)
+    assert lanes == []
+    assert all(r.timestamp._packed is None for r in system.replicas.values())
+
+
+# ----------------------------------------------------------------------
 # Selection: which systems take the lanes, unforced
 # ----------------------------------------------------------------------
 def _run(placements, writes=120, rate=20.0, **kwargs):
@@ -378,7 +595,7 @@ def test_dense_system_takes_the_lane_path_unforced():
         # 552 (pos, pos) pairs per policy that nothing reads any more ...
         assert policy._eindex not in policy._merge_plans
     # ... until a counter leaves the lane range and the walk needs them.
-    values = list(replica.timestamp._values)
+    values = list(replica.timestamp.values_array)
     values[0] = LANE_LIMIT
     policy.merge_delta(
         replica.timestamp, 1, Timestamp.from_array(policy._eindex, values)
@@ -399,7 +616,7 @@ def test_dense_batched_system_folds_unforced(monkeypatch):
     assert len(folded) > 100 and len(folded) > 0.9 * len(folds)
     # Born with their lanes: the next merge or fold packs nothing.
     assert all(ts._packed == _fresh(ts)._pack() is not None for ts in folded)
-    assert all(r.core.policy._third_masks for r in system.replicas.values())
+    assert all(r.core.policy._incoming_mask for r in system.replicas.values())
 
 
 @pytest.mark.parametrize(
@@ -434,7 +651,7 @@ def test_narrow_systems_never_pack(placements, kwargs, monkeypatch):
     assert packs == []
     assert all(eindex._lanes is None for eindex in indexes)
     assert all(r.timestamp._packed is None for r in system.replicas.values())
-    assert not any(r.core.policy._third_masks for r in system.replicas.values())
+    assert not any(r.core.policy._incoming_mask for r in system.replicas.values())
 
 
 def test_subclass_calling_super_gets_the_same_answers(force_lane_merge):
@@ -529,9 +746,10 @@ class TestBothSidesOfTheGate:
 
     def test_wide_frames_fold_between_single_merges(self, lanes, monkeypatch):
         """clique-9, 72 counters: frames of seven with a single update
-        between each.  A fold's result is born with its lanes, so the
-        chain packs the receivers' starting timestamps and each arriving
-        one once -- never a timestamp a receiver itself produced."""
+        between each.  A fold's result is born from lanes, and so is
+        every advance and merge, so the chain packs only the starting
+        timestamps of the writer and the two receivers -- never one a
+        replica produced."""
         cold = []
         pack = Timestamp._pack
         monkeypatch.setattr(
@@ -542,8 +760,6 @@ class TestBothSidesOfTheGate:
         graph = ShareGraph(clique_placements(9))
         updates = test_batching._issue_run(graph, 40, register="x0")
         seq, bat = test_batching._receiver_pair(graph, test_batching._CountingPolicy)
-        arrived = [u.timestamp for u in updates]
-        arrived += [seq.core.timestamp, bat.core.timestamp]
         for u in updates:
             seq.core.remote_update(1, u)
         for start in range(0, 40, 8):
@@ -553,4 +769,5 @@ class TestBothSidesOfTheGate:
         assert bat.core.policy.run_hits == (5 if lanes else 0)
         if lanes:
             assert bat.core.timestamp._packed is not None
-            assert all(any(ts is a for a in arrived) for ts in cold)
+            assert all(u.timestamp._values is None for u in updates)
+            assert len(cold) == 3 and all(ts.total() == 0 for ts in cold)

@@ -112,7 +112,9 @@ def test_merge_run_matches_scalar_step_simulation(force_lane_merge):
             assert got is not None, f"trial {trial}: rejected a ready run"
             assert got[0] == expect[0], f"trial {trial}: folded values"
             assert got[1] == expect[1], f"trial {trial}: raised keys"
-            assert got[0]._wire_size == expect[0]._wire_size
+            # A fold carries the memo only while no varint changed length.
+            assert got[0]._wire_size in (None, expect[0]._wire_size)
+            assert timestamp_wire_bytes(got[0]) == timestamp_wire_bytes(expect[0])
             fresh = Timestamp.from_array(got[0].edge_index, got[0].values_array)
             assert got[0]._packed == fresh._pack() is not None
             hits += 1
