@@ -436,13 +436,25 @@ class ProtocolCore:
     # Update reception (prototype steps 3-4)
     # ------------------------------------------------------------------
     def remote_update(self, src: ReplicaId, update: Update) -> None:
-        """Step 3: buffer the update, then step 4: drain what's ready."""
+        """Steps 3-4: buffer the update only if ``J`` refuses it.
+
+        At a drain fixpoint (nothing dirty, no candidate, not paused)
+        every buffered update fails ``J``, so the arrival is the only
+        update a drain could apply: next in sequence and admitted, it
+        applies at once (the drain runs only for senders that woke);
+        refused, it is buffered and filed; beyond the next sequence
+        number, it is buffered unfiled (its predecessor's apply marks
+        the sender dirty).  Any other arrival is buffered and drained.
+        """
         arrived = self._clock()
-        if self.sync_armed and self._fifo:
+        seq: Optional[int] = None
+        want: Optional[int] = None
+        if self._fifo:
             assert self._sender_seq is not None and self._next_seq is not None
             seq = self._sender_seq(src, update.timestamp)
             want = self._next_seq(self.timestamp, src)
-            if seq is not None and want is not None:
+        if seq is not None and want is not None:
+            if self.sync_armed:
                 if seq < want:
                     # At or below the delivery frontier: the content
                     # arrived via a snapshot install (or was applied and
@@ -459,7 +471,33 @@ class ProtocolCore:
                     # truncated or we are freshly recovered.  Catching up
                     # update-by-update would be O(history); escalate.
                     self._emit(EscalateSync("gap"))
-        self._enqueue(src, update, arrived)
+            seqmap = self._seqmaps.get(src, ())  # (): nothing buffered
+            if (
+                not self._dirty
+                and not self._candidates
+                and not self.paused
+                and seqmap is not None
+                and seq not in seqmap
+                and (
+                    self.pending_cap is None
+                    or not self.sync_armed
+                    or self._pending_total + 1 < self.pending_cap
+                )
+            ):
+                total = self._pending_total + 1
+                if total > self.metrics.pending_high_water:
+                    self.metrics.pending_high_water = total
+                if seq != want or not self._judge(src, update):
+                    self._enqueue(src, update, arrived, seq)
+                    return
+                if src in self._queues:
+                    self._dirty.add(src)
+                self._apply(src, update, arrived)
+                if self._dirty:
+                    self._drain()
+                return
+        self._enqueue(src, update, arrived, seq)
+        self._dirty.add(src)
         if self._pending_total > self.metrics.pending_high_water:
             self.metrics.pending_high_water = self._pending_total
         if (
@@ -548,10 +586,12 @@ class ProtocolCore:
                         and seq - want >= self.gap_threshold
                     ):
                         self._emit(EscalateSync("gap"))
-                self._enqueue(src, update, arrived)
+                self._enqueue(src, update, arrived, seq)
+                self._dirty.add(src)
         else:
             for update in updates:
                 self._enqueue(src, update, arrived)
+                self._dirty.add(src)
         if self._pending_total > self.metrics.pending_high_water:
             self.metrics.pending_high_water = self._pending_total
         if (
@@ -569,6 +609,12 @@ class ProtocolCore:
         """Re-run the readiness drain (unless paused)."""
         if not self.paused:
             self._drain()
+
+    def wake_all(self) -> None:
+        """Have the next drain re-judge every buffered sender (after a
+        timestamp assigned from outside: the arrival path trusts the old
+        judgements while nothing is dirty)."""
+        self._wake_on_changed(None)
 
     # ------------------------------------------------------------------
     # Global stabilization (visibility-cut policies, repro.gst)
@@ -729,11 +775,19 @@ class ProtocolCore:
         if self.emit_confirm:
             self._emit(ConfirmApplied(src, update))
 
-    def _enqueue(self, src: ReplicaId, update: Update, arrived: float) -> None:
+    def _enqueue(
+        self,
+        src: ReplicaId,
+        update: Update,
+        arrived: float,
+        seq: Optional[int] = None,
+    ) -> None:
+        """Buffer one update under its sender-edge sequence ``seq``
+        (asked of the policy when not given).  Marking the sender for
+        re-examination is the caller's decision."""
         arrival = self._arrival
         self._arrival += 1
-        seq: Optional[int] = None
-        if self._fifo:
+        if seq is None and self._fifo:
             assert self._sender_seq is not None
             seq = self._sender_seq(src, update.timestamp)
         queue = self._queues.get(src)
@@ -752,7 +806,6 @@ class ProtocolCore:
                     self._seqmaps[src] = None
                 else:
                     seqmap[seq] = arrival
-        self._dirty.add(src)
 
     def _wake_after_change(
         self, before: Timestamp, after: Timestamp
@@ -787,54 +840,53 @@ class ProtocolCore:
         scan their queue in arrival order, which preserves the historical
         semantics for arbitrary predicates.
 
-        Each entry that failed ``J`` on the way files the sender under
-        the counter its false conjunct reads: one for a seq-indexed
-        sender, one per scanned entry otherwise (an earlier entry turning
-        ready must pre-empt a later candidate).  Filings are dropped by
-        :meth:`_wake_on_changed` when their counter changes, never here:
-        an entry that failed before and fails again names the same
-        counter (it has not changed), so there is nothing stale to purge.
+        Each entry judged on the way (:meth:`_judge`) files the sender
+        under the counter its false conjunct reads when it fails: one
+        for a seq-indexed sender, one per scanned entry otherwise (an
+        earlier entry turning ready must pre-empt a later candidate).
         """
-        self.metrics.candidate_probes += 1
         queue = self._queues.get(sender)
         if not queue:
             return None
-        ts = self.timestamp
-        ready = self.policy.ready
         seqmap = self._seqmaps.get(sender) if self._fifo else None
         want: Optional[int] = None
         if seqmap is not None:
             assert self._next_seq is not None
             # None: sender edge untracked locally, scan instead.
-            want = self._next_seq(ts, sender)
-        found: Optional[int] = None
+            want = self._next_seq(self.timestamp, sender)
         if seqmap is not None and want is not None:
             arrival = seqmap.get(want)
             if arrival is None:
-                # Not arrived yet: nothing to file.  Its enqueue marks
-                # the sender dirty, and so does each of the sender's own
-                # applies (``_drain``, ``_apply_run``) -- the only thing
-                # that moves the counter ``next_seq`` reads while ``J``
-                # gates third parties (a policy whose merges can raise
-                # another sender's edge must report an unknown delta).
+                # Not arrived yet: nothing to file.  Its arrival judges
+                # it or marks the sender dirty, and each of the sender's
+                # own applies (``_drain``, ``_apply_run``, the arrival
+                # path) marks it dirty -- the only thing that moves the
+                # counter ``next_seq`` reads while ``J`` gates third
+                # parties (a policy whose merges can raise another
+                # sender's edge must report an unknown delta).
                 return None
-            if ready(ts, sender, queue[arrival][0].timestamp):
+            return arrival if self._judge(sender, queue[arrival][0]) else None
+        for arrival, entry in queue.items():
+            if self._judge(sender, entry[0]):
                 return arrival
-            failed = [arrival]
-        else:
-            failed = []
-            for arrival, entry in queue.items():
-                if ready(ts, sender, entry[0].timestamp):
-                    found = arrival
-                    break
-                failed.append(arrival)
+        return None
+
+    def _judge(self, sender: ReplicaId, update: Update) -> bool:
+        """``J`` for one update of ``sender``, counted in
+        ``candidate_probes``; a refused update files its sender under the
+        counter the first false conjunct reads.  Filings are dropped by
+        :meth:`_wake_on_changed` when that counter changes, never here:
+        a refusal repeated names the same (unchanged) counter."""
+        self.metrics.candidate_probes += 1
+        ts = self.timestamp
+        if self.policy.ready(ts, sender, update.timestamp):
+            return True
         blocking = self._blocking_edge
         if blocking is not None:
-            blocked = self._blocked_on
-            for arrival in failed:
-                edge = blocking(ts, sender, queue[arrival][0].timestamp)
-                blocked.setdefault(edge, set()).add(sender)
-        return found
+            self._blocked_on.setdefault(
+                blocking(ts, sender, update.timestamp), set()
+            ).add(sender)
+        return False
 
     def _drain(self) -> None:
         """Apply pending updates whose predicate J holds, to fixpoint."""
@@ -1030,6 +1082,7 @@ class ProtocolCore:
         self.clear_pending()
         for src, update, arrived in entries:
             self._enqueue(src, update, arrived)
+            self._dirty.add(src)
 
     def clear_pending(self) -> None:
         self._queues.clear()

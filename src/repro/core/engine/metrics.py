@@ -17,8 +17,8 @@ class ReplicaMetrics:
     issued: int = 0
     applied_remote: int = 0
     pending_high_water: int = 0
-    # Per-sender readiness probes (``_find_candidate`` calls): divided by
-    # ``applied_remote`` it prices the delivery engine's wake precision.
+    # Updates judged against ``J`` (on arrival or by the drain): divided
+    # by ``applied_remote`` it prices the delivery engine's wake precision.
     candidate_probes: int = 0
     apply_delay_total: float = 0.0
     apply_delay_max: float = 0.0

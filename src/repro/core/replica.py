@@ -252,6 +252,7 @@ class Replica(CoreAdapter):
     @CoreAdapter.timestamp.setter
     def timestamp(self, value: Timestamp) -> None:
         self.core.timestamp = value
+        self.core.wake_all()
 
     @property
     def pending(self) -> List[Tuple[ReplicaId, Update, float]]:

@@ -11,9 +11,13 @@ timestamps.
 
 from __future__ import annotations
 
+import functools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.ablations import (
     LaxSenderEdgePolicy,
@@ -34,8 +38,9 @@ from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import EdgeIndexedPolicy
 from repro.core.timestamp_graph import all_timestamp_graphs
 from repro.network.faults import ChannelFaults, FaultPlan, FaultyNetwork
+from repro.network.transport import Network
 from repro.sim import Simulator
-from repro.workloads import random_placements
+from repro.workloads import clique_placements, random_placements
 
 
 class Harness:
@@ -287,6 +292,31 @@ def test_buffer_resets_keep_the_wake_index_consistent(triangle):
     assert [a.update.value for a in three.take(Applied)] == ["after"]
 
 
+def test_installed_timestamp_wakes_every_buffered_sender(triangle):
+    """A timestamp installed through the adapter can make a buffered
+    update the next in its sender's sequence.  The next arrival from that
+    sender is beyond it, so it judges nothing itself: the install must
+    have marked the sender for the drain, or ``u2`` is stranded."""
+    u1, u2, u3 = _updates(triangle, 1, "x", 3)
+    applied = []
+    receiver = Replica(
+        2,
+        triangle,
+        EdgeIndexedPolicy(triangle, 2),
+        Network(Simulator(seed=0)),
+        on_apply=lambda rep, src, update: applied.append(update.uid),
+    )
+    receiver.on_message(1, u2)
+    assert receiver.pending_count == 1
+    frontier = Harness(2, triangle)  # the frontier u1's apply leaves
+    frontier.core.remote_update(1, u1)
+    receiver.timestamp = frontier.core.timestamp
+    receiver.on_message(1, u3)
+    assert applied == [u2.uid, u3.uid]
+    assert receiver.pending_count == 0
+    assert_index_consistent(receiver.core)
+
+
 def test_gating_flags_suppress_effect_allocation(triangle):
     writer = Harness(1, triangle)  # all gates off
     receiver = Harness(2, triangle)
@@ -495,3 +525,203 @@ def test_dense_engine_matches_naive_rescan_oracle(duplication):
         # Wake precision: the coarse wake set probed ~7.9 queues per apply
         # here; one counter per blocked sender brings it to ~1.5.
         assert probes / applies <= 2.0
+
+
+# ----------------------------------------------------------------------
+# Arrival-judged delivery vs the drain it short-cuts
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _twin_graph(name):
+    placements = {
+        "clique-6": lambda: clique_placements(6),
+        "dense-24": lambda: random_placements(24, 80, 10, seed=11),
+    }[name]()
+    graph = ShareGraph(placements)
+    edges = {r: tg.edges for r, tg in all_timestamp_graphs(graph).items()}
+    return graph, edges
+
+
+class _Twins:
+    """Every replica as two cores fed identical inputs.
+
+    ``fast[r]`` receives through :meth:`ProtocolCore.remote_update` as
+    it is; ``drained[r]`` is forced down the buffer-then-drain path on
+    every arrival (paused across the call, then ticked).  ``log[r]``
+    keeps the inputs that reached ``r``'s state, in order, for the naive
+    oracle: shed and stale-discarded deliveries never did.
+    """
+
+    def __init__(self, name):
+        self.graph, self.edges = _twin_graph(name)
+        self.now = 0.0
+        self.pool = []  # (dst, src, update) in flight
+        self.sent = []
+        self.applied = {}
+        self.log = {r: [] for r in self.graph.replicas}
+        self.fast, self.drained = {}, {}
+        for rid in self.graph.replicas:
+            for side, cores in (("fast", self.fast), ("drained", self.drained)):
+                applied = self.applied[side, rid] = []
+                cores[rid] = ProtocolCore(
+                    rid,
+                    self.graph,
+                    EdgeIndexedPolicy(self.graph, rid, edges=self.edges[rid]),
+                    functools.partial(self._effect, applied),
+                    clock=lambda: self.now,
+                    emit_applied=True,
+                )
+
+    def _effect(self, applied, effect):
+        if isinstance(effect, Applied):
+            applied.append((effect.src, effect.update.uid))
+        elif isinstance(effect, Send):
+            self.sent.append((effect.dst, effect.update))
+
+    def both(self, rid):
+        return self.fast[rid], self.drained[rid]
+
+    def write(self, rid, register):
+        self.now += 1.0
+        sends = []
+        for core in self.both(rid):
+            core.paused = False
+            core.tick()  # a client write finds its replica settled
+            self.sent = []
+            core.local_write(register, self.now)
+            sends.append([(d, u.uid, u.timestamp) for d, u in self.sent])
+        assert sends[0] == sends[1]
+        self.pool += [(dst, rid, update) for dst, update in self.sent]
+        self.log[rid].append((self.now, "write", register, self.now))
+        self.check(rid)
+
+    def deliver(self, index, duplicate=False):
+        dst, src, update = self.pool[index]
+        if not duplicate:
+            del self.pool[index]
+        self.now += 1.0
+        fast, drained = self.both(dst)
+        buffered = fast.pending
+        stale, shed = fast.metrics.stale_discarded, fast.metrics.updates_shed
+        fast.remote_update(src, update)
+        paused = drained.paused
+        drained.paused = True
+        drained.remote_update(src, update)
+        drained.paused = paused
+        if not paused:
+            drained.tick()
+        if fast.metrics.updates_shed > shed:
+            # The channel layer re-delivers what the shed rolled back.
+            gone = {arrived for _, _, arrived in buffered}
+            self.log[dst] = [
+                entry for entry in self.log[dst] if entry[0] not in gone
+            ]
+            self.pool += [(dst, s, u) for s, u, _ in buffered]
+            self.pool.append((dst, src, update))
+        elif fast.metrics.stale_discarded == stale:
+            self.log[dst].append((self.now, "recv", src, update))
+        self.check(dst)
+
+    def check(self, rid):
+        fast, drained = self.both(rid)
+        assert self.applied["fast", rid] == self.applied["drained", rid]
+        assert fast.timestamp == drained.timestamp
+        assert fast.store == drained.store
+        assert fast.pending == drained.pending
+        assert fast.blocked_on() == drained.blocked_on()
+        assert fast.queue_stats() == drained.queue_stats()
+        # Judged at most as often as the drain would have judged.
+        assert fast.metrics.candidate_probes <= drained.metrics.candidate_probes
+        assert replace(fast.metrics, candidate_probes=0) == replace(
+            drained.metrics, candidate_probes=0
+        )
+        assert_index_consistent(fast)
+        assert_index_consistent(drained)
+
+    def settle(self):
+        for rid in self.graph.replicas:
+            for core in self.both(rid):
+                core.pending_cap = None
+                core.paused = False
+                core.tick()
+            self.check(rid)
+        while self.pool:
+            self.deliver(0)
+
+    def assert_matches_oracle(self):
+        for rid in self.graph.replicas:
+            oracle = LegacyReplicaCore(
+                rid,
+                self.graph,
+                LegacyEdgeIndexedPolicy(self.graph, rid, edges=self.edges[rid]),
+            )
+            applied = []
+            for _, kind, a, b in self.log[rid]:
+                if kind == "write":
+                    oracle.local_write(a, b)
+                else:
+                    applied += [
+                        (src, u.uid) for src, u in oracle.remote_update(a, b)
+                    ]
+            core = self.fast[rid]
+            assert self.applied["fast", rid] == applied
+            assert core.store == oracle.store
+            assert core.timestamp == oracle.timestamp
+            assert core.pending_count == len(oracle.pending)
+
+
+_EVENTS = ("write",) * 3 + ("deliver",) * 6 + ("pause", "resume") * 2 + ("arm",)
+
+
+@pytest.mark.parametrize(
+    "name, steps, examples", [("clique-6", 60, 100), ("dense-24", 30, 12)]
+)
+def test_arrival_judged_delivery_equals_the_drain(name, steps, examples):
+    """A core that judges each arrival where it lands is indistinguishable
+    from one that buffers it and drains, after every event: reordering,
+    duplicates, third-party-blocked updates, pause with an eager or a
+    lazy resume (unpaused, nothing drained until the next arrival), and
+    an armed pending cap that sheds.  Both end where the naive rescan
+    oracle ends on the inputs that reached them.  The dense graph holds
+    552 counters per timestamp, so its judgements run in lanes."""
+
+    @settings(
+        max_examples=examples,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data())
+    def run(data):
+        world = _Twins(name)
+        replicas = sorted(world.graph.replicas)
+        for _ in range(steps):
+            kind = data.draw(st.sampled_from(_EVENTS))
+            if kind == "deliver" and world.pool:
+                world.deliver(
+                    data.draw(st.integers(0, len(world.pool) - 1)),
+                    duplicate=data.draw(st.integers(0, 7)) == 0,
+                )
+                continue
+            rid = data.draw(st.sampled_from(replicas))
+            if kind in ("write", "deliver"):
+                registers = sorted(world.graph.registers_at(rid))
+                world.write(rid, data.draw(st.sampled_from(registers)))
+            elif kind == "pause":
+                for core in world.both(rid):
+                    core.paused = True
+            elif kind == "resume":
+                eager = data.draw(st.booleans())
+                for core in world.both(rid):
+                    core.paused = False
+                    if eager:
+                        core.tick()
+                world.check(rid)
+            else:
+                cap = data.draw(st.integers(2, 5))
+                for core in world.both(rid):
+                    core.sync_armed = True
+                    core.pending_cap = cap
+        world.settle()
+        world.assert_matches_oracle()
+
+    run()
