@@ -7,9 +7,12 @@ Commands
 ``experiments``  regenerate paper experiment tables (E1..E14)
 ``race``         run the Theorem 8 adversarial race on a witness edge
 ``chaos``        sweep a fault-injection campaign (loss/dup/crash) over seeds
-``bench``        protocol throughput benchmarks (BENCH_protocol.json)
+``shard``        sharded deployment smoke: build, run, check, audit, price
 ``cluster``      real-socket TCP cluster: serve / launch / load / chaos
 ``soak``         sustained-load soak with a scheduled fault timeline
+``modelcheck``   exhaustively explore the interleavings of a small program
+
+Performance is measured by ``bench/run.py`` (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -218,37 +221,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         }
         _write_json(doc, args.report)
     return 0 if campaign_ok else 1
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness import bench
-
-    names = args.scenarios.split(",") if args.scenarios else None
-    policies = args.policy.split(",") if args.policy else None
-    doc = bench.run_bench(
-        names=names,
-        quick=args.quick,
-        compare=args.compare,
-        repeats=args.repeats,
-        batched=args.batched,
-        policies=policies,
-    )
-    print(bench.render(doc))
-    if args.output:
-        bench.save(doc, args.output)
-        print(f"wrote {args.output}")
-    if args.check:
-        committed = bench.load(args.check)
-        report = bench.check_regression(
-            doc, committed, tolerance=args.tolerance
-        )
-        print(f"regression check vs {args.check} (tolerance {args.tolerance:.0%}):")
-        print("\n".join(report.lines))
-        if not report.ok:
-            for failure in report.failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-    return 0
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
@@ -565,51 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the available --scenario presets and exit",
     )
     p_chaos.set_defaults(func=cmd_chaos)
-
-    p_bench = sub.add_parser(
-        "bench", help="protocol throughput benchmarks"
-    )
-    p_bench.add_argument(
-        "--scenarios",
-        "--scenario",
-        default=None,
-        help="comma-separated names, e.g. dense-24 (so a CI job can run "
-        "one row -- say shard-128 -- without paying for the whole matrix)",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true", help="small write counts, for CI smoke"
-    )
-    p_bench.add_argument(
-        "--compare",
-        action="store_true",
-        help="also run the legacy pre-optimization policy for speedup ratios",
-    )
-    p_bench.add_argument(
-        "--batched",
-        action="store_true",
-        help="also run every scenario with its flush window on",
-    )
-    p_bench.add_argument(
-        "--policy",
-        default=None,
-        help="comma-separated timestamp policies (edge,gst,adaptive): run "
-        "the per-policy comparison matrix (metadata bytes/op vs "
-        "visibility lag) for just those policies",
-    )
-    p_bench.add_argument("--repeats", type=int, default=3, help="best-of-N")
-    p_bench.add_argument(
-        "--output", default=None, help="write JSON document here"
-    )
-    p_bench.add_argument(
-        "--check", default=None, help="committed JSON to gate regressions against"
-    )
-    p_bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed fractional ops/s drop vs the committed document",
-    )
-    p_bench.set_defaults(func=cmd_bench)
 
     p_shard = sub.add_parser(
         "shard",

@@ -5,14 +5,6 @@ Each experiment of the E1-E14 index (see DESIGN.md) has a function in
 modules call these and print the rows the paper's figures/claims imply.
 """
 
-from repro.harness.bench import (
-    SCENARIOS,
-    BenchResult,
-    Scenario,
-    check_regression,
-    run_bench,
-    run_scenario,
-)
 from repro.harness.chaos import (
     CampaignReport,
     ChaosSpec,
@@ -41,27 +33,21 @@ from repro.harness.timeline import (
 )
 
 __all__ = [
-    "SCENARIOS",
-    "BenchResult",
     "CampaignReport",
     "ChaosSpec",
     "FaultAction",
     "JsonlWriter",
     "ProcessFaults",
-    "Scenario",
     "SoakReport",
     "SoakSpec",
     "Table",
     "TrialResult",
-    "check_regression",
     "derive_crashes",
     "install_faults",
     "metadata_comparison",
     "protocol_run",
-    "run_bench",
     "run_chaos_campaign",
     "run_chaos_trial",
-    "run_scenario",
     "run_soak",
     "run_summary",
     "store_divergence",

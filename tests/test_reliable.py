@@ -16,7 +16,12 @@ from repro.harness.timeline import FaultAction, derive_crashes, downtime
 from repro.network import ChannelFaults, FaultPlan, ReliableNetwork
 from repro.network.delays import FixedDelay, UniformDelay
 from repro.sim import Simulator
-from repro.workloads import fig5_placements, run_workload, uniform_writes
+from repro.workloads import (
+    fig5_placements,
+    ring_placements,
+    run_workload,
+    uniform_writes,
+)
 
 
 LOSSY = lambda seed: FaultPlan(  # noqa: E731 - test shorthand
@@ -62,6 +67,26 @@ def test_reliable_layer_suppresses_injected_duplicates():
     assert net.stats.duplicates_suppressed >= 20
     assert net.idle
     net.stats.assert_consistent()
+
+
+# ----------------------------------------------------------------------
+# Memory ceilings under seeded faults
+# ----------------------------------------------------------------------
+def test_arq_memory_stays_under_seeded_ceilings():
+    """1,200 writes at rate 50 on a ring of 12 over 5% loss and 4%
+    duplication.  Every fault decision is seeded, so the deepest pending
+    buffer and retransmit log are exact per run (25 and 23 when
+    recorded); the ceilings are ``max(2 * ref, ref + 8)`` of those.  At
+    this size they sit above what a leak reaches by the end of the run,
+    so quiescence -- every log and buffer empty -- is asserted too."""
+    plan = FaultPlan(seed=7, default=ChannelFaults(loss=0.05, duplication=0.04))
+    system = DSMSystem(ring_placements(12), seed=7, fault_plan=plan)
+    run_workload(system, uniform_writes(system.graph, 1200, rate=50.0, seed=13))
+    assert system.check().ok
+    assert system.quiescent()
+    metrics = system.metrics()
+    assert metrics.pending_high_water <= 50
+    assert metrics.unacked_high_water <= 46
 
 
 # ----------------------------------------------------------------------

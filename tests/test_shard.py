@@ -218,6 +218,9 @@ def test_sharded_metadata_beats_monolithic_by_5x():
     )
     assert sharded > 0
     assert mono / sharded >= 5.0
+    # Seeded, so a tight ceiling: 1.25x the 115.8 B/op recorded at full
+    # size (3,000 writes); these 400 measure 122.3.
+    assert sharded <= 144.8
 
 
 def test_per_replica_timestamps_stay_group_sized():
@@ -229,36 +232,3 @@ def test_per_replica_timestamps_stay_group_sized():
     # put every one of the thousands of global edges in every timestamp).
     assert len(counters) == 128
     assert max(counters.values()) < 120
-
-
-# ----------------------------------------------------------------------
-# Regression-gate wiring for the shard rows
-# ----------------------------------------------------------------------
-def _doc(ops, md, ratio):
-    row = {
-        "ops_per_s": ops,
-        "metadata_bytes_per_op": md,
-        "monolithic_bytes_per_op": md * ratio,
-        "metadata_ratio": ratio,
-    }
-    return {"schema": "repro-bench/1", "optimized": {"shard-128": row}}
-
-
-def test_check_regression_gates_shard_metadata():
-    from repro.harness.bench import check_regression
-
-    committed = _doc(9000.0, 120.0, 11.0)
-    # Identical run passes.
-    assert check_regression(_doc(9000.0, 120.0, 11.0), committed).ok
-    # Shard rows get the widened (>=50%) ops tolerance...
-    assert check_regression(_doc(5000.0, 120.0, 11.0), committed).ok
-    # ...but not a bottomless one.
-    assert not check_regression(_doc(4000.0, 120.0, 11.0), committed).ok
-    # Metadata bytes/op is deterministic: 25% headroom, no more.
-    assert check_regression(_doc(9000.0, 148.0, 11.0), committed).ok
-    report = check_regression(_doc(9000.0, 160.0, 11.0), committed)
-    assert not report.ok and "metadata_bytes_per_op" in report.failures[0]
-    # Once the committed row demonstrates >=5x economy, dropping below
-    # 5x fails even if bytes/op stayed under its own ceiling.
-    report = check_regression(_doc(9000.0, 120.0, 4.0), committed)
-    assert not report.ok and "metadata_ratio" in report.failures[0]
