@@ -12,6 +12,7 @@ from repro.core.timestamp_graph import all_timestamp_graphs
 from repro.harness import Table
 from repro.optimizations import TreeOverlaySystem, restrict_to_tree
 from repro.workloads import grid_placements, ring_placements, uniform_writes
+from repro.workloads.operations import run_workload
 
 
 def _overlay_run(graph, tree, seed=21, writes=120):
@@ -21,12 +22,9 @@ def _overlay_run(graph, tree, seed=21, writes=120):
         graph, writes, seed=seed + 1,
         writable={r: graph.registers_at(r) for r in graph.replicas},
     )
-    for op in stream:
-        system.system.simulator.schedule_at(
-            op.time, system.write, op.replica, op.register, op.value
-        )
-    system.run()
+    run_workload(system, stream)
     assert system.check().ok
+    assert system.audit_stores() == []
     return plan, system
 
 
@@ -70,7 +68,7 @@ def test_tree_restriction_sweep(benchmark):
             after = all_timestamp_graphs(plan.share_graph())
             after_sizes = [len(after[r].edges) for r in graph.replicas]
             hops = [
-                h for values in system.delivery_hops.values() for h in values
+                d.hops for values in system.deliveries.values() for d in values
             ]
             table.add_row(
                 name,

@@ -104,60 +104,6 @@ class SystemMetrics:
         return sum(self.timestamp_counters.values())
 
 
-def aggregate_metrics(
-    replicas: Mapping[ReplicaId, Replica], network: Network
-) -> SystemMetrics:
-    """Aggregate :class:`SystemMetrics` over any set of wired replicas.
-
-    Shared by :class:`DSMSystem` and the sharding layer's
-    :class:`~repro.shard.ShardedSystem`, which wires replicas manually
-    over one network but reports the same metrics document.
-    """
-    delay_total = sum(r.metrics.apply_delay_total for r in replicas.values())
-    delay_count = sum(r.metrics.applied_remote for r in replicas.values())
-    visible_count = sum(r.metrics.visible_count for r in replicas.values())
-    visible_lag_total = sum(
-        r.metrics.visible_lag_total for r in replicas.values()
-    )
-    stats = network.stats
-    return SystemMetrics(
-        timestamp_counters={
-            rid: r.policy.counters() for rid, r in replicas.items()
-        },
-        messages_sent=stats.messages_sent,
-        messages_delivered=stats.messages_delivered,
-        metadata_counters_sent=stats.metadata_counters_sent,
-        metadata_bytes_sent=stats.metadata_bytes_sent,
-        issued=sum(r.metrics.issued for r in replicas.values()),
-        applied_remote=delay_count,
-        pending_high_water=max(
-            (r.metrics.pending_high_water for r in replicas.values()),
-            default=0,
-        ),
-        mean_apply_delay=delay_total / delay_count if delay_count else 0.0,
-        syncs=sum(r.metrics.syncs for r in replicas.values()),
-        updates_shed=sum(r.metrics.updates_shed for r in replicas.values()),
-        stale_discarded=sum(
-            r.metrics.stale_discarded for r in replicas.values()
-        ),
-        unacked_high_water=stats.unacked_high_water,
-        retransmit_log_compacted=stats.retransmit_log_compacted,
-        retransmit_log_compacted_bytes=stats.retransmit_log_compacted_bytes,
-        retransmit_log_truncated=stats.retransmit_log_truncated,
-        visible_count=visible_count,
-        mean_visible_lag=(
-            visible_lag_total / visible_count if visible_count else 0.0
-        ),
-        max_visible_lag=max(
-            (r.metrics.visible_lag_max for r in replicas.values()),
-            default=0.0,
-        ),
-        candidate_probes=sum(
-            r.metrics.candidate_probes for r in replicas.values()
-        ),
-    )
-
-
 class DSMSystem(_AdapterSet):
     """A complete simulated partially replicated DSM.
 
@@ -387,7 +333,46 @@ class DSMSystem(_AdapterSet):
     # ------------------------------------------------------------------
     def metrics(self) -> SystemMetrics:
         """Aggregate protocol metrics for the run so far."""
-        return aggregate_metrics(self.replicas, self.network)
+        per = [r.metrics for r in self.replicas.values()]
+        delay_count = sum(m.applied_remote for m in per)
+        visible_count = sum(m.visible_count for m in per)
+        stats = self.network.stats
+        return SystemMetrics(
+            timestamp_counters={
+                rid: r.policy.counters() for rid, r in self.replicas.items()
+            },
+            messages_sent=stats.messages_sent,
+            messages_delivered=stats.messages_delivered,
+            metadata_counters_sent=stats.metadata_counters_sent,
+            metadata_bytes_sent=stats.metadata_bytes_sent,
+            issued=sum(m.issued for m in per),
+            applied_remote=delay_count,
+            pending_high_water=max(
+                (m.pending_high_water for m in per), default=0
+            ),
+            mean_apply_delay=(
+                sum(m.apply_delay_total for m in per) / delay_count
+                if delay_count
+                else 0.0
+            ),
+            syncs=sum(m.syncs for m in per),
+            updates_shed=sum(m.updates_shed for m in per),
+            stale_discarded=sum(m.stale_discarded for m in per),
+            unacked_high_water=stats.unacked_high_water,
+            retransmit_log_compacted=stats.retransmit_log_compacted,
+            retransmit_log_compacted_bytes=stats.retransmit_log_compacted_bytes,
+            retransmit_log_truncated=stats.retransmit_log_truncated,
+            visible_count=visible_count,
+            mean_visible_lag=(
+                sum(m.visible_lag_total for m in per) / visible_count
+                if visible_count
+                else 0.0
+            ),
+            max_visible_lag=max(
+                (m.visible_lag_max for m in per), default=0.0
+            ),
+            candidate_probes=sum(m.candidate_probes for m in per),
+        )
 
     def __repr__(self) -> str:
         return f"DSMSystem({len(self.replicas)} replicas)"

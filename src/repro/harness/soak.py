@@ -121,7 +121,7 @@ def shard_soak_placements(
     communities with overlay registers, instead of the default ring.
 
     Derived from :func:`repro.shard.plan.social_shard_plan` -- the same
-    planner behind :class:`~repro.shard.runtime.ShardedSystem` -- scaled
+    planner behind :class:`~repro.shard.system.ShardedSystem` -- scaled
     down to process-cluster size (``replicas`` rounds up to a multiple
     of the community size, minimum two communities of four).
     """

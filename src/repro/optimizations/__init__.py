@@ -5,8 +5,9 @@
 * :mod:`repro.optimizations.dummy` -- dummy registers: trade extra
   metadata messages and false dependencies for smaller timestamps, up to
   full-replication emulation.
-* :mod:`repro.optimizations.virtual` -- virtual registers and restricted
-  communication topologies ("breaking the ring", Figure 13).
+* :mod:`repro.optimizations.tree_overlay` -- restricted communication:
+  re-route registers over carrier (virtual) registers along a spanning
+  tree; Figure 13's ring breaking is a ring restricted to a path tree.
 * :mod:`repro.optimizations.bounded` -- cap tracked loop lengths,
   sacrificing causality unless the network is loosely synchronous.
 """
@@ -30,7 +31,6 @@ from repro.optimizations.tree_overlay import (
     TreeOverlaySystem,
     restrict_to_tree,
 )
-from repro.optimizations.virtual import VirtualRoutePlan, break_ring_edge
 
 __all__ = [
     "bounded_policy_factory",
@@ -46,6 +46,4 @@ __all__ = [
     "TreeOverlayPlan",
     "TreeOverlaySystem",
     "restrict_to_tree",
-    "VirtualRoutePlan",
-    "break_ring_edge",
 ]

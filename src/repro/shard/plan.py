@@ -54,6 +54,7 @@ from typing import (
 from repro.core.loops import LoopFinder
 from repro.core.share_graph import ShareGraph
 from repro.errors import ConfigurationError
+from repro.optimizations.tree_overlay import tree_next_hops
 from repro.types import Edge, RegisterName, ReplicaId
 
 GroupName = str
@@ -115,6 +116,14 @@ class ShardPlan:
     def alias(self, group: GroupName, register: RegisterName) -> RegisterName:
         """The per-group physical copy of a cross-group register."""
         return f"{register}@{group}"
+
+    # The overlay forwarder's view: nodes are groups.
+    @property
+    def subscribers(self) -> Mapping[RegisterName, Tuple[GroupName, ...]]:
+        return self.cross_registers
+
+    def node_of(self, replica: ReplicaId) -> GroupName:
+        return self.group_of[replica]
 
     # ------------------------------------------------------------------
     # Derived structures
@@ -206,36 +215,6 @@ class ShardPlan:
         }
 
 
-def _group_tree_next_hops(
-    names: Sequence[GroupName],
-    tree_edges: FrozenSet[Tuple[GroupName, GroupName]],
-) -> Dict[GroupName, Dict[GroupName, GroupName]]:
-    adjacency: Dict[GroupName, List[GroupName]] = {g: [] for g in names}
-    for (a, b) in tree_edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    for g in adjacency:
-        adjacency[g].sort()
-    next_hop: Dict[GroupName, Dict[GroupName, GroupName]] = {}
-    for root in names:
-        hops: Dict[GroupName, GroupName] = {}
-        frontier = [(n, n) for n in adjacency[root]]
-        seen = {root}
-        while frontier:
-            nxt: List[Tuple[GroupName, GroupName]] = []
-            for node, first in frontier:
-                if node in seen:
-                    continue
-                seen.add(node)
-                hops[node] = first
-                for neighbour in adjacency[node]:
-                    if neighbour not in seen:
-                        nxt.append((neighbour, first))
-            frontier = nxt
-        next_hop[root] = hops
-    return next_hop
-
-
 def make_shard_plan(
     group_placements: Mapping[
         GroupName, Mapping[ReplicaId, AbstractSet[RegisterName]]
@@ -297,22 +276,7 @@ def make_shard_plan(
                 f"contact {contact!r} is not a member of group {gname!r}"
             )
     edges = frozenset(tuple(sorted(e)) for e in tree_edges)
-    for (a, b) in edges:
-        if a not in groups or b not in groups:
-            raise ConfigurationError(
-                f"tree edge {a!r}-{b!r} names an unknown group"
-            )
-    if len(names) > 1:
-        if len(edges) != len(names) - 1:
-            raise ConfigurationError(
-                f"a spanning tree of {len(names)} groups needs "
-                f"{len(names) - 1} edges, got {len(edges)}"
-            )
-        next_hop = _group_tree_next_hops(names, edges)
-        if any(len(next_hop[g]) != len(names) - 1 for g in names):
-            raise ConfigurationError("tree edges do not span all groups")
-    else:
-        next_hop = {names[0]: {}}
+    next_hop = tree_next_hops(names, edges, noun="group")
     cross: Dict[RegisterName, Tuple[GroupName, ...]] = {}
     for register in sorted(cross_registers, key=_sort_key):
         if str(register).startswith(OVERLAY_PREFIX):

@@ -134,7 +134,7 @@ def test_cross_register_reaches_every_subscriber_group():
     for contact in (1, 4, 7):
         assert system.read(contact, "hot") == "fan-out"
     # ga -> gb is one hop, ga -> gc two (path tree).
-    assert sorted(system.delivery_hops["hot"]) == [1, 2]
+    assert sorted(d.hops for d in system.deliveries["hot"]) == [1, 2]
     assert system.check().ok
     assert system.audit_stores() == []
 
@@ -172,7 +172,7 @@ def test_end_to_end_zipf_run_checks_and_audits_clean():
     assert system.check().ok
     assert system.audit_stores() == []
     # The overlay actually carried traffic (cross registers were hit).
-    assert system.delivery_hops
+    assert system.deliveries
 
 
 def test_scalar_and_vectorized_sharded_runs_agree(force_lane_merge):

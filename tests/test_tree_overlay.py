@@ -13,6 +13,7 @@ from repro.optimizations.tree_overlay import (
     restrict_to_tree,
 )
 from repro.workloads import grid_placements, ring_placements
+from repro.workloads.operations import run_workload
 
 
 @pytest.fixture
@@ -98,8 +99,9 @@ def test_rerouted_value_arrives(ring6):
     system.run()
     assert system.read(4, "s3_4") == "via-hub"
     assert system.check().ok
+    assert system.audit_stores() == []
     # Star routing: 3 -> 1 -> 4 is exactly 2 hops.
-    assert system.delivery_hops["s3_4"] == [2]
+    assert [d.hops for d in system.deliveries["s3_4"]] == [2]
 
 
 def test_direct_registers_unaffected(ring6):
@@ -108,6 +110,8 @@ def test_direct_registers_unaffected(ring6):
     system.write(1, "s1_2", "direct")
     system.run()
     assert system.read(2, "s1_2") == "direct"
+    assert system.deliveries == {}
+    assert system.audit_stores() == []
 
 
 def test_bidirectional_rerouting(ring6):
@@ -119,8 +123,9 @@ def test_bidirectional_rerouting(ring6):
     system.write(6, "s1_6", "up")
     system.run()
     assert system.read(1, "s1_6") == "up"
-    assert system.delivery_hops["s1_6"] == [5, 5]
+    assert [d.hops for d in system.deliveries["s1_6"]] == [5, 5]
     assert system.check().ok
+    assert system.audit_stores() == []
 
 
 def test_overlay_run_consistent_under_load(ring6):
@@ -132,13 +137,10 @@ def test_overlay_run_consistent_under_load(ring6):
         ring6, 150, seed=5,
         writable={r: ring6.registers_at(r) for r in ring6.replicas},
     )
-    for op in stream:
-        system.system.simulator.schedule_at(
-            op.time, system.write, op.replica, op.register, op.value
-        )
-    system.run()
+    run_workload(system, stream)
     result = system.check()
     assert result.ok, str(result)
+    assert system.audit_stores() == []
 
 
 def test_grid_to_tree(ring6):
@@ -154,6 +156,7 @@ def test_grid_to_tree(ring6):
     system.run()
     assert system.read(5, "s2_5") == 42
     assert system.check().ok
+    assert system.audit_stores() == []
 
 
 # ----------------------------------------------------------------------
@@ -167,12 +170,9 @@ def _drive_overlay(plan, graph, writes=150, **system_kwargs):
         graph, writes, seed=5, rate=20.0,
         writable={r: graph.registers_at(r) for r in graph.replicas},
     )
-    for op in stream:
-        system.system.simulator.schedule_at(
-            op.time, system.write, op.replica, op.register, op.value
-        )
-    system.run()
+    run_workload(system, stream)
     assert system.check().ok
+    assert system.audit_stores() == []
     return system
 
 
@@ -190,7 +190,7 @@ def test_overlay_vectorized_run_matches_scalar(ring6, force_lane_merge):
             (e.kind, e.replica, e.uid, round(e.time, 9))
             for e in system.system.history.events
         ]
-        return stores, events, system.delivery_hops
+        return stores, events, system.deliveries
 
     assert snapshot(False) == snapshot(True)
     # The same holds with send-side batching on: coalescing changes the

@@ -68,13 +68,12 @@ def test_overlay_delivers_and_stays_consistent(setup, seed):
     for n, register in enumerate(shared * 3):
         clock += rng.uniform(0.5, 3.0)
         writer = sorted(graph.replicas_storing(register))[0]
-        system.system.simulator.schedule_at(
-            clock, system.write, writer, register, f"v{n}"
-        )
+        system.schedule_write(clock, writer, register, f"v{n}")
         final[register] = f"v{n}"
     system.run()
     result = system.check()
     assert result.ok, str(result)
+    assert system.audit_stores() == []
     # Per-writer FIFO (predicate J) plus overlay causality: every holder
     # ends at the writer's final value.
     for register, value in final.items():
