@@ -14,7 +14,6 @@ from repro.checker.check import (
     SessionViolation,
     check_history,
     frontier_closure_violations,
-    relevant_update_mask,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "SessionViolation",
     "check_history",
     "frontier_closure_violations",
-    "relevant_update_mask",
 ]

@@ -6,18 +6,23 @@
 * **Liveness**: every issued update on register ``x`` is eventually applied
   at every replica storing ``x`` (checked at quiescence).
 
-The replay maintains, per replica, a bitmask of *strictly applied* updates
-(not the causal closure the History keeps for past queries) and checks each
-apply event against the causal-past mask of the applied update, restricted
-to updates relevant to the replica.
+A causal past is a frontier, one chain position per issuer
+(:mod:`repro.core.causality`).  The replay keeps per replica a *covered*
+frontier: per issuer, the position just before the first update relevant
+to the replica (on a register it stores) not yet applied.  An apply is
+safe iff the update's past is at most that in every lane, one lane
+comparison; only when it is not are the missing updates listed, in issue
+order, from per-(replica, issuer) lists of relevant updates.
 """
 
 from __future__ import annotations
 
+import sys
+from copy import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.causality import History
+from repro.core.causality import History, lane, lane_max
 from repro.core.share_graph import ShareGraph
 from repro.errors import ConsistencyViolation
 from repro.types import ReplicaId, UpdateId
@@ -113,6 +118,87 @@ class CheckResult:
         return "\n".join(lines)
 
 
+#: A covered lane with no relevant update left to miss.
+_ALL = 0x7FFFFFFF
+
+#: Per lane slot: one replica's relevant updates of that issuer, in order.
+Relevance = List[List[int]]
+
+
+def _positions(history: History) -> Dict[object, Dict[int, List[int]]]:
+    """Per register, per issuer slot: its updates, in issue order."""
+    out: Dict[object, Dict[int, List[int]]] = {}
+    for i, (s, record) in enumerate(zip(history.slots, history.updates.values())):
+        out.setdefault(record.register, {}).setdefault(s, []).append(i)
+    return out
+
+
+def _relevance(positions, registers, width: int) -> Relevance:
+    rel: Relevance = [[] for _ in range(width)]
+    for x in registers:
+        for s, updates in positions.get(x, {}).items():
+            rel[s] += updates
+    for updates in rel:
+        updates.sort()
+    return rel
+
+
+class _Cover:
+    """The relevant updates one replica holds (applied, or visible), as a
+    covered frontier.
+
+    ``rel[s]`` lists slot ``s``'s updates relevant to the replica, in
+    chain order, and ``next[s]`` indexes the first one not seen; in lane
+    ``s``, ``lanes`` reads the chain position just before it.  ``taken``
+    numbers the updates the replica took, in order: a cover sees the first
+    ``upto`` of them (all, or those taken before a serve).
+    """
+
+    __slots__ = ("rel", "seqs", "taken", "upto", "next", "lanes")
+
+    def __init__(self, rel, seqs, taken, upto=sys.maxsize) -> None:
+        self.rel, self.seqs, self.taken, self.upto = rel, seqs, taken, upto
+        self.next = [self._skip(s, 0) for s in range(len(rel))]
+        self.lanes = sum(self._covered(s) << (s << 5) for s in range(len(rel)))
+
+    def _skip(self, s: int, k: int) -> int:
+        rel, taken, upto = self.rel[s], self.taken, self.upto
+        while k < len(rel) and taken.get(rel[k], upto) < upto:
+            k += 1
+        return k
+
+    def _covered(self, s: int) -> int:
+        rel, k = self.rel[s], self.next[s]
+        return self.seqs[rel[k]] - 1 if k < len(rel) else _ALL
+
+    def take(self, s: int, i: int) -> None:
+        """Hold update ``i``, issued by slot ``s``."""
+        self.taken[i] = len(self.taken)
+        rel, k = self.rel[s], self.next[s]
+        if k < len(rel) and rel[k] == i:
+            self.next[s] = self._skip(s, k + 1)
+            self.lanes += (self._covered(s) - self.seqs[i] + 1) << (s << 5)
+
+    def missing(self, past: int) -> List[int]:
+        """The relevant updates in ``past`` not seen, in issue order."""
+        out: List[int] = []
+        taken, upto, seqs = self.taken, self.upto, self.seqs
+        for s, rel in enumerate(self.rel):
+            limit, k = lane(past, s), self.next[s]
+            while k < len(rel) and seqs[rel[k]] <= limit:
+                if taken.get(rel[k], upto) >= upto:
+                    out.append(rel[k])
+                k += 1
+        return sorted(out)
+
+    def snapshot(self) -> "_Cover":
+        """This cover as it stands, unmoved by later takes."""
+        twin = copy(self)
+        twin.next = list(self.next)
+        twin.upto = len(self.taken)
+        return twin
+
+
 def check_history(
     history: History,
     graph: ShareGraph,
@@ -138,7 +224,7 @@ def check_history(
         apply in per-channel FIFO order -- which legitimately violates
         Definition 2 at apply events -- and restore causal safety at the
         visibility cut.  With ``visibility=True`` safety is verified at
-        ``"visible"`` events against per-replica *visible* masks (apply
+        ``"visible"`` events against per-replica *visible* sets (apply
         and issue events still feed the session-closure bookkeeping but
         are not themselves judged), and liveness requires every update to
         become visible (not merely applied) at every storing replica.
@@ -153,88 +239,79 @@ def check_history(
         missing dependency); liveness is still judged against ``graph``
         (the final placement), with state transfers logged as applies.
     """
-    result = CheckResult()
+    result = CheckResult(updates_checked=len(history.updates))
+    width = len(history.replicas)
+    top = history.top
+    order, index, closures = history.order, history.index, history.closures
+    slots, seqs = history.slots, history.seqs
 
-    # One pass over the log builds a per-register update mask; each epoch's
-    # per-replica relevance is then an OR over the registers the replica
-    # stores, and replicas whose placement did not change across an epoch
-    # boundary reuse the previous epoch's mask outright.  (The naive form
-    # re-walked every update for every epoch graph.)
-    register_masks: Dict[object, int] = {}
-    for uid in history.all_updates():
-        record = history.updates[uid]
-        register_masks[record.register] = (
-            register_masks.get(record.register, 0) | history.bit_of(uid)
-        )
-    prev_registers: Dict[ReplicaId, object] = {}
-    prev_masks: Dict[ReplicaId, int] = {}
+    # Relevance is assembled from per-register lists built in one pass; a
+    # replica whose placement an epoch left alone keeps its lists and cover.
+    positions = _positions(history)
+    prev: Dict[ReplicaId, Tuple[object, Relevance]] = {}
 
-    def relevance_for(g: ShareGraph) -> Dict[ReplicaId, int]:
-        masks: Dict[ReplicaId, int] = {}
+    def relevance_for(g: ShareGraph) -> Dict[ReplicaId, Relevance]:
+        out: Dict[ReplicaId, Relevance] = {}
         for r in g.replicas:
             registers = g.registers_at(r)
-            if prev_registers.get(r) == registers:
-                masks[r] = prev_masks[r]
-                continue
-            mask = 0
-            for x in registers:
-                mask |= register_masks.get(x, 0)
-            masks[r] = mask
-            prev_registers[r] = registers
-            prev_masks[r] = mask
-        return masks
+            last = prev.get(r)
+            if last is None or last[0] != registers:
+                last = prev[r] = (registers, _relevance(positions, registers, width))
+            out[r] = last[1]
+        return out
 
     relevant = relevance_for(graph)
-    boundaries: List[Tuple[int, Dict[ReplicaId, int]]] = []
+    boundaries: List[Tuple[int, Dict[ReplicaId, Relevance]]] = []
     if epoch_graphs:
         boundaries = [
             (pos, relevance_for(g))
             for pos, g in sorted(epoch_graphs, key=lambda pg: pg[0])
         ]
-    result.updates_checked = len(history.all_updates())
+    nothing: Relevance = [[] for _ in range(width)]
 
-    applied: Dict[ReplicaId, int] = {r: 0 for r in graph.replicas}
-    closure: Dict[ReplicaId, int] = {r: 0 for r in graph.replicas}
-    visible: Dict[ReplicaId, int] = {r: 0 for r in graph.replicas}
-    visible_closure: Dict[ReplicaId, int] = {r: 0 for r in graph.replicas}
-    client_mask: Dict[object, int] = {}
+    def new_cover(covers: Dict[ReplicaId, _Cover], rep: ReplicaId) -> _Cover:
+        cover = covers[rep] = _Cover(relevant.get(rep, nothing), seqs, {})
+        return cover
+
+    def report(found: List, cover: _Cover, past: int, make) -> None:
+        missing = cover.missing(past)[: max_violations - len(found)]
+        found += [make(order[j]) for j in missing]
+
+    applied: Dict[ReplicaId, _Cover] = {}
+    visible: Dict[ReplicaId, _Cover] = {}
+    # Sessions: closures replayed per replica, and the applied state each
+    # serve-time token names, snapshotted when the replay reaches it.
+    sessions = bool(history.accesses)
+    closure: Dict[ReplicaId, int] = {}
+    visible_closure: Dict[ReplicaId, int] = {}
+    client_front: Dict[object, int] = {}
+    wanted: Dict[int, List[ReplicaId]] = {}
+    for e in (history.events[p] for p in history.accesses):
+        if e.token is not None:
+            wanted.setdefault(e.token.position, []).append(e.replica)
+    served: Dict[Tuple[int, ReplicaId], _Cover] = {}
+
     next_boundary = 0
     for event in history.events:
+        position = event.position
         while (
             next_boundary < len(boundaries)
-            and event.position >= boundaries[next_boundary][0]
+            and position >= boundaries[next_boundary][0]
         ):
             relevant = boundaries[next_boundary][1]
             next_boundary += 1
+            for covers in (applied, visible):
+                for r, cover in list(covers.items()):
+                    rel = relevant.get(r, nothing)
+                    if cover.rel is not rel:
+                        covers[r] = _Cover(rel, seqs, cover.taken)
+        if wanted and position in wanted:
+            for r in wanted.pop(position):
+                cover = applied.get(r) or new_cover(applied, r)
+                served[position, r] = cover.snapshot()
         rep = event.replica
-        if event.kind == "visible":
-            # Only meaningful under a stabilizing policy; a non-visibility
-            # check over a history that happens to carry visible events
-            # (mixed-policy runs) ignores them -- applies already passed.
-            if not visibility:
-                continue
-            uid = event.uid
-            missing_mask = (
-                history.past_mask_of(uid)
-                & relevant.get(rep, 0)
-                & ~visible.get(rep, 0)
-            )
-            if missing_mask and len(result.safety) < max_violations:
-                for missing_uid in _mask_updates(history, missing_mask):
-                    result.safety.append(
-                        SafetyViolation(rep, uid, missing_uid, event.time)
-                    )
-                    if len(result.safety) >= max_violations:
-                        break
-            visible[rep] = visible.get(rep, 0) | history.bit_of(uid)
-            visible_closure[rep] = (
-                visible_closure.get(rep, 0)
-                | history.bit_of(uid)
-                | history.past_mask_of(uid)
-            )
-            result.applies_checked += 1
-            continue
-        if event.kind == "access":
+        kind = event.kind
+        if kind == "access":
             # Client-server session safety: the client's causal past,
             # restricted to registers of X_rep, must be applied at rep.
             # An event with a serve-time token (lossy channels: the access
@@ -246,57 +323,73 @@ def check_history(
             # grown) against the visible state.  Serve-time tokens still
             # snapshot applied state -- lossy-channel client-server runs
             # use non-stabilizing policies.
-            mask = client_mask.get(event.client, 0)
-            if event.token is not None:
-                applied_at_serve = event.token.applied
-                growth = event.token.closure
+            client = event.client
+            past = client_front.get(client, 0)
+            token = event.token
+            if token is not None:
+                cover = served[token.position, rep]
+                rel = relevant.get(rep, nothing)
+                if cover.rel is not rel:  # an epoch began since the serve
+                    cover = _Cover(rel, seqs, cover.taken, cover.upto)
+                growth = token.closure
             elif visibility:
-                applied_at_serve = visible.get(rep, 0)
+                cover = visible.get(rep) or new_cover(visible, rep)
                 growth = visible_closure.get(rep, 0)
             else:
-                applied_at_serve = applied.get(rep, 0)
+                cover = applied.get(rep) or new_cover(applied, rep)
                 growth = closure.get(rep, 0)
-            missing_mask = mask & relevant.get(rep, 0) & ~applied_at_serve
-            if missing_mask and len(result.session) < max_violations:
-                for missing_uid in _mask_updates(history, missing_mask):
-                    result.session.append(
-                        SessionViolation(
-                            event.client, rep, missing_uid, event.time
-                        )
-                    )
-                    if len(result.session) >= max_violations:
-                        break
-            client_mask[event.client] = mask | growth
+            if ((cover.lanes | top) - past) & top != top:
+                report(
+                    result.session, cover, past,
+                    lambda m: SessionViolation(client, rep, m, event.time),
+                )
+            client_front[client] = lane_max(past, growth, top)
             continue
+        if kind == "visible":
+            # Only meaningful under a stabilizing policy; a non-visibility
+            # check over a history that happens to carry visible events
+            # (mixed-policy runs) ignores them -- applies already passed.
+            if not visibility:
+                continue
+            covers, grown = visible, visible_closure
+        else:
+            covers, grown = applied, closure
         uid = event.uid
-        if not visibility:
-            missing_mask = (
-                history.past_mask_of(uid)
-                & relevant.get(rep, 0)
-                & ~applied.get(rep, 0)
-            )
-            if missing_mask and len(result.safety) < max_violations:
-                for missing_uid in _mask_updates(history, missing_mask):
-                    result.safety.append(
-                        SafetyViolation(rep, uid, missing_uid, event.time)
-                    )
-                    if len(result.safety) >= max_violations:
-                        break
+        i = index[uid]
+        s = slots[i]
+        cover = covers.get(rep) or new_cover(covers, rep)
+        if visibility == (kind == "visible"):
+            past = closures[i] - (1 << (s << 5))
+            if ((cover.lanes | top) - past) & top != top:
+                report(
+                    result.safety, cover, past,
+                    lambda m: SafetyViolation(rep, uid, m, event.time),
+                )
             result.applies_checked += 1
-        applied[rep] = applied.get(rep, 0) | history.bit_of(uid)
-        closure[rep] = (
-            closure.get(rep, 0) | history.bit_of(uid) | history.past_mask_of(uid)
-        )
+        cover.take(s, i)
+        if sessions:
+            grown[rep] = lane_max(grown.get(rep, 0), closures[i], top)
 
     if require_liveness:
-        for uid in history.all_updates():
-            record = history.updates[uid]
-            expected = graph.replicas_storing(record.register)
-            reached = (
-                history.visible_at(uid) if visibility else history.applied_at(uid)
-            )
+        reached_by = history.applied_by
+        if visibility:
+            reached_by = [history.visible_by.get(i, 0) for i in range(len(order))]
+        # Per register, the bits of its holders' slots; one never seen
+        # has no slot and gets bit ``width``, which nothing reaches.
+        wanted_by: Dict[object, int] = {}
+        for i, record in enumerate(history.updates.values()):
+            x = record.register
+            if x not in wanted_by:
+                holders = graph.replicas_storing(x)
+                bits = {history.slot_of.get(r, width) for r in holders}
+                wanted_by[x] = sum(1 << b for b in bits)
+            if not wanted_by[x] & ~reached_by[i]:
+                continue
+            uid = record.uid
+            done = history.visible_at(uid) if visibility else history.applied_at(uid)
             for r in sorted(
-                expected - reached, key=lambda v: (str(type(v)), repr(v))
+                graph.replicas_storing(x) - done,
+                key=lambda v: (str(type(v)), repr(v)),
             ):
                 if len(result.liveness) >= max_violations:
                     break
@@ -304,23 +397,11 @@ def check_history(
     return result
 
 
-def relevant_update_mask(
-    history: History, graph: ShareGraph, replica: ReplicaId
-) -> int:
-    """Bitmask of all issued updates on registers ``replica`` stores."""
-    mask = 0
-    registers = graph.registers_at(replica)
-    for uid in history.all_updates():
-        if history.updates[uid].register in registers:
-            mask |= history.bit_of(uid)
-    return mask
-
-
 def frontier_closure_violations(
     history: History,
     graph: ShareGraph,
     replica: ReplicaId,
-    install_mask: int,
+    installs: Iterable[UpdateId],
     max_violations: int = 20,
 ) -> List[Tuple[UpdateId, UpdateId]]:
     """Audit a proposed snapshot install set before it is spliced in.
@@ -331,37 +412,26 @@ def frontier_closure_violations(
     every ``u2 -> u`` on a register of ``X_replica`` is applied or in
     ``S``.  Otherwise recording the installs would fabricate the exact
     safety violation the checker exists to catch.  Returns ``(installed,
-    missing-dependency)`` pairs; empty means the splice is safe.
+    missing-dependency)`` pairs in issue order; empty means the splice is
+    safe.
 
-    This is defence in depth: :func:`repro.sync.snapshot.install_mask`
+    This is defence in depth: :func:`repro.sync.snapshot.install_set`
     constructs ``S`` as an intersection with the donor's (transitively
     closed) causal past, which is provably closed -- the sync manager
     still runs this audit on every transfer so a future regression fails
     loudly at the source rather than as a checker verdict much later.
     """
-    token = history.access_token(replica)
-    relevant = relevant_update_mask(history, graph, replica)
-    covered = token.applied | install_mask
+    width = len(history.replicas)
+    top = history.top
+    bit = 1 << history.slot_of.get(replica, width)
+    ordered = sorted(history.index[uid] for uid in installs)
+    applied = [i for i, by in enumerate(history.applied_by) if by & bit]
+    rel = _relevance(_positions(history), graph.registers_at(replica), width)
+    cover = _Cover(rel, history.seqs, dict.fromkeys(applied + ordered, 0))
     out: List[Tuple[UpdateId, UpdateId]] = []
-    for uid in history.all_updates():
-        if not history.bit_of(uid) & install_mask:
-            continue
-        missing = history.past_mask_of(uid) & relevant & ~covered
-        if missing:
-            for missing_uid in _mask_updates(history, missing):
-                out.append((uid, missing_uid))
-                if len(out) >= max_violations:
-                    return out
-    return out
-
-
-def _mask_updates(history: History, mask: int) -> List[UpdateId]:
-    order = history.all_updates()
-    out: List[UpdateId] = []
-    index = 0
-    while mask:
-        if mask & 1:
-            out.append(order[index])
-        mask >>= 1
-        index += 1
+    for i in ordered:
+        past = history.past(i)
+        if ((cover.lanes | top) - past) & top != top:
+            out += [(history.order[i], history.order[j]) for j in cover.missing(past)]
+    return out[:max_violations]
     return out

@@ -9,31 +9,44 @@ Definition 1: ``u1 -> u2`` iff u1 was applied at some replica before that
 same replica issued u2, closed transitively.  Because issuing an update
 also applies it at the issuer (Section 2.1, step 2), the causal past of an
 update is exactly the set of updates applied at its issuer at issue time.
-The log therefore maintains, per replica, a running bitmask of applied
-updates; an update's causal past is the issuer's mask snapshotted at issue
-time.  Bitmasks (arbitrary-precision ints) make transitive queries O(1)
-after O(total applies) maintenance.
+One issuer's updates therefore form a *chain*, and any causal past cut
+down to one issuer is a prefix of that chain: a past is one chain position
+per issuer, a *frontier*, held as 32-bit lanes of one int (the layout of
+``Timestamp._packed``).  Each update stores its *closure* -- its issuer's
+frontier just after issue -- and applying it raises the applier's
+frontier to the lane max of the two: constant work per event, however
+long the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.types import RegisterName, ReplicaId, UpdateId
 
+# Recording builds records with ``tuple.__new__``: half the cost of a
+# NamedTuple's own ``__new__``, a Python function.
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class UpdateRecord:
+
+def lane(frontier: int, slot: int) -> int:
+    """The chain position a frontier holds for the issuer in ``slot``."""
+    return (frontier >> (slot << 5)) & 0xFFFFFFFF
+
+
+def lane_max(a: int, b: int, top: int) -> int:
+    """The lane-wise max of two frontiers whose lanes' top bits are clear
+    (``top`` holds the top bit of every lane either uses): the identity of
+    ``docs/performance.md`` section 8."""
+    diff = (a | top) - b
+    held = diff & top
+    if held == top:
+        return a
+    return b + (diff & (held - (held >> 31)))
+
+
+class UpdateRecord(NamedTuple):
     """Static facts about one update, fixed at issue time."""
 
     uid: UpdateId
@@ -42,8 +55,7 @@ class UpdateRecord:
     metadata_only: bool = False
 
 
-@dataclass(frozen=True)
-class AccessToken:
+class AccessToken(NamedTuple):
     """Snapshot of a replica's state at the moment it served a client.
 
     Under unreliable channels a response may reach its client long after
@@ -53,16 +65,16 @@ class AccessToken:
     client's causal past grows by exactly what the response's timestamp
     conveyed, no more.
 
-    ``applied`` is the bitmask of updates applied at the replica;
-    ``closure`` additionally includes their causal pasts.
+    ``position`` is the number of events logged at the serve (the checker
+    replays the replica's applies up to there), ``closure`` the replica's
+    frontier then.  A token is redeemed at the replica that issued it.
     """
 
-    applied: int
+    position: int
     closure: int
 
 
-@dataclass(frozen=True)
-class HistoryEvent:
+class HistoryEvent(NamedTuple):
     """One issue/apply/access occurrence, in global log order.
 
     ``access`` events (client-server architecture, Definition 25) carry a
@@ -84,19 +96,35 @@ class HistoryEvent:
 
 
 class History:
-    """Append-only issue/apply log with happened-before queries."""
+    """Append-only issue/apply log with happened-before queries.
+
+    Read-only to its readers (checker, sync, audits): updates numbered in
+    issue order (``index``, ``order``), replicas given lane slots when first
+    seen (``slot_of``, ``replicas``, ``top`` for :func:`lane_max`).  Update
+    ``i`` has ``closures[i]``, issuer slot ``slots[i]``, chain position
+    ``seqs[i]`` (record order at the issuer, never ``UpdateId.seq``: merged
+    WALs interleave incarnations) and its appliers (viewers) as slot bits
+    of ``applied_by[i]`` (``visible_by[i]``); ``accesses`` lists the access
+    events' positions.
+    """
 
     def __init__(self) -> None:
         self.events: List[HistoryEvent] = []
         self.updates: Dict[UpdateId, UpdateRecord] = {}
-        self._bit: Dict[UpdateId, int] = {}
-        self._uid_order: List[UpdateId] = []
-        self._past_mask: Dict[UpdateId, int] = {}
-        self._applied_mask: Dict[ReplicaId, int] = {}
-        self._applied_bits: Dict[ReplicaId, int] = {}
-        self._applied_at: Dict[UpdateId, Set[ReplicaId]] = {}
-        self._visible_at: Dict[UpdateId, Set[ReplicaId]] = {}
-        self._client_mask: Dict[object, int] = {}
+        self.index: Dict[UpdateId, int] = {}
+        self.order: List[UpdateId] = []
+        self.closures: List[int] = []
+        self.slots: List[int] = []
+        self.seqs: List[int] = []
+        self.applied_by: List[int] = []
+        self.visible_by: Dict[int, int] = {}
+        self.slot_of: Dict[ReplicaId, int] = {}
+        self.replicas: List[ReplicaId] = []
+        self._chains: List[List[int]] = []  # per slot: its updates, in order
+        self.accesses: List[int] = []
+        self._front: List[int] = []  # per slot: the replica's frontier
+        self.top = 0
+        self._client_front: Dict[object, int] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -117,27 +145,35 @@ class History:
         everything the client picked up at previously accessed replicas
         (Definition 25, condition (ii)).
         """
-        if uid in self.updates:
-            raise ProtocolError(f"update {uid} issued twice")
         if uid.issuer != replica:
             raise ProtocolError(
                 f"update {uid} issued at {replica!r} but names issuer {uid.issuer!r}"
             )
-        index = len(self._uid_order)
-        self._uid_order.append(uid)
-        self._bit[uid] = 1 << index
-        self.updates[uid] = UpdateRecord(uid, register, time, metadata_only)
-        mask = self._applied_mask.get(replica, 0)
+        i = len(self.order)
+        if self.index.setdefault(uid, i) != i:
+            raise ProtocolError(f"update {uid} issued twice")
+        s = self.slot_of.get(replica)
+        if s is None:
+            s = self._add_replica(replica)
+        front = self._front[s]
         if client is not None:
-            mask |= self._client_mask.get(client, 0)
-        self._past_mask[uid] = mask
-        self._append(
-            HistoryEvent(
-                "issue", replica, uid, time, len(self.events), client=client
-            )
-        )
+            picked = self._client_front.get(client)
+            if picked:
+                front = lane_max(front, picked, self.top)
+        # The issuer's own lane is its chain's length; bumped, this position.
+        chain = self._chains[s]
+        closure = front + (1 << (s << 5))
+        chain.append(i)
+        self.order.append(uid)
+        self.closures.append(closure)
+        self.slots.append(s)
+        self.seqs.append(len(chain))
         # Issuing applies the update at the issuer (prototype step 2).
-        self._mark_applied(replica, uid)
+        self.applied_by.append(1 << s)
+        self._front[s] = closure
+        self.updates[uid] = _new(UpdateRecord, (uid, register, time, metadata_only))
+        event = ("issue", replica, uid, time, len(self.events), client, None)
+        self.events.append(_new(HistoryEvent, event))
 
     def access_token(self, replica: ReplicaId) -> AccessToken:
         """Snapshot *replica*'s state for a deferred client-access record.
@@ -146,10 +182,7 @@ class History:
         :meth:`record_client_access` when the client accepts the response
         (possibly much later under lossy channels).
         """
-        return AccessToken(
-            applied=self._applied_bits.get(replica, 0),
-            closure=self._applied_mask.get(replica, 0),
-        )
+        return AccessToken(len(self.events), self.frontier(replica))
 
     def record_client_access(
         self,
@@ -167,31 +200,34 @@ class History:
         the replica's serve-time snapshot rather than its current state
         (the response travelled; the replica may have moved on).
         """
-        self._append(
+        self.accesses.append(len(self.events))
+        self.events.append(
             HistoryEvent(
                 "access", replica, None, time, len(self.events),
                 client=client, token=token,
             )
         )
-        growth = (
-            token.closure
-            if token is not None
-            else self._applied_mask.get(replica, 0)
+        growth = token.closure if token is not None else self.frontier(replica)
+        self._client_front[client] = lane_max(
+            self._client_front.get(client, 0), growth, self.top
         )
-        self._client_mask[client] = self._client_mask.get(client, 0) | growth
-
-    def client_causal_past(self, client: object) -> FrozenSet[UpdateId]:
-        """All updates in the client's accumulated causal past."""
-        return self._mask_to_set(self._client_mask.get(client, 0))
 
     def record_apply(self, replica: ReplicaId, uid: UpdateId, time: float) -> None:
         """Record replica *replica* applying a remote update ``uid``."""
-        if uid not in self.updates:
+        i = self.index.get(uid)
+        if i is None:
             raise ProtocolError(f"update {uid} applied before being issued")
-        if replica in self._applied_at.get(uid, ()):  # pragma: no cover - guard
+        s = self.slot_of.get(replica)
+        if s is None:
+            s = self._add_replica(replica)
+        applied = self.applied_by[i]
+        if applied >> s & 1:  # pragma: no cover - guard
             raise ProtocolError(f"update {uid} applied twice at {replica!r}")
-        self._append(HistoryEvent("apply", replica, uid, time, len(self.events)))
-        self._mark_applied(replica, uid)
+        self.applied_by[i] = applied | (1 << s)
+        event = ("apply", replica, uid, time, len(self.events), None, None)
+        self.events.append(_new(HistoryEvent, event))
+        front = self._front
+        front[s] = lane_max(front[s], self.closures[i], self.top)
 
     def record_visible(
         self, replica: ReplicaId, uid: UpdateId, time: float
@@ -205,36 +241,61 @@ class History:
         but the checker's visibility mode verifies Definition 2 safety at
         these events instead of the applies.
         """
-        if uid not in self.updates:
+        i = self.index.get(uid)
+        if i is None:
             raise ProtocolError(f"update {uid} visible before being issued")
-        if replica not in self._applied_at.get(uid, ()):
+        bit = 1 << self.slot_of.get(replica, len(self.replicas))
+        if not self.applied_by[i] & bit:
             raise ProtocolError(
                 f"update {uid} visible at {replica!r} before being applied"
             )
-        if replica in self._visible_at.get(uid, ()):  # pragma: no cover - guard
+        visible = self.visible_by.get(i, 0)
+        if visible & bit:  # pragma: no cover - guard
             raise ProtocolError(f"update {uid} visible twice at {replica!r}")
-        self._append(
+        self.events.append(
             HistoryEvent("visible", replica, uid, time, len(self.events))
         )
-        self._visible_at.setdefault(uid, set()).add(replica)
+        self.visible_by[i] = visible | bit
 
-    def _append(self, event: HistoryEvent) -> None:
-        self.events.append(event)
-
-    def _mark_applied(self, replica: ReplicaId, uid: UpdateId) -> None:
-        grow = self._past_mask[uid] | self._bit[uid]
-        self._applied_mask[replica] = self._applied_mask.get(replica, 0) | grow
-        self._applied_bits[replica] = (
-            self._applied_bits.get(replica, 0) | self._bit[uid]
-        )
-        self._applied_at.setdefault(uid, set()).add(replica)
+    def _add_replica(self, replica: ReplicaId) -> int:
+        s = self.slot_of[replica] = len(self.replicas)
+        self.replicas.append(replica)
+        self._chains.append([])
+        self._front.append(0)
+        self.top |= 1 << ((s << 5) + 31)
+        return s
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def frontier(self, replica: ReplicaId) -> int:
+        """The replica's closure frontier: its applies and their pasts."""
+        s = self.slot_of.get(replica)
+        return 0 if s is None else self._front[s]
+
+    def past(self, i: int) -> int:
+        """The causal-past frontier of update number ``i``: its closure
+        with its own lane one short."""
+        return self.closures[i] - (1 << (self.slots[i] << 5))
+
+    def holds(self, frontier: int, uid: UpdateId) -> bool:
+        """Whether ``frontier`` contains ``uid``: one lane read."""
+        i = self.index[uid]
+        return self.seqs[i] <= lane(frontier, self.slots[i])
+
+    def frontier_updates(self, frontier: int) -> List[UpdateId]:
+        """The updates a frontier holds -- a union of chain prefixes -- in
+        issue order."""
+        chains = enumerate(self._chains)
+        held = sorted(i for s, chain in chains for i in chain[: lane(frontier, s)])
+        return [self.order[i] for i in held]
+
     def happened_before(self, u1: UpdateId, u2: UpdateId) -> bool:
         """``u1 -> u2`` per Definition 1."""
-        return bool(self._bit[u1] & self._past_mask[u2])
+        i1, i2 = self.index[u1], self.index[u2]
+        # u2's closure differs from its past only in u2's own lane, where
+        # it reads u2's position: u1 below that is u1 -> u2 unless u1 is u2.
+        return i1 != i2 and self.seqs[i1] <= lane(self.closures[i2], self.slots[i1])
 
     def concurrent(self, u1: UpdateId, u2: UpdateId) -> bool:
         """Neither ``u1 -> u2`` nor ``u2 -> u1`` (and u1 != u2)."""
@@ -246,16 +307,22 @@ class History:
 
     def causal_past(self, uid: UpdateId) -> FrozenSet[UpdateId]:
         """All updates that happened-before ``uid``."""
-        return self._mask_to_set(self._past_mask[uid])
+        return frozenset(self.frontier_updates(self.past(self.index[uid])))
 
     def replica_causal_past(self, replica: ReplicaId) -> FrozenSet[UpdateId]:
         """Set ``S`` of Definition 6 for the replica's current state.
 
         This is the set of updates applied at the replica plus everything
         that happened-before them (the latter is included automatically
-        because applying ``u`` grows the mask by ``past(u) | {u}``).
+        because applying ``u`` raises the frontier to ``u``'s closure).
         """
-        return self._mask_to_set(self._applied_mask.get(replica, 0))
+        return frozenset(self.frontier_updates(self.frontier(replica)))
+
+    def client_causal_past(self, client: object) -> FrozenSet[UpdateId]:
+        """All updates in the client's accumulated causal past."""
+        return frozenset(
+            self.frontier_updates(self._client_front.get(client, 0))
+        )
 
     def dependency_graph(
         self, replica: ReplicaId
@@ -270,48 +337,39 @@ class History:
         )
         return vertices, edges
 
+    def _replicas_in(self, mask: int) -> FrozenSet[ReplicaId]:
+        return frozenset(
+            r for s, r in enumerate(self.replicas) if mask >> s & 1
+        )
+
     def applied_at(self, uid: UpdateId) -> FrozenSet[ReplicaId]:
         """Replicas that have applied ``uid`` so far (issuer included)."""
-        return frozenset(self._applied_at.get(uid, ()))
+        i = self.index.get(uid)
+        return frozenset() if i is None else self._replicas_in(self.applied_by[i])
 
     def visible_at(self, uid: UpdateId) -> FrozenSet[ReplicaId]:
         """Replicas at which ``uid`` has become readable (GST cut)."""
-        return frozenset(self._visible_at.get(uid, ()))
+        i = self.index.get(uid)
+        return self._replicas_in(0 if i is None else self.visible_by.get(i, 0))
 
     def all_updates(self) -> Tuple[UpdateId, ...]:
         """Every issued update, in issue order."""
-        return tuple(self._uid_order)
+        return tuple(self.order)
 
     def updates_by(self, replica: ReplicaId) -> Tuple[UpdateId, ...]:
         """Updates issued by one replica, in issue order."""
-        return tuple(u for u in self._uid_order if u.issuer == replica)
+        s = self.slot_of.get(replica)
+        if s is None:
+            return ()
+        order = self.order
+        return tuple(order[i] for i in self._chains[s])
 
     def events_at(self, replica: ReplicaId) -> Iterator[HistoryEvent]:
         """The replica's local event sequence, in execution order."""
         return (e for e in self.events if e.replica == replica)
 
-    def bit_of(self, uid: UpdateId) -> int:
-        """Internal bit for ``uid`` (exposed for the checker's fast path)."""
-        return self._bit[uid]
-
-    def past_mask_of(self, uid: UpdateId) -> int:
-        """Bitmask of ``uid``'s causal past (checker fast path)."""
-        return self._past_mask[uid]
-
-    def _mask_to_set(self, mask: int) -> FrozenSet[UpdateId]:
-        out = []
-        index = 0
-        while mask:
-            if mask & 1:
-                out.append(self._uid_order[index])
-            mask >>= 1
-            index += 1
-        return frozenset(out)
-
     def __len__(self) -> int:
         return len(self.events)
 
     def __repr__(self) -> str:
-        return (
-            f"History({len(self._uid_order)} updates, {len(self.events)} events)"
-        )
+        return f"History({len(self.order)} updates, {len(self.events)} events)"

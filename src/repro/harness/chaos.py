@@ -255,9 +255,8 @@ def causal_maxima(history: History, writes: Sequence[UpdateId]) -> List[UpdateId
     """
     frontier: List[UpdateId] = []
     for w in writes:
-        mask = history.past_mask_of(w)
         if frontier:
-            frontier = [f for f in frontier if not history.bit_of(f) & mask]
+            frontier = [f for f in frontier if not history.happened_before(f, w)]
         frontier.append(w)
     return frontier
 

@@ -91,13 +91,12 @@ class SoakSpec:
     it judges timed runs only.
 
     ``think_time`` paces each session (seconds of sleep between ops).
-    ``0.0`` soaks at full speed -- note the final merged-WAL audit
-    walks *every* update ever issued, and the checker's causal-past
-    bitmasks make its cost grow quadratically with that count, so a
-    multi-minute full-speed soak (~1k ops/s) buys minutes of audit and
-    ~GB of checker memory.  A small think time (e.g. ``0.04`` -> ~25
-    ops/s/session) keeps long soaks' audits tractable without changing
-    what the run proves.
+    ``0.0`` soaks at full speed -- the final merged-WAL audit walks
+    *every* update ever issued, linearly: a 30 s full-speed crash-storm
+    soak (~1.2k ops/s on a 2-CPU x86 VM, 37,127 updates) audits in
+    about 2 s at 84 MB peak RSS.  A small think time (e.g. ``0.04`` ->
+    ~25 ops/s/session) keeps the WALs and the audit small without
+    changing what the run proves.
     """
 
     scenario: str = "steady"

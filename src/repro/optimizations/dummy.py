@@ -18,12 +18,13 @@ from typing import (
     AbstractSet,
     Dict,
     FrozenSet,
+    List,
     Mapping,
     Set,
     Tuple,
 )
 
-from repro.core.causality import History
+from repro.core.causality import History, lane, lane_max
 from repro.core.share_graph import ShareGraph
 from repro.errors import ConfigurationError
 from repro.types import RegisterName, ReplicaId
@@ -112,38 +113,28 @@ def false_dependencies(
 
     Returns ``{"true": n, "false": m}`` counts of happened-before pairs.
     """
-    pruned_mask: Dict[ReplicaId, int] = {}
-    pruned_past: Dict[object, int] = {}
-    recorded_past: Dict[object, int] = {}
-    bit: Dict[object, int] = {}
+    width = len(history.replicas)
+    top = history.top
+    pruned_front: Dict[ReplicaId, int] = {}
+    pruned_past: List[int] = [0] * len(history.order)
     for event in history.events:
         uid = event.uid
-        if uid is None:
+        if uid is None or event.kind == "visible":
             continue
-        record = history.updates[uid]
+        i = history.index[uid]
+        rep = event.replica
         if event.kind == "issue":
-            bit[uid] = history.bit_of(uid)
-            recorded_past[uid] = history.past_mask_of(uid)
-            pruned_past[uid] = pruned_mask.get(event.replica, 0)
-            grow = pruned_past[uid] | bit[uid]
-            pruned_mask[event.replica] = (
-                pruned_mask.get(event.replica, 0) | grow
-            )
-        elif event.kind == "apply":
-            stores = event.replica in original_graph.replicas_storing(
-                record.register
-            )
-            if stores:
-                grow = pruned_past[uid] | bit[uid]
-                pruned_mask[event.replica] = (
-                    pruned_mask.get(event.replica, 0) | grow
-                )
-    true_pairs = 0
-    false_pairs = 0
-    for uid in history.all_updates():
-        recorded = recorded_past[uid]
-        pruned = pruned_past[uid]
-        false_mask = recorded & ~pruned
-        true_pairs += bin(pruned).count("1")
-        false_pairs += bin(false_mask).count("1")
+            pruned_past[i] = pruned_front.get(rep, 0)
+        elif rep not in original_graph.replicas_storing(
+            history.updates[uid].register
+        ):
+            continue
+        closure = pruned_past[i] + (1 << (history.slots[i] << 5))
+        pruned_front[rep] = lane_max(pruned_front.get(rep, 0), closure, top)
+    # Both pasts are unions of chain prefixes and the pruned one lies
+    # inside the recorded one, so each count is a lane sum.
+    recorded = (history.past(i) for i in range(len(pruned_past)))
+    true_pairs = sum(lane(f, s) for f in pruned_past for s in range(width))
+    false_pairs = sum(lane(f, s) for f in recorded for s in range(width))
+    false_pairs -= true_pairs
     return {"true": true_pairs, "false": false_pairs}

@@ -16,8 +16,7 @@ from repro.sync.manager import SyncManager, SyncStats
 from repro.sync.snapshot import (
     StateSnapshot,
     delivery_frontiers,
-    donor_closure_mask,
-    install_mask,
+    install_set,
     spliced_timestamp,
     value_debts,
 )
@@ -27,8 +26,7 @@ __all__ = [
     "SyncStats",
     "StateSnapshot",
     "delivery_frontiers",
-    "donor_closure_mask",
-    "install_mask",
+    "install_set",
     "spliced_timestamp",
     "value_debts",
 ]

@@ -41,7 +41,7 @@ from repro.checker.check import frontier_closure_violations
 from repro.sync.snapshot import (
     StateSnapshot,
     delivery_frontiers,
-    install_mask,
+    install_set,
     spliced_timestamp,
     value_debts,
 )
@@ -161,7 +161,7 @@ class SyncManager:
                 or plan.blacked_out(receiver, donor, now)
             ):
                 continue
-            gain = _popcount(install_mask(history, graph, donor, receiver))
+            gain = len(install_set(history, graph, donor, receiver))
             if gain > best_gain or (
                 gain == best_gain and gain > 0 and str(donor) < str(best)
             ):
@@ -179,7 +179,7 @@ class SyncManager:
         history, graph = system.history, system.graph
         donor_rep = system.replicas[donor]
         receiver_rep = system.replicas[receiver]
-        mask = install_mask(history, graph, donor, receiver)
+        installs = install_set(history, graph, donor, receiver)
         frontiers = delivery_frontiers(history, graph, donor, receiver)
         store = tuple(
             sorted(
@@ -197,7 +197,7 @@ class SyncManager:
             store=store,
             timestamp=donor_rep.timestamp,
             frontiers=tuple(sorted(frontiers.items(), key=lambda kv: str(kv[0]))),
-            install_mask=mask,
+            installs=installs,
         )
 
     def _transfer(self, donor: ReplicaId, receiver: ReplicaId) -> int:
@@ -206,15 +206,15 @@ class SyncManager:
         receiver_rep = system.replicas[receiver]
         now = system.simulator.now
         snapshot = self.build_snapshot(donor, receiver)
-        mask = snapshot.install_mask
-        if mask == 0:
+        installs = snapshot.installs
+        if not installs:
             self._trace(f"{donor!r} -> {receiver!r}: nothing to transfer")
             return 0
 
         # Defence in depth: the install set is constructed causally closed;
         # verify against the history before touching any state.
         violations = frontier_closure_violations(
-            history, graph, receiver, mask
+            history, graph, receiver, installs
         )
         if violations:
             raise ProtocolError(
@@ -252,12 +252,12 @@ class SyncManager:
         # outside the donor's closure, adopting would regress the store
         # below the receiver's applied frontier.  Dropped registers keep
         # the receiver's value (and any debt) instead.
-        donor_closure = history.access_token(donor).closure
+        donor_closure = history.frontier(donor)
         receiver_latest = _latest_store_writes(history, receiver)
         safe_store = {}
         for x, v in store.items():
             r_latest = receiver_latest.get(x)
-            if r_latest is None or history.bit_of(r_latest) & donor_closure:
+            if r_latest is None or history.holds(donor_closure, r_latest):
                 safe_store[x] = v
 
         # Debts must be known *before* channel settlement: the segments
@@ -267,7 +267,7 @@ class SyncManager:
         # debt permanently unpayable.  Registers the donor shipped but
         # the receiver kept its own (concurrent) value for need no debt.
         outstanding = receiver_rep.value_debt
-        debts = value_debts(history, mask, set(store), receiver_rep.store)
+        debts = value_debts(history, installs, set(store), receiver_rep.store)
         final_debts = dict(outstanding)
         for x in safe_store:
             final_debts.pop(x, None)
@@ -297,11 +297,8 @@ class SyncManager:
         # The history records the splice as ordinary applies, in global
         # issue order -- a topological order of happened-before, so the
         # checker replays the spliced prefix exactly like a lived one.
-        installed = 0
-        for uid in history.all_updates():
-            if history.bit_of(uid) & mask:
-                history.record_apply(receiver, uid, now)
-                installed += 1
+        for uid in installs:
+            history.record_apply(receiver, uid, now)
 
         receiver_rep.install_sync_state(new_ts, safe_store, debts)
 
@@ -318,6 +315,7 @@ class SyncManager:
                 )
 
         self.stats.transfers += 1
+        installed = len(installs)
         self.stats.updates_installed += installed
         self._trace(
             f"sync {donor!r} -> {receiver!r}: {installed} updates, "
@@ -443,7 +441,3 @@ def _latest_store_writes(history: Any, replica: ReplicaId) -> Dict[Any, Any]:
 def _payload_wire_bytes(payload: Any) -> int:
     ts = getattr(payload, "timestamp", None)
     return timestamp_wire_bytes(ts) if ts is not None else 0
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")

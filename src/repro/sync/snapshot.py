@@ -21,10 +21,10 @@ is the frontier".  This is the stable-frontier idea of the global-
 stabilization line of work (PAPERS.md), applied to recovery instead of
 read snapshots.
 
-All computations here read only the public :class:`History` surface
-(masks via ``access_token``, issue order via ``all_updates``) -- the sync
-layer, like the checker, never trusts protocol metadata for the
-correctness-critical set arithmetic.
+All computations here read only the public :class:`History` surface --
+the donor's closure *frontier* (one chain position per issuer, so
+membership is one lane read) and issue order -- so the sync layer, like
+the checker, never trusts protocol metadata for the set arithmetic.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-from repro.checker.check import relevant_update_mask
 from repro.core.causality import History
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import Timestamp
@@ -47,7 +46,7 @@ class StateSnapshot:
     number of ``k``-channel-writes toward the receiver that the donor's
     causal past contains.  ``store`` holds only registers both sides
     store (the donor cannot supply values it does not have);
-    ``install_mask`` is the history bitmask of updates the receiver must
+    ``installs`` lists, in issue order, the updates the receiver must
     additionally record as applied when it installs the snapshot.
     """
 
@@ -56,21 +55,17 @@ class StateSnapshot:
     store: Tuple[Tuple[RegisterName, Any], ...]
     timestamp: Timestamp
     frontiers: Tuple[Tuple[ReplicaId, int], ...]
-    install_mask: int
+    installs: Tuple[UpdateId, ...]
 
 
-def donor_closure_mask(history: History, donor: ReplicaId) -> int:
-    """The donor's applied set closed under happened-before (a bitmask)."""
-    return history.access_token(donor).closure
-
-
-def install_mask(
+def install_set(
     history: History,
     graph: ShareGraph,
     donor: ReplicaId,
     receiver: ReplicaId,
-) -> int:
-    """Updates a transfer from ``donor`` must record at ``receiver``.
+) -> Tuple[UpdateId, ...]:
+    """Updates a transfer from ``donor`` must record at ``receiver``, in
+    issue order.
 
     The donor's causal closure, restricted to the receiver's registers,
     minus what the receiver already applied.  Closure of the result (with
@@ -79,11 +74,12 @@ def install_mask(
     installed update is itself relevant and in the donor's past, hence
     installed or already applied.
     """
-    applied = history.access_token(receiver).applied
-    return (
-        donor_closure_mask(history, donor)
-        & relevant_update_mask(history, graph, receiver)
-        & ~applied
+    registers = graph.registers_at(receiver)
+    return tuple(
+        uid
+        for uid in history.frontier_updates(history.frontier(donor))
+        if history.updates[uid].register in registers
+        and receiver not in history.applied_at(uid)
     )
 
 
@@ -100,16 +96,15 @@ def delivery_frontiers(
     Because that restriction is a prefix of the channel order, the count
     *is* the frontier sequence number.
     """
-    closure = donor_closure_mask(history, donor)
+    closure = history.frontier(donor)
     frontiers: Dict[ReplicaId, int] = {}
     for k in graph.neighbors(receiver):
         shared = graph.shared(k, receiver)
         count = 0
         for uid in history.updates_by(k):
-            if history.updates[uid].register in shared and (
-                history.bit_of(uid) & closure
-            ):
-                count += 1
+            if not history.holds(closure, uid):
+                break  # the closure holds a prefix of k's chain
+            count += history.updates[uid].register in shared
         frontiers[k] = count
     return frontiers
 
@@ -144,7 +139,7 @@ def spliced_timestamp(
 
 def value_debts(
     history: History,
-    snapshot_mask: int,
+    installs: Tuple[UpdateId, ...],
     donor_registers,
     receiver_store,
 ) -> Dict[RegisterName, UpdateId]:
@@ -157,9 +152,7 @@ def value_debts(
     replica pays the debt by writing the carried value to the store.
     """
     debts: Dict[RegisterName, UpdateId] = {}
-    for uid in history.all_updates():
-        if not history.bit_of(uid) & snapshot_mask:
-            continue
+    for uid in installs:
         record = history.updates[uid]
         register = record.register
         if register in donor_registers or register not in receiver_store:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro import History, UpdateId
@@ -139,3 +141,26 @@ def test_len_and_repr():
     h.record_issue(1, u(1, 1), "x", 0.0)
     assert len(h) == 1
     assert "1 updates" in repr(h)
+
+
+def _recorded_bytes_per_update(count, replicas=16):
+    uids = [UpdateId(k % replicas, k // replicas + 1) for k in range(count)]
+    times = [float(k) for k in range(count)]
+    tracemalloc.start()
+    try:
+        h = History()
+        for uid, t in zip(uids, times):
+            h.record_issue(uid.issuer, uid, "x", t)
+            h.record_apply((uid.issuer + 1) % replicas, uid, t)
+        used = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return used / count
+
+
+def test_recording_memory_per_update_is_flat():
+    """A causal past is one frontier of per-issuer lanes, not a set as
+    long as the run: recording 8x the updates costs about 8x the bytes."""
+    small = _recorded_bytes_per_update(2_000)
+    large = _recorded_bytes_per_update(16_000)
+    assert large <= 1.5 * small, (small, large)

@@ -18,7 +18,7 @@ from repro.harness.chaos import (
     store_divergence,
 )
 from repro.network import ChannelFaults, FaultPlan
-from repro.sync import SyncManager, delivery_frontiers, install_mask, spliced_timestamp
+from repro.sync import SyncManager, delivery_frontiers, install_set, spliced_timestamp
 from repro.wire.codec import (
     canonical_edge_order,
     decode_state_snapshot,
@@ -41,8 +41,7 @@ def test_delivery_frontier_counts_channel_prefix():
     system.run()
     history, graph = system.history, system.graph
     assert delivery_frontiers(history, graph, 1, 2) == {1: 3}
-    mask = install_mask(history, graph, 1, 2)
-    assert bin(mask).count("1") == 3
+    assert len(install_set(history, graph, 1, 2)) == 3
     spliced = spliced_timestamp(
         system.replica(2).timestamp, system.replica(1).timestamp, {1: 3}, 2
     )
@@ -58,13 +57,12 @@ def test_install_mask_is_causally_closed():
     system.replica(1).write("x", "second")
     system.run()
     history, graph = system.history, system.graph
-    mask = install_mask(history, graph, 1, 2)
-    assert frontier_closure_violations(history, graph, 2, mask) == []
+    installs = install_set(history, graph, 1, 2)
+    assert frontier_closure_violations(history, graph, 2, installs) == []
     # Only the second write: its predecessor on the same channel is
     # neither installed nor applied -> causally open.
     second = list(history.updates_by(1))[-1]
-    open_mask = history.bit_of(second)
-    assert frontier_closure_violations(history, graph, 2, open_mask)
+    assert frontier_closure_violations(history, graph, 2, [second])
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +77,7 @@ def test_snapshot_codec_roundtrip_and_unknown_names():
         system.schedule_write(op.time, op.replica, op.register, op.value)
     system.run(until=60.0)
     snap = manager.build_snapshot(1, 4)
-    assert snap.install_mask != 0  # replica 4 is actually behind
+    assert snap.installs  # replica 4 is actually behind
     order = canonical_edge_order(snap.timestamp.index)
     blob = encode_state_snapshot(
         dict(snap.store), snap.timestamp, dict(snap.frontiers), order
