@@ -19,21 +19,34 @@ Package map
 -----------
 ``repro.core``
     Share graphs, (i, e_jk)-loops, timestamp graphs, the edge-indexed
-    timestamp algorithm, the replica prototype, and the peer-to-peer DSM.
+    timestamp algorithm, the sans-I/O protocol engine, the replica
+    prototype, and the peer-to-peer DSM.
 ``repro.checker``
     Independent verification of replica-centric causal consistency.
-``repro.lowerbound``
-    Conflict graphs and closed-form timestamp-size lower bounds (Sec. 4).
+``repro.lowerbound`` / ``repro.analysis``
+    Conflict graphs and timestamp-size lower bounds (Sec. 4); structural
+    analysis of share and timestamp graphs.
 ``repro.optimizations``
-    Compression, dummy registers, virtual registers, bounded loops (App. D).
-``repro.clientserver``
-    The client-server architecture (Sec. 6 / App. E).
-``repro.multicast``
-    Causal group multicast with overlapping groups (Sec. 2.2).
+    Compression, dummy registers, tree overlays, bounded loops (App. D).
+``repro.gst``
+    The GST global-stabilization policy and the adaptive hybrid.
+``repro.clientserver`` / ``repro.multicast``
+    The client-server architecture (Sec. 6 / App. E); causal group
+    multicast with overlapping groups (Sec. 2.2).
+``repro.shard``
+    Multicast groups joined by tree overlays (Sec. 5).
 ``repro.baselines``
     Vector clocks (full replication), Full-Track, Hoop-Track.
+``repro.sim`` / ``repro.network`` / ``repro.sync`` / ``repro.wire``
+    Discrete-event kernel; channels, delays and faults; anti-entropy;
+    wire formats and byte accounting.
+``repro.aio`` / ``repro.tcp``
+    The protocol on asyncio tasks; a real-socket TCP cluster with a WAL.
+``repro.adversary`` / ``repro.modelcheck``
+    Theorem 8 schedule synthesis; exhaustive model checking.
 ``repro.workloads`` / ``repro.harness``
-    Topology and operation generators; experiment sweeps and reporting.
+    Topology and operation generators; experiment sweeps, reporting and
+    fault harnesses.
 """
 
 from repro.checker import CheckResult, check_history

@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 from copy import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.causality import History, lane, lane_max
 from repro.core.share_graph import ShareGraph
@@ -156,8 +156,8 @@ class _Cover:
 
     __slots__ = ("rel", "seqs", "taken", "upto", "next", "lanes")
 
-    def __init__(self, rel, seqs, taken, upto=sys.maxsize) -> None:
-        self.rel, self.seqs, self.taken, self.upto = rel, seqs, taken, upto
+    def __init__(self, rel, seqs, taken) -> None:
+        self.rel, self.seqs, self.taken, self.upto = rel, seqs, taken, sys.maxsize
         self.next = [self._skip(s, 0) for s in range(len(rel))]
         self.lanes = sum(self._covered(s) << (s << 5) for s in range(len(rel)))
 
@@ -204,7 +204,6 @@ def check_history(
     graph: ShareGraph,
     require_liveness: bool = True,
     max_violations: int = 1000,
-    epoch_graphs: Optional[List[Tuple[int, ShareGraph]]] = None,
     visibility: bool = False,
 ) -> CheckResult:
     """Verify Definition 2 over a finished (or mid-flight) history.
@@ -231,13 +230,6 @@ def check_history(
     max_violations:
         Stop collecting after this many findings (the run is already
         broken; keep reports readable).
-    epoch_graphs:
-        For dynamically reconfigured runs: ``(first_event_position,
-        share graph)`` pairs in epoch order.  Safety relevance is then
-        evaluated against the graph in force when each event happened
-        (an update on a register a replica did not store *yet* is not a
-        missing dependency); liveness is still judged against ``graph``
-        (the final placement), with state transfers logged as applies.
     """
     result = CheckResult(updates_checked=len(history.updates))
     width = len(history.replicas)
@@ -245,28 +237,12 @@ def check_history(
     order, index, closures = history.order, history.index, history.closures
     slots, seqs = history.slots, history.seqs
 
-    # Relevance is assembled from per-register lists built in one pass; a
-    # replica whose placement an epoch left alone keeps its lists and cover.
+    # Relevance is assembled from per-register lists built in one pass.
     positions = _positions(history)
-    prev: Dict[ReplicaId, Tuple[object, Relevance]] = {}
-
-    def relevance_for(g: ShareGraph) -> Dict[ReplicaId, Relevance]:
-        out: Dict[ReplicaId, Relevance] = {}
-        for r in g.replicas:
-            registers = g.registers_at(r)
-            last = prev.get(r)
-            if last is None or last[0] != registers:
-                last = prev[r] = (registers, _relevance(positions, registers, width))
-            out[r] = last[1]
-        return out
-
-    relevant = relevance_for(graph)
-    boundaries: List[Tuple[int, Dict[ReplicaId, Relevance]]] = []
-    if epoch_graphs:
-        boundaries = [
-            (pos, relevance_for(g))
-            for pos, g in sorted(epoch_graphs, key=lambda pg: pg[0])
-        ]
+    relevant: Dict[ReplicaId, Relevance] = {
+        r: _relevance(positions, graph.registers_at(r), width)
+        for r in graph.replicas
+    }
     nothing: Relevance = [[] for _ in range(width)]
 
     def new_cover(covers: Dict[ReplicaId, _Cover], rep: ReplicaId) -> _Cover:
@@ -291,20 +267,8 @@ def check_history(
             wanted.setdefault(e.token.position, []).append(e.replica)
     served: Dict[Tuple[int, ReplicaId], _Cover] = {}
 
-    next_boundary = 0
     for event in history.events:
         position = event.position
-        while (
-            next_boundary < len(boundaries)
-            and position >= boundaries[next_boundary][0]
-        ):
-            relevant = boundaries[next_boundary][1]
-            next_boundary += 1
-            for covers in (applied, visible):
-                for r, cover in list(covers.items()):
-                    rel = relevant.get(r, nothing)
-                    if cover.rel is not rel:
-                        covers[r] = _Cover(rel, seqs, cover.taken)
         if wanted and position in wanted:
             for r in wanted.pop(position):
                 cover = applied.get(r) or new_cover(applied, r)
@@ -328,9 +292,6 @@ def check_history(
             token = event.token
             if token is not None:
                 cover = served[token.position, rep]
-                rel = relevant.get(rep, nothing)
-                if cover.rel is not rel:  # an epoch began since the serve
-                    cover = _Cover(rel, seqs, cover.taken, cover.upto)
                 growth = token.closure
             elif visibility:
                 cover = visible.get(rep) or new_cover(visible, rep)
@@ -434,4 +395,3 @@ def frontier_closure_violations(
         if ((cover.lanes | top) - past) & top != top:
             out += [(history.order[i], history.order[j]) for j in cover.missing(past)]
     return out[:max_violations]
-    return out

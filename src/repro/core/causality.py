@@ -324,19 +324,6 @@ class History:
             self.frontier_updates(self._client_front.get(client, 0))
         )
 
-    def dependency_graph(
-        self, replica: ReplicaId
-    ) -> Tuple[FrozenSet[UpdateId], FrozenSet[Tuple[UpdateId, UpdateId]]]:
-        """Causal dependency graph ``R`` of Definition 6 (vertices, edges)."""
-        vertices = self.replica_causal_past(replica)
-        edges = frozenset(
-            (u1, u2)
-            for u1 in vertices
-            for u2 in vertices
-            if u1 != u2 and self.happened_before(u1, u2)
-        )
-        return vertices, edges
-
     def _replicas_in(self, mask: int) -> FrozenSet[ReplicaId]:
         return frozenset(
             r for s, r in enumerate(self.replicas) if mask >> s & 1

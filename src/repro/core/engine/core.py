@@ -135,7 +135,7 @@ class ProtocolCore:
         Compute the memoized wire encoding size for ``Send`` effects
         (the simulator transport's metadata accounting); runtimes that
         do not account bytes switch it off.
-    dummy_registers, track_timestamps, initial_*, value_merge:
+    dummy_registers, track_timestamps:
         As for the historical :class:`repro.core.replica.Replica`.
     """
 
@@ -148,10 +148,6 @@ class ProtocolCore:
         clock: Callable[[], float],
         dummy_registers: AbstractSet[RegisterName] = frozenset(),
         track_timestamps: bool = False,
-        initial_timestamp: Optional[Timestamp] = None,
-        initial_seq: int = 0,
-        initial_store: Optional[Dict[RegisterName, Any]] = None,
-        value_merge: Optional[Callable[[Any, Any], Any]] = None,
         record_history: bool = False,
         emit_applied: bool = False,
         emit_confirm: bool = False,
@@ -174,14 +170,7 @@ class ProtocolCore:
             for x in graph.registers_at(replica_id)
             if x not in self.dummy_registers
         }
-        if initial_store:
-            for x, value in initial_store.items():
-                if x in self.store:
-                    self.store[x] = value
-        self.timestamp: Timestamp = (
-            initial_timestamp if initial_timestamp is not None
-            else policy.initial()
-        )
+        self.timestamp: Timestamp = policy.initial()
         # Delivery engine state: per-sender FIFO queues, the senders whose
         # queues must be (re-)examined, and the cached ready-entry arrival
         # key per sender (valid until the sender is marked dirty again).
@@ -261,13 +250,12 @@ class ProtocolCore:
                 replica_id, self._stab_neighbors, component
             )
         self.metrics = ReplicaMetrics()
-        self.seq = initial_seq
+        self.seq = 0
         self._timestamps_used: Optional[Set[Timestamp]] = (
             {self.timestamp} if track_timestamps else None
         )
         self._dummy_map: Dict[ReplicaId, FrozenSet[RegisterName]] = {}
         self.paused = False
-        self._value_merge = value_merge
         # Anti-entropy knobs (installed by repro.sync.SyncManager through
         # the adapter; all off by default so classic behaviour is
         # untouched).  ``sync_armed`` mirrors "an escalation handler is
@@ -720,14 +708,10 @@ class ProtocolCore:
         self._unstable = [e for e in self._unstable if e[0] > cut]
         store = self.visible_store
         assert store is not None
-        merge_value = self._value_merge
         for _, _, _, register, value, metadata_only, _ in ready:
             if metadata_only or register not in store:
                 continue
-            if merge_value is not None:
-                store[register] = merge_value(store[register], value)
-            else:
-                store[register] = value
+            store[register] = value
         now = self._clock()
         metrics = self.metrics
         record = self.record_history
@@ -926,15 +910,7 @@ class ProtocolCore:
         register = update.register
         if register in self.store:
             if not update.metadata_only:
-                # Optional conflict resolution (e.g. last-writer-wins for
-                # the causal+ convergence layer); plain causal memory
-                # just overwrites.
-                if self._value_merge is not None:
-                    self.store[register] = self._value_merge(
-                        self.store[register], update.value
-                    )
-                else:
-                    self.store[register] = update.value
+                self.store[register] = update.value
                 # This write supersedes any outstanding value debt on the
                 # register: were the debt paid later (a stale redelivery
                 # can arrive after this), it would roll the store back to
@@ -1021,7 +997,6 @@ class ProtocolCore:
         self._note_timestamp()
         store = self.store
         dummies = self.dummy_registers
-        merge_value = self._value_merge
         debt = self._value_debt
         metrics = self.metrics
         emit = self._emit
@@ -1033,12 +1008,7 @@ class ProtocolCore:
             register = update.register
             if register in store:
                 if not update.metadata_only:
-                    if merge_value is not None:
-                        store[register] = merge_value(
-                            store[register], update.value
-                        )
-                    else:
-                        store[register] = update.value
+                    store[register] = update.value
                     debt.pop(register, None)
             elif register not in dummies:
                 raise ProtocolError(

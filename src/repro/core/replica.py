@@ -121,10 +121,6 @@ class Replica(CoreAdapter):
         dummy_registers: AbstractSet[RegisterName] = frozenset(),
         on_apply: Optional[ApplyHook] = None,
         track_timestamps: bool = False,
-        initial_timestamp: Optional[Timestamp] = None,
-        initial_seq: int = 0,
-        initial_store: Optional[Dict[RegisterName, Any]] = None,
-        value_merge: Optional[Callable[[Any, Any], Any]] = None,
         batch_window: float = 0.0,
         batch_max: int = 64,
     ) -> None:
@@ -149,10 +145,6 @@ class Replica(CoreAdapter):
             batch_max=batch_max,
             dummy_registers=dummy_registers,
             track_timestamps=track_timestamps,
-            initial_timestamp=initial_timestamp,
-            initial_seq=initial_seq,
-            initial_store=initial_store,
-            value_merge=value_merge,
             emit_confirm=self._confirm_applied is not None,
             size_wire=True,
         )

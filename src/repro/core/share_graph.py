@@ -228,21 +228,6 @@ class ShareGraph:
     def __repr__(self) -> str:
         return f"ShareGraph({len(self._replicas)} replicas, {len(self._edges)} directed edges)"
 
-    def to_networkx(self):
-        """Export the undirected share graph as a ``networkx.Graph``.
-
-        Edge attribute ``registers`` holds ``X_ij``.  networkx is an
-        optional dependency; importing it lazily keeps the core light.
-        """
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self._replicas)
-        for (i, j) in self._edges:
-            if _sort_key(i) < _sort_key(j):
-                g.add_edge(i, j, registers=self.shared(i, j))
-        return g
-
 
 def _sort_key(value):
     """Deterministic ordering for heterogeneous hashables."""

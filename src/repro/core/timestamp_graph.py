@@ -13,7 +13,7 @@ Section 3.3 (see :mod:`repro.core.timestamp`) shows it is *sufficient*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 from repro.core.loops import LoopFinder
 from repro.core.share_graph import ShareGraph
@@ -102,16 +102,4 @@ def all_timestamp_graphs(
     finder = LoopFinder(graph, max_loop_len=max_loop_len)
     return {
         r: timestamp_graph(graph, r, finder=finder) for r in graph.replicas
-    }
-
-
-def metadata_summary(
-    graph: ShareGraph, max_loop_len: Optional[int] = None
-) -> Dict[ReplicaId, Tuple[int, int]]:
-    """Per replica: ``(incident counters, loop counters)`` -- the raw
-    timestamp length before compression.  Used by the overhead experiments.
-    """
-    graphs = all_timestamp_graphs(graph, max_loop_len=max_loop_len)
-    return {
-        r: (len(g.incident), len(g.loop_edges)) for r, g in graphs.items()
     }

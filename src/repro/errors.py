@@ -45,12 +45,9 @@ class TransportError(ReproError):
 class UnknownDestinationError(TransportError, ConfigurationError):
     """A message was sent to a node with no registered handler.
 
-    Derives from both :class:`TransportError` (it is a transport-level
-    condition, e.g. a reconfiguration race sending to a node that just
-    left) and :class:`ConfigurationError` (historically how this surfaced,
-    so existing ``except`` clauses keep working).  Dynamic reconfiguration
-    can catch :class:`TransportError` to distinguish delivery races from
-    genuine misconfiguration.
+    Derives from both :class:`TransportError` (no handler can take the
+    message) and :class:`ConfigurationError` (a destination outside the
+    registered nodes is a wiring mistake, and callers catch it as one).
     """
 
     def __init__(self, destination: object) -> None:

@@ -16,7 +16,6 @@ from typing import Callable
 
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import TimestampPolicy, edge_policy_factory
-from repro.core.timestamp_graph import all_timestamp_graphs
 from repro.errors import ConfigurationError
 from repro.types import ReplicaId
 
@@ -35,14 +34,3 @@ def bounded_policy_factory(
     if max_loop_len < 3:
         raise ConfigurationError("max_loop_len must be >= 3")
     return edge_policy_factory(graph, max_loop_len)
-
-
-def counters_saved(
-    graph: ShareGraph, max_loop_len: int
-) -> int:
-    """Total counters dropped system-wide by capping loop length."""
-    exact = all_timestamp_graphs(graph)
-    capped = all_timestamp_graphs(graph, max_loop_len=max_loop_len)
-    return sum(
-        len(exact[r].edges) - len(capped[r].edges) for r in graph.replicas
-    )

@@ -9,7 +9,7 @@ result types.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Set
 
 from repro.checker.check import (
     CheckResult,
@@ -66,32 +66,26 @@ class ReferenceHistory:
 def reference_check(
     ref: ReferenceHistory,
     graph,
-    epoch_graphs: Optional[List[tuple]] = None,
     visibility: bool = False,
     max_violations: int = 1000,
 ) -> CheckResult:
     result = CheckResult(updates_checked=len(ref.issued))
     rank = {u: n for n, u in enumerate(ref.issued)}
-    epochs = sorted(epoch_graphs or [], key=lambda pg: pg[0])
     applied: Dict = {}
     closure: Dict = {}
     visible: Dict = {}
     visible_closure: Dict = {}
     client: Dict = {}
 
-    def relevant(g, r) -> Set:
-        if r not in g.replicas:
+    def relevant(r) -> Set:
+        if r not in graph.replicas:
             return set()
-        return {u for u in ref.issued if ref.register[u] in g.registers_at(r)}
+        return {u for u in ref.issued if ref.register[u] in graph.registers_at(r)}
 
-    def missing(past, g, r, have) -> List:  # in issue order
-        return sorted((past & relevant(g, r)) - have, key=rank.__getitem__)
+    def missing(past, r, have) -> List:  # in issue order
+        return sorted((past & relevant(r)) - have, key=rank.__getitem__)
 
-    for position, (kind, r, uid, c, token, time) in enumerate(ref.log):
-        g = graph
-        for start, epoch_graph in epochs:
-            if position >= start:
-                g = epoch_graph
+    for kind, r, uid, c, token, time in ref.log:
         if kind == "access":
             if token is not None:
                 have, growth = token
@@ -99,7 +93,7 @@ def reference_check(
                 have, growth = visible.get(r, set()), visible_closure.get(r, EMPTY)
             else:
                 have, growth = applied.get(r, set()), closure.get(r, EMPTY)
-            for m in missing(client.get(c, EMPTY), g, r, have):
+            for m in missing(client.get(c, EMPTY), r, have):
                 if len(result.session) >= max_violations:
                     break
                 result.session.append(SessionViolation(c, r, m, time))
@@ -110,7 +104,7 @@ def reference_check(
         judged = kind == "visible" or not visibility
         have, grown = (visible, visible_closure) if kind == "visible" else (applied, closure)
         if judged:
-            for m in missing(ref.past[uid], g, r, have.get(r, set())):
+            for m in missing(ref.past[uid], r, have.get(r, set())):
                 if len(result.safety) >= max_violations:
                     break
                 result.safety.append(SafetyViolation(r, uid, m, time))

@@ -8,21 +8,12 @@ from repro import DSMSystem, ShareGraph, all_timestamp_graphs
 from repro.errors import ConfigurationError
 from repro.network.delays import LooseSynchronyDelay, UniformDelay
 from repro.optimizations import bounded_policy_factory
-from repro.optimizations.bounded import counters_saved
 from repro.workloads import ring_placements, run_workload, uniform_writes
 
 
 @pytest.fixture
 def ring8():
     return ShareGraph(ring_placements(8))
-
-
-def test_counters_saved_positive_on_ring(ring8):
-    assert counters_saved(ring8, max_loop_len=4) == 8 * (16 - 4)
-
-
-def test_counters_saved_zero_on_triangle(triangle_graph):
-    assert counters_saved(triangle_graph, max_loop_len=3) == 0
 
 
 def test_factory_validation(ring8):

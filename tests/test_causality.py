@@ -59,15 +59,6 @@ def test_replica_causal_past_includes_closure():
     assert h.replica_causal_past(3) == {u(1, 1), u(2, 1)}
 
 
-def test_dependency_graph():
-    h = History()
-    h.record_issue(1, u(1, 1), "x", 0.0)
-    h.record_issue(1, u(1, 2), "x", 1.0)
-    vertices, edges = h.dependency_graph(1)
-    assert vertices == {u(1, 1), u(1, 2)}
-    assert edges == {(u(1, 1), u(1, 2))}
-
-
 def test_duplicate_issue_rejected():
     h = History()
     h.record_issue(1, u(1, 1), "x", 0.0)

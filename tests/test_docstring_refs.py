@@ -41,3 +41,14 @@ def test_docstring_references_resolve():
         except (ImportError, AttributeError):
             unresolved.append(target)
     assert unresolved == []
+
+
+def test_package_map_names_every_package():
+    """The package map in ``repro.__doc__`` lists exactly the packages."""
+    doc = (SRC / "repro" / "__init__.py").read_text(encoding="utf-8")
+    named = set(re.findall(r"``(repro\.\w+)``", doc))
+    packages = {
+        f"repro.{path.parent.name}"
+        for path in (SRC / "repro").glob("*/__init__.py")
+    }
+    assert named == packages

@@ -31,16 +31,12 @@ steps = st.lists(
 )
 
 
-def play(ops, cut):
-    """Record ``ops`` into a History and the reference side by side;
-    returns both and the event position where the epoch changes."""
+def play(ops):
+    """Record ``ops`` into a History and the reference side by side."""
     h, ref = History(), ReferenceHistory()
     issued = {r: 0 for r in REPLICAS}
     tokens = {r: [] for r in REPLICAS}
-    boundary = 0
     for step, (kind, r, pick, extra) in enumerate(ops):
-        if step == cut:
-            boundary = len(h.events)
         t = float(step)
         if kind == "issue":
             issued[r] += 1
@@ -76,31 +72,21 @@ def play(ops, cut):
             else:
                 h.record_client_access(client, r, t)
                 ref.access(client, r, t)
-    return h, ref, boundary
+    return h, ref
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    old=placements,
-    new=placements,
+    graph=placements,
     ops=steps,
-    cut=st.integers(0, 60),
     visibility=st.booleans(),
     cap=st.sampled_from([1, 3, 1000]),
 )
-def test_history_and_checker_match_the_definitions(
-    old, new, ops, cut, visibility, cap
-):
-    h, ref, boundary = play(ops, cut)
-    for epochs in (None, [(0, old), (boundary, new)]):
-        got = check_history(
-            h, new, max_violations=cap, epoch_graphs=epochs, visibility=visibility
-        )
-        want = reference_check(
-            ref, new, epoch_graphs=epochs, visibility=visibility,
-            max_violations=cap,
-        )
-        assert got == want
+def test_history_and_checker_match_the_definitions(graph, ops, visibility, cap):
+    h, ref = play(ops)
+    got = check_history(h, graph, max_violations=cap, visibility=visibility)
+    want = reference_check(ref, graph, visibility=visibility, max_violations=cap)
+    assert got == want
     assert h.all_updates() == tuple(ref.issued)
     for u2 in ref.issued:
         assert h.causal_past(u2) == ref.past[u2]
@@ -112,7 +98,7 @@ def test_history_and_checker_match_the_definitions(
         assert h.replica_causal_past(r) == ref.closure.get(r, frozenset())
         assert h.updates_by(r) == tuple(u for u in ref.issued if u.issuer == r)
         applied = ref.applied.get(r, set())
-        relevant = {u for u in ref.issued if ref.register[u] in new.registers_at(r)}
+        relevant = {u for u in ref.issued if ref.register[u] in graph.registers_at(r)}
         installs = [u for u in ref.issued if u in relevant and u not in applied]
         want = [
             (u, m)
@@ -121,9 +107,9 @@ def test_history_and_checker_match_the_definitions(
             if m in ref.past[u] and m in relevant
             and m not in applied and m not in installs
         ][:20]
-        assert frontier_closure_violations(h, new, r, installs) == want
+        assert frontier_closure_violations(h, graph, r, installs) == want
         for donor in REPLICAS:
-            assert install_set(h, new, donor, r) == tuple(
+            assert install_set(h, graph, donor, r) == tuple(
                 u for u in ref.issued
                 if u in ref.closure.get(donor, ()) and u in relevant
                 and u not in applied

@@ -119,13 +119,6 @@ def test_heterogeneous_replica_ids():
     assert graph.is_connected()
 
 
-def test_to_networkx(fig3_graph):
-    g = fig3_graph.to_networkx()
-    assert g.number_of_nodes() == 4
-    assert g.number_of_edges() == 3
-    assert g.edges[2, 3]["registers"] == {"y"}
-
-
 def test_recipients_is_memoized_in_a_stable_order():
     """The simulator samples channel delays in recipient order, so every
     call must hand back the same tuple."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro import ShareGraph, all_timestamp_graphs, timestamp_graph
-from repro.core.timestamp_graph import metadata_summary
 from repro.workloads import (
     clique_placements,
     line_placements,
@@ -110,14 +109,6 @@ def test_contains_protocol(fig5_graph):
     g = timestamp_graph(fig5_graph, 1)
     assert (1, 2) in g
     assert (3, 4) not in g
-
-
-def test_metadata_summary(fig5_graph):
-    summary = metadata_summary(fig5_graph)
-    assert summary[1] == (4, 4)
-    assert all(
-        incident % 2 == 0 for incident, _ in summary.values()
-    )  # incident edges come in direction pairs
 
 
 def test_str_rendering(fig5_graph):
