@@ -283,8 +283,6 @@ class LoadReport:
                 "sessions": spec.sessions,
                 "writes_per_session": spec.writes,
                 "pipeline_window": spec.pipeline_window,
-                "batch_window": tcp_config.get("batch_window", 0.0),
-                "batch_max": tcp_config.get("batch_max"),
                 "shed_threshold": tcp_config.get("shed_threshold"),
             },
         )

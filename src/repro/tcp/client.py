@@ -32,7 +32,13 @@ from repro.errors import (
     RetryExhaustedError,
     WireDecodeError,
 )
-from repro.tcp.framing import FrameType, json_frame, read_frame
+from repro.tcp.framing import (
+    Frame,
+    FrameReader,
+    FrameType,
+    json_frame,
+    read_frame,
+)
 from repro.tcp.runtime import DEDUP_WINDOW
 from repro.wire.codec import decode_value, encode_value
 
@@ -75,7 +81,10 @@ class SessionStats:
 
 
 async def _read_reply(reader: asyncio.StreamReader) -> Dict[str, Any]:
-    frame = await read_frame(reader)
+    return _reply(await read_frame(reader))
+
+
+def _reply(frame: Frame) -> Dict[str, Any]:
     if frame.type is not FrameType.OP_REPLY:
         raise WireDecodeError(f"expected OP_REPLY, got {frame.type!r}")
     return frame.json()
@@ -217,29 +226,13 @@ class ClusterClient:
         shedding (probes and admin traffic must land even when a replica
         is drowning in bulk load).
         """
-        self._request_seq += 1
-        doc = {
-            "op": "write",
-            "session": self.session,
-            "request_id": f"{self.session}-{self._request_seq}",
-            "register": register,
-            "value": encode_value(value).hex(),
-        }
+        doc = self._request("write", register, value=encode_value(value).hex())
         if priority:
             doc["priority"] = priority
         reply, replica, attempts, latency = await self._with_retries(
             doc, targets
         )
-        uid = reply.get("uid")
-        return OpResult(
-            op="write",
-            register=register,
-            value=value,
-            uid=(uid[0], int(uid[1])) if uid else None,
-            latency=latency,
-            replica=replica,
-            attempts=attempts,
-        )
+        return _written(reply, register, value, latency, replica, attempts)
 
     async def write_pipelined(
         self,
@@ -252,9 +245,10 @@ class ClusterClient:
         Instead of write-await-write, up to ``window`` requests are on
         the connection before the first reply is awaited; replies are
         matched FIFO (one server handles one connection's OP frames in
-        order) and cross-checked by ``request_id``.  Per-op latency is
-        measured from the op's own send, so queueing inside the window
-        is visible in the percentiles.
+        order) and cross-checked by ``request_id``.  Every reply one
+        read delivers is handled before the window is refilled, with
+        one write.  Per-op latency is measured from the op's own send,
+        so queueing inside the window is visible in the percentiles.
 
         Fault handling degrades, never loses: on any connection error,
         mismatched reply, or server-side rejection, every op not yet
@@ -268,18 +262,10 @@ class ClusterClient:
             raise ValueError(
                 f"window must be in 1..{DEDUP_WINDOW}, got {window}"
             )
-        docs: List[Dict[str, Any]] = []
-        for register, value in ops:
-            self._request_seq += 1
-            docs.append(
-                {
-                    "op": "write",
-                    "session": self.session,
-                    "request_id": f"{self.session}-{self._request_seq}",
-                    "register": register,
-                    "value": encode_value(value).hex(),
-                }
-            )
+        docs = [
+            self._request("write", register, value=encode_value(value).hex())
+            for register, value in ops
+        ]
         loop = asyncio.get_event_loop()
         results: List[Optional[OpResult]] = [None] * len(docs)
         sent_at: Dict[int, float] = {}
@@ -288,40 +274,43 @@ class ClusterClient:
         replica = targets[0]
         try:
             reader, writer = await self._connection(replica)
+            frames = FrameReader(reader)
             with _Deadline(writer.transport, self.op_timeout) as deadline:
                 while next_recv < len(docs):
-                    while (
-                        next_send < len(docs)
-                        and next_send - next_recv < window
-                    ):
-                        sent_at[next_send] = loop.time()
-                        writer.write(
-                            json_frame(FrameType.OP, docs[next_send])
-                        )
-                        next_send += 1
+                    refill = min(len(docs), next_recv + window)
+                    if next_send < refill:
+                        now = loop.time()
+                        out = []
+                        for index in range(next_send, refill):
+                            sent_at[index] = now
+                            out.append(json_frame(FrameType.OP, docs[index]))
+                        writer.write(b"".join(out))
+                        next_send = refill
                     await writer.drain()
-                    reply = await _read_reply(reader)
+                    batch = await frames.read()
                     deadline.extend()
-                    doc = docs[next_recv]
-                    if (
-                        not reply.get("ok")
-                        or reply.get("request_id") != doc["request_id"]
-                    ):
-                        raise WireDecodeError(
-                            "pipelined reply rejected or out of order: "
-                            f"{reply}"
+                    now = loop.time()
+                    for frame in batch:
+                        if next_recv == next_send:
+                            raise WireDecodeError("unrequested reply")
+                        reply = _reply(frame)
+                        doc = docs[next_recv]
+                        if (
+                            not reply.get("ok")
+                            or reply.get("request_id") != doc["request_id"]
+                        ):
+                            raise WireDecodeError(
+                                "pipelined reply rejected or out of order: "
+                                f"{reply}"
+                            )
+                        results[next_recv] = _written(
+                            reply,
+                            *ops[next_recv],
+                            now - sent_at[next_recv],
+                            replica,
+                            1,
                         )
-                    uid = reply.get("uid")
-                    results[next_recv] = OpResult(
-                        op="write",
-                        register=doc["register"],
-                        value=ops[next_recv][1],
-                        uid=(uid[0], int(uid[1])) if uid else None,
-                        latency=loop.time() - sent_at[next_recv],
-                        replica=replica,
-                        attempts=1,
-                    )
-                    next_recv += 1
+                        next_recv += 1
         except _ATTEMPT_ERRORS:
             pass
         finally:
@@ -333,26 +322,27 @@ class ClusterClient:
             reply, replica, attempts, _ = await self._with_retries(
                 doc, targets
             )
-            uid = reply.get("uid")
-            results[index] = OpResult(
-                op="write",
-                register=doc["register"],
-                value=ops[index][1],
-                uid=(uid[0], int(uid[1])) if uid else None,
-                latency=loop.time() - started,
-                replica=replica,
-                attempts=attempts + 1,
+            results[index] = _written(
+                reply,
+                *ops[index],
+                loop.time() - started,
+                replica,
+                attempts + 1,
             )
         return [r for r in results if r is not None]
 
-    async def read(self, register: str, targets: Sequence[str]) -> OpResult:
+    def _request(self, op: str, register: str, **fields: Any) -> Dict[str, Any]:
         self._request_seq += 1
-        doc = {
-            "op": "read",
+        return {
+            "op": op,
             "session": self.session,
             "request_id": f"{self.session}-{self._request_seq}",
             "register": register,
+            **fields,
         }
+
+    async def read(self, register: str, targets: Sequence[str]) -> OpResult:
+        doc = self._request("read", register)
         reply, replica, attempts, latency = await self._with_retries(
             doc, targets
         )
@@ -421,6 +411,26 @@ class ClusterClient:
         if last_shed:
             raise ReplicaOverloadedError(message, self.max_attempts)
         raise RetryExhaustedError(message, self.max_attempts)
+
+
+def _written(
+    reply: Dict[str, Any],
+    register: str,
+    value: Any,
+    latency: float,
+    replica: str,
+    attempts: int,
+) -> OpResult:
+    uid = reply.get("uid")
+    return OpResult(
+        op="write",
+        register=register,
+        value=value,
+        uid=(uid[0], int(uid[1])) if uid else None,
+        latency=latency,
+        replica=replica,
+        attempts=attempts,
+    )
 
 
 def percentile(latencies: Sequence[float], fraction: float) -> float:

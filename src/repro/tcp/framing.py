@@ -12,6 +12,10 @@ Decoding is defensive end to end: malformed lengths, unknown frame
 types, and corrupt payloads raise
 :class:`~repro.errors.WireDecodeError`, which the link layer treats as
 "drop this connection" rather than "crash this replica".
+
+Readers take frames a wake-up at a time: :class:`FrameReader` decodes
+every complete frame in the bytes one read delivered, so a pipelined
+burst costs one await, not two per frame.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ class FrameType(IntEnum):
     BYE = 6  # graceful close (peer flushed and is going away)
     OP = 7  # JSON client/admin request
     OP_REPLY = 8  # JSON client/admin response
-    UPDATE_BATCH = 9  # varint count | (varint chanseq | varint len | update)*
+    UPDATE_BATCH = 9  # one commit's updates to a peer; see batch_payload
     RESYNC_FULL = 10  # JSON: cursor + issuer seq, "deep replay, ignore acks"
     ECHO = 11  # wire-encoded update: a peer returning the requester's issue
 
@@ -98,6 +102,57 @@ def decode_frame(body: bytes) -> Frame:
     return Frame(frame_type, bytes(body[1:]))
 
 
+#: Most bytes one :meth:`FrameReader.read` takes from the stream.
+READ_CHUNK = 1 << 18
+
+
+class FrameReader:
+    """Every complete frame the stream has delivered, per await.
+
+    :meth:`read` returns at least one frame, and with it every other
+    complete frame already buffered; a partial frame waits in the
+    reader for the bytes that finish it.  The length bound and the
+    frame-type check are :func:`read_frame`'s: a bad frame poisons the
+    read that brought it (:class:`WireDecodeError`), and the connection
+    is dropped with the frames before it, which the peer's cursor
+    replay or the client's retry sends again.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._reader = reader
+        self._buffer = b""
+
+    async def read(self) -> List[Frame]:
+        """The next frames; ``IncompleteReadError`` on end of stream."""
+        while True:
+            frames = self._split()
+            if frames:
+                return frames
+            data = await self._reader.read(READ_CHUNK)
+            if not data:
+                raise asyncio.IncompleteReadError(self._buffer, None)
+            self._buffer += data
+
+    def _split(self) -> List[Frame]:
+        buffer, offset, frames = self._buffer, 0, []
+        while len(buffer) - offset >= 4:
+            body_len = _body_len(buffer[offset : offset + 4])
+            stop = offset + 4 + body_len
+            if stop > len(buffer):
+                break
+            frames.append(decode_frame(buffer[offset + 4 : stop]))
+            offset = stop
+        self._buffer = buffer[offset:]
+        return frames
+
+
+def _body_len(header: bytes) -> int:
+    body_len = int.from_bytes(header, "big")
+    if body_len == 0 or body_len > MAX_FRAME:
+        raise WireDecodeError(f"frame length {body_len} out of bounds")
+    return body_len
+
+
 async def read_frame(reader: asyncio.StreamReader) -> Frame:
     """Read one length-prefixed frame; raises on EOF or corruption.
 
@@ -105,12 +160,8 @@ async def read_frame(reader: asyncio.StreamReader) -> Frame:
     (the link layer treats it as a disconnect); a corrupt length raises
     :class:`WireDecodeError` so the connection is dropped as poisoned.
     """
-    header = await reader.readexactly(4)
-    body_len = int.from_bytes(header, "big")
-    if body_len == 0 or body_len > MAX_FRAME:
-        raise WireDecodeError(f"frame length {body_len} out of bounds")
-    body = await reader.readexactly(body_len)
-    return decode_frame(body)
+    body_len = _body_len(await reader.readexactly(4))
+    return decode_frame(await reader.readexactly(body_len))
 
 
 def split_update_payload(payload: bytes) -> Tuple[int, bytes]:
@@ -126,7 +177,7 @@ def update_payload(chanseq: int, update_bytes: bytes) -> bytes:
 
 
 def batch_payload(members: "List[Tuple[int, bytes]]") -> bytes:
-    """An ``UPDATE_BATCH`` payload: Nagle-coalesced updates on one link.
+    """An ``UPDATE_BATCH`` payload: one commit's updates on one link.
 
     Layout: ``varint count | (varint chanseq | varint len | update)*``.
     Per-member chanseqs are kept (rather than a base + run) because the
@@ -138,6 +189,32 @@ def batch_payload(members: "List[Tuple[int, bytes]]") -> bytes:
         out += encode_uvarint(len(update_bytes))
         out += update_bytes
     return bytes(out)
+
+
+def update_frames(members: "List[Tuple[int, bytes]]") -> List[bytes]:
+    """The frames that carry one commit's ``(chanseq, update)`` pairs.
+
+    One member is an ``UPDATE`` frame; more are ``UPDATE_BATCH`` frames,
+    split only where a frame body would pass :data:`MAX_FRAME`.
+    """
+    if len(members) == 1:
+        return [encode_frame(FrameType.UPDATE, update_payload(*members[0]))]
+    frames: List[bytes] = []
+    start, size = 0, 11  # type byte + count varint
+    for k, (_, update_bytes) in enumerate(members):
+        # Chanseq and length varints are at most 10 bytes each, so the
+        # size is a bound, never an underestimate.
+        member = 20 + len(update_bytes)
+        if k > start and size + member > MAX_FRAME:
+            frames.append(_batch_frame(members[start:k]))
+            start, size = k, 11
+        size += member
+    frames.append(_batch_frame(members[start:]))
+    return frames
+
+
+def _batch_frame(members: "List[Tuple[int, bytes]]") -> bytes:
+    return encode_frame(FrameType.UPDATE_BATCH, batch_payload(members))
 
 
 def split_batch_payload(payload: bytes) -> "List[Tuple[int, bytes]]":

@@ -5,9 +5,15 @@ connections (the lexicographically smaller replica id dials, the other
 accepts), supervised with jittered exponential backoff and watched by a
 heartbeat failure detector.  Durability and catch-up follow one rule:
 
-* every issue and every apply is written (and flushed) to the replica's
-  :class:`~repro.tcp.wal.WriteAheadLog` *before* its consequences (the
-  update fan-out, the cumulative ACK) reach the network;
+* every issue and every apply is written to the replica's
+  :class:`~repro.tcp.wal.WriteAheadLog`, and flushed *before* its
+  consequences (the update fan-out, the cumulative ACK, the client's
+  reply) reach the network.  Sends, ACKs and replies are staged, and one
+  commit per event-loop wake-up does one WAL flush, then writes one
+  ``UPDATE``/``UPDATE_BATCH`` frame per peer, one cumulative ACK per
+  sender and one write of the queued replies per client connection;
+  every other frame that leaves the process (a ``HELLO`` cursor, an
+  outbox replay) flushes first too;
 * every update a replica ever sent sits, wire-encoded, in a per-peer
   *outbox* keyed by its channel sequence number (``tau[(me, dst)]``),
   trimmed only by the peer's cumulative ACKs -- and fully rebuilt from
@@ -57,13 +63,13 @@ from repro.errors import ConfigurationError, ProtocolError, WireDecodeError
 from repro.gst.policy import GstPolicy, gst_wire_order
 from repro.tcp.framing import (
     Frame,
+    FrameReader,
     FrameType,
-    batch_payload,
     encode_frame,
     json_frame,
-    read_frame,
     split_batch_payload,
     split_update_payload,
+    update_frames,
     update_payload,
     uvarint_frame,
 )
@@ -115,12 +121,6 @@ class TcpConfig:
     gap_threshold: Optional[int] = 256
     drain_timeout: float = 5.0  # graceful-shutdown flush budget
     hello_timeout: float = 10.0  # first frame on an accepted connection
-    #: Nagle-style flush window for peer links (seconds); 0 sends every
-    #: update as its own frame.  When on, the WAL runs in buffered mode
-    #: (one flush per batch, still strictly before any ack or frame that
-    #: depends on the buffered records leaves the process).
-    batch_window: float = 0.0
-    batch_max: int = 64  # flush a destination early at this many staged
     #: Timestamp policy: ``"edge"`` (paper's edge-indexed vectors, the
     #: default and the legacy-compatible wire format) or ``"gst"`` (the
     #: global-stabilization protocol of arXiv:1803.05575 -- scalar
@@ -164,7 +164,6 @@ class PeerLink:
         self.connected = False
         self.suspected = False
         self.last_heard = 0.0
-        self.frames_sent = 0
         self._writer: Optional[asyncio.StreamWriter] = None
         self._token: Optional[object] = None
         # Each link draws backoff delays from its own seeded stream:
@@ -195,33 +194,21 @@ class PeerLink:
 
     # -- transmit --------------------------------------------------------
     def send_bytes(self, data: bytes) -> bool:
+        """Write one frame, after the WAL flush that covers it."""
         writer = self._writer
         if writer is None or writer.is_closing():
             return False
+        if self.server.wal.pending:
+            self.server.wal.flush()
         try:
             writer.write(data)
         except (ConnectionError, OSError, RuntimeError):
             return False
-        self.frames_sent += 1
         return True
-
-    def send_update(self, chanseq: int, update_bytes: bytes) -> bool:
-        return self.send_bytes(
-            encode_frame(FrameType.UPDATE, update_payload(chanseq, update_bytes))
-        )
 
     def abort(self) -> None:
         """Forcibly reset the current connection (no flush, no goodbye)."""
-        writer = self._writer
-        if writer is not None:
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        self._writer = None
-        self._token = None
-        if self.connected:
-            self.connected = False
-            self.server._link_event("disconnect", self.peer, "aborted")
+        self._detach(self._token, "aborted")
 
     # -- connection lifecycle -------------------------------------------
     def _attach(self, writer: asyncio.StreamWriter) -> object:
@@ -233,7 +220,7 @@ class PeerLink:
         self.last_heard = self.server._loop_time()
         return token
 
-    def _detach(self, token: object) -> None:
+    def _detach(self, token: Optional[object], detail: str = "") -> None:
         if self._token is not token:
             return  # a newer connection already replaced this one
         writer = self._writer
@@ -245,7 +232,7 @@ class PeerLink:
                 transport.abort()
         if self.connected:
             self.connected = False
-            self.server._link_event("disconnect", self.peer)
+            self.server._link_event("disconnect", self.peer, detail)
 
     def send_hello(self) -> None:
         self.send_bytes(
@@ -305,7 +292,9 @@ class PeerLink:
                 continue
             token = self._attach(writer)
             self.send_hello()
-            got_hello = await self.server._read_loop(self, reader, token)
+            got_hello = await self.server._read_loop(
+                self, FrameReader(reader), token, []
+            )
             self._detach(token)
             attempt = 0 if got_hello else attempt + 1
             await asyncio.sleep(self._backoff(attempt))
@@ -395,9 +384,7 @@ class TcpReplicaServer(CoreAdapter):
         self.config = config or TcpConfig()
         self.host = host
         self.port = port
-        self.wal = WriteAheadLog(
-            wal_path, buffered=self.config.batch_window > 0
-        )
+        self.wal = WriteAheadLog(wal_path)
         self.stats = TcpReplicaStats()
         self.link_events: List[LinkEvent] = []
         self.on_link_event: Optional[Callable[[LinkEvent], None]] = None
@@ -436,7 +423,7 @@ class TcpReplicaServer(CoreAdapter):
         self._replica_by_name = {str(r): r for r in self.graph.replicas}
         self._register_by_name = {str(x): x for x in self.graph.registers}
         # The skeleton's object-level batch window stays off (this runtime
-        # stages wire bytes, see ``_staged``), and RecordHistory is on with
+        # stages wire bytes, see ``_commit``), and RecordHistory is on with
         # no History attached: the WAL is this runtime's history, written
         # by the handler installed below.
         super().__init__(
@@ -469,18 +456,15 @@ class TcpReplicaServer(CoreAdapter):
         # An exact set, not a high-water mark: a live send racing an
         # outbox replay can put seq k on the wire before seq 1.
         self._enqueued: Dict[ReplicaId, Set[int]] = {}
-        # Send-side coalescing (config.batch_window > 0): staged
-        # (chanseq, bytes) per destination, shipped as one UPDATE_BATCH
-        # frame per flush window.  Every update enters the durable outbox
-        # the moment it is sent, not when the window closes, and outbox
-        # entries stay individual so cursor replay after a reconnect is
-        # unchanged.  The window's timer is the skeleton's
-        # ``_flush_handle``.
+        # What the next commit sends: staged (chanseq, bytes) per peer,
+        # the senders owed a cumulative ACK, and the reply frames queued
+        # per client connection.  Every update enters the durable outbox
+        # the moment it is sent, not at the commit, and outbox entries
+        # stay individual so cursor replay after a reconnect is unchanged.
         self._staged: Dict[ReplicaId, List[Tuple[int, bytes]]] = {}
-        # While a received batch is applying, acks are deferred: one
-        # cumulative ACK per affected sender after a single WAL flush.
-        self._ack_deferred = False
         self._ack_owed: Set[ReplicaId] = set()
+        self._replies: Dict[asyncio.StreamWriter, List[bytes]] = {}
+        self._commit_due = False
         self._update_bytes: Dict[UpdateId, bytes] = {}
         # session -> request id -> cached reply, oldest first; each
         # session's table holds its last DEDUP_WINDOW requests.
@@ -549,20 +533,10 @@ class TcpReplicaServer(CoreAdapter):
         """Rebuild core state and outboxes from the durable log."""
         self._replaying = True
         try:
-            for entry in entries:
-                if entry.kind == "issue":
-                    register = self._register_by_name.get(
-                        entry.register, entry.register
-                    )
-                    self._writing_value = entry.value
-                    self.core.local_write(register, entry.value)
-                else:
-                    src = self._replica_by_name.get(entry.src, entry.src)
-                    update = self._decode_update(src, entry.update_bytes)
-                    self.core.remote_update(src, update)
-                self.stats.wal_replayed += 1
+            self._feed(self.core, entries)
         finally:
             self._replaying = False
+        self.stats.wal_replayed += len(entries)
         if self.core.pending_count:
             raise ProtocolError(
                 f"WAL replay of {self.wal.path} left "
@@ -690,16 +664,8 @@ class TcpReplicaServer(CoreAdapter):
         entries = self.wal.read()
         merged = self._sends_from_wal(entries, link.peer)
         merged.update(self._outbox[link.peer])
-        for index, chanseq in enumerate(sorted(merged)):
-            if chanseq <= cursor:
-                continue
-            if not link.send_update(chanseq, merged[chanseq]):
-                return
-            if index % 64 == 63 and link._writer is not None:
-                try:
-                    await link._writer.drain()
-                except (ConnectionError, OSError):
-                    return
+        if not await self._stream(link, merged, cursor):
+            return
         for entry in entries:
             if entry.kind != "apply":
                 continue
@@ -743,6 +709,11 @@ class TcpReplicaServer(CoreAdapter):
             emit_confirm=False,
             size_wire=False,
         )
+        self._feed(core, entries)
+        return collected
+
+    def _feed(self, core: ProtocolCore, entries: List[WalEntry]) -> None:
+        """Replay durable events through ``core``, in log order."""
         for entry in entries:
             if entry.kind == "issue":
                 register = self._register_by_name.get(
@@ -752,7 +723,6 @@ class TcpReplicaServer(CoreAdapter):
             else:
                 src = self._replica_by_name.get(entry.src, entry.src)
                 core.remote_update(src, self._decode_update(src, entry.update_bytes))
-        return collected
 
     def _on_echo(self, doc: Dict[str, Any]) -> None:
         """A peer returned one of our own (possibly lost) issues."""
@@ -774,11 +744,11 @@ class TcpReplicaServer(CoreAdapter):
         self._drain_echo_buffer()
 
     async def shutdown(self) -> None:
-        """Graceful: flush unacked outbox suffixes, say BYE, close."""
+        """Graceful: commit, replay unacked outbox suffixes, say BYE, close."""
         if not self.running:
             return
         self._accepting_ops = False
-        self._flush_staged()
+        self._commit()
         deadline = self._loop_time() + self.config.drain_timeout
         for peer, link in self.links.items():
             if link.connected:
@@ -788,9 +758,10 @@ class TcpReplicaServer(CoreAdapter):
         for link in self.links.values():
             link.send_bytes(encode_frame(FrameType.BYE))
         await asyncio.sleep(0)
-        # Client connections close once their last reply is flushed (the
-        # ``shutdown`` op's own ``{"ok": true}`` among them); the
-        # teardown's abort would discard a reply still buffered.
+        # The last commit: client connections close once their last reply
+        # is written (the ``shutdown`` op's own ``{"ok": true}`` among
+        # them); the teardown's abort would discard a reply still queued.
+        self._commit()
         for writer in self._accepted:
             writer.close()
         self._accepted.clear()
@@ -799,19 +770,22 @@ class TcpReplicaServer(CoreAdapter):
     def kill(self) -> None:
         """Abrupt stop: the in-process analogue of SIGKILL.
 
-        No flush, no BYE, no drain -- only what the WAL already made
-        durable survives, which is exactly the crash contract.  Accepted
-        connections are reset along with the links: a client holding one
-        open must see the death, not a zombie that keeps answering.
+        No flush, no commit, no BYE, no drain -- only what the WAL already
+        made durable survives, which is exactly the crash contract: the
+        records and frames staged for the next commit die with the
+        process.  Accepted connections are reset along with the links: a
+        client holding one open must see the death, not a zombie that
+        keeps answering.
         """
+        self.wal.discard()
         self._teardown()
 
     def _teardown(self) -> None:
         self.running = False
         self._accepting_ops = False
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
+        self._staged.clear()
+        self._ack_owed.clear()
+        self._replies.clear()
         for task in self._tasks:
             task.cancel()
         self._tasks = []
@@ -841,7 +815,7 @@ class TcpReplicaServer(CoreAdapter):
         metadata_counters: int,
         wire_bytes: int,
     ) -> None:
-        """``Send``: into the durable outbox first, then staged or sent."""
+        """``Send``: into the durable outbox, then staged for the commit."""
         chanseq = update.timestamp.get((self.replica_id, dst))
         if chanseq is None:  # pragma: no cover - incident edges exist
             raise ProtocolError(f"no out-edge toward {dst!r}")
@@ -852,20 +826,12 @@ class TcpReplicaServer(CoreAdapter):
             self.stats.outbox_high_water = len(outbox)
         if self._replaying:
             return
-        if self.config.batch_window > 0:
-            staged = self._staged.setdefault(dst, [])
-            staged.append((chanseq, encoded))
-            if len(staged) >= self.config.batch_max:
-                self._flush_dst(dst)
-            elif self._flush_handle is None:
-                self._flush_handle = self._call_later(
-                    self.config.batch_window, self._flush_staged
-                )
+        staged = self._staged.get(dst)
+        if staged is None:
+            self._staged[dst] = [(chanseq, encoded)]
         else:
-            self.links[dst].send_update(chanseq, encoded)
-
-    def _call_later(self, delay: float, fn: Callable[[], None]) -> Any:
-        return asyncio.get_event_loop().call_later(delay, fn)
+            staged.append((chanseq, encoded))
+        self._commit_soon()
 
     def _on_send_stabilize(self, eff: SendStabilize) -> None:
         # An explicit stabilization round ships the same frame the
@@ -904,18 +870,9 @@ class TcpReplicaServer(CoreAdapter):
             self.wal.append_apply(str(eff.src), raw, time.time())
         else:
             self._update_bytes.pop(eff.update.uid, None)
-        if self._ack_deferred:
-            # Batch apply in progress: one cumulative ACK per sender
-            # goes out after the batch's single WAL flush.
-            self._ack_owed.add(eff.src)
-            return
-        link = self.links.get(eff.src)
-        if link is not None:
-            if self.wal.buffered:
-                self.wal.flush()  # durable before the ack leaves
-            link.send_bytes(
-                uvarint_frame(FrameType.ACK, self.recv_cursor(eff.src))
-            )
+        # One cumulative ACK per sender, after the commit's WAL flush.
+        self._ack_owed.add(eff.src)
+        self._commit_soon()
 
     def _on_escalate_sync(self, eff: EscalateSync) -> None:
         if not self._replaying:
@@ -927,27 +884,38 @@ class TcpReplicaServer(CoreAdapter):
         for peer in self.links:
             self._enqueued[peer] = set()
 
-    # -- send-side batching ----------------------------------------------
-    def _flush_dst(self, dst: ReplicaId) -> None:
-        members = self._staged.get(dst)
-        if not members:
-            return
-        self._staged[dst] = []
-        # Issues in this window sit in the buffered WAL; they must be
-        # durable before their fan-out reaches the wire.
-        self.wal.flush()
-        link = self.links[dst]
-        if len(members) == 1:
-            link.send_update(*members[0])
-        else:
-            link.send_bytes(
-                encode_frame(FrameType.UPDATE_BATCH, batch_payload(members))
-            )
+    # -- the commit ------------------------------------------------------
+    def _commit_soon(self) -> None:
+        """Run :meth:`_commit` once, after this wake-up's callbacks."""
+        if not self._commit_due:
+            self._commit_due = True
+            asyncio.get_event_loop().call_soon(self._commit)
 
-    def _flush_staged(self) -> None:
-        self._flush_handle = None
-        for dst in list(self._staged):
-            self._flush_dst(dst)
+    def _commit(self) -> None:
+        """One WAL flush, then what it covers: one update frame per
+        peer (split only past ``MAX_FRAME``), one cumulative ACK per
+        sender, one write of queued replies per client connection."""
+        self._commit_due = False
+        self.wal.flush()
+        if self._staged:
+            staged, self._staged = self._staged, {}
+            for dst, members in staged.items():
+                link = self.links[dst]
+                for frame in update_frames(members):
+                    link.send_bytes(frame)
+        if self._ack_owed:
+            owed, self._ack_owed = self._ack_owed, set()
+            for peer in owed:
+                link = self.links.get(peer)
+                if link is not None:
+                    link.send_bytes(
+                        uvarint_frame(FrameType.ACK, self.recv_cursor(peer))
+                    )
+        if self._replies:
+            replies, self._replies = self._replies, {}
+            for writer, frames in replies.items():
+                if not writer.is_closing():
+                    writer.write(b"".join(frames))
 
     def _escalate(self, reason: str) -> None:
         """Anti-entropy escalation: ask every reachable peer to replay."""
@@ -978,9 +946,10 @@ class TcpReplicaServer(CoreAdapter):
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        frames = FrameReader(reader)
         try:
-            first = await asyncio.wait_for(
-                read_frame(reader), self.config.hello_timeout
+            batch = await asyncio.wait_for(
+                frames.read(), self.config.hello_timeout
             )
         except (
             asyncio.TimeoutError,
@@ -991,6 +960,7 @@ class TcpReplicaServer(CoreAdapter):
         ):
             writer.transport.abort()
             return
+        first = batch[0]
         if first.type is FrameType.HELLO:
             try:
                 doc = first.json()
@@ -1004,115 +974,112 @@ class TcpReplicaServer(CoreAdapter):
             link.send_hello()
             try:
                 await link.on_peer_hello(doc)
-                await self._read_loop(link, reader, token)
+                await self._read_loop(link, frames, token, batch[1:])
             except WireDecodeError:
                 self.stats.frames_poisoned += 1
             finally:
                 link._detach(token)
         elif first.type is FrameType.OP:
-            await self._client_loop(first, reader, writer)
+            await self._client_loop(batch, frames, writer)
         else:
             writer.transport.abort()
 
     async def _read_loop(
         self,
         link: PeerLink,
-        reader: asyncio.StreamReader,
+        frames: FrameReader,
         token: object,
+        batch: List[Frame],
     ) -> bool:
-        """Dispatch peer frames until disconnect; True if HELLO was seen."""
+        """Dispatch peer frames until disconnect; True if HELLO was seen.
+
+        ``batch`` holds frames already read, past the connection's first.
+        """
         got_hello = link.connected
         while self.running and link._token is token:
-            try:
-                frame = await read_frame(reader)
-            except (
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                OSError,
-            ):
-                return got_hello
-            except WireDecodeError:
-                self.stats.frames_poisoned += 1
-                link.abort()
-                return got_hello
+            if not batch:
+                try:
+                    batch = await frames.read()
+                except (
+                    asyncio.IncompleteReadError,
+                    ConnectionError,
+                    OSError,
+                ):
+                    return got_hello
+                except WireDecodeError:
+                    self.stats.frames_poisoned += 1
+                    link.abort()
+                    return got_hello
             link.last_heard = self._loop_time()
             try:
-                if frame.type is FrameType.UPDATE:
-                    chanseq, raw = split_update_payload(frame.payload)
-                    self._on_update(link.peer, chanseq, raw)
-                elif frame.type is FrameType.UPDATE_BATCH:
-                    self._on_update_batch(
-                        link.peer, split_batch_payload(frame.payload)
-                    )
-                elif frame.type is FrameType.ACK:
-                    self._note_acked(link.peer, frame.uvarint())
-                elif frame.type is FrameType.HELLO:
-                    await link.on_peer_hello(frame.json())
-                    got_hello = True
-                elif frame.type is FrameType.RESYNC:
-                    self.stats.resyncs_served += 1
-                    self._link_event("resync", link.peer, "serving replay")
-                    await self._replay_outbox(link, frame.uvarint())
-                elif frame.type is FrameType.RESYNC_FULL:
-                    await self._serve_deep_resync(link, frame.json())
-                elif frame.type is FrameType.ECHO:
-                    self._on_echo(frame.json())
-                elif frame.type is FrameType.HEARTBEAT:
-                    # last_heard already refreshed above; a non-empty
-                    # payload is a piggybacked stabilize frame.
-                    if frame.payload:
-                        self._on_stabilize(link.peer, frame.payload)
-                elif frame.type is FrameType.BYE:
-                    link.suspected = False  # clean goodbye, not a failure
-                    return got_hello
-                else:
-                    raise WireDecodeError(
-                        f"unexpected peer frame {frame.type!r}"
-                    )
+                for frame in batch:
+                    if not self.running or link._token is not token:
+                        return got_hello
+                    kind = frame.type
+                    if kind is FrameType.UPDATE:
+                        chanseq, raw = split_update_payload(frame.payload)
+                        self._on_update(link.peer, chanseq, raw)
+                    elif kind is FrameType.UPDATE_BATCH:
+                        self._on_update_batch(
+                            link.peer, split_batch_payload(frame.payload)
+                        )
+                    elif kind is FrameType.ACK:
+                        self._note_acked(link.peer, frame.uvarint())
+                    elif kind is FrameType.HELLO:
+                        await link.on_peer_hello(frame.json())
+                        got_hello = True
+                    elif kind is FrameType.RESYNC:
+                        self.stats.resyncs_served += 1
+                        self._link_event("resync", link.peer, "serving replay")
+                        await self._replay_outbox(link, frame.uvarint())
+                    elif kind is FrameType.RESYNC_FULL:
+                        await self._serve_deep_resync(link, frame.json())
+                    elif kind is FrameType.ECHO:
+                        self._on_echo(frame.json())
+                    elif kind is FrameType.HEARTBEAT:
+                        # last_heard already refreshed above; a non-empty
+                        # payload is a piggybacked stabilize frame.
+                        if frame.payload:
+                            self._on_stabilize(link.peer, frame.payload)
+                    elif kind is FrameType.BYE:
+                        link.suspected = False  # clean goodbye, not a failure
+                        return got_hello
+                    else:
+                        raise WireDecodeError(
+                            f"unexpected peer frame {kind!r}"
+                        )
             except WireDecodeError:
                 self.stats.frames_poisoned += 1
                 link.abort()
                 return got_hello
+            batch = []
         return got_hello
 
     def _on_update(self, src: ReplicaId, chanseq: int, raw: bytes) -> None:
+        self._on_update_batch(src, [(chanseq, raw)])
+
+    def _on_update_batch(
+        self, src: ReplicaId, members: List[Tuple[int, bytes]]
+    ) -> None:
+        """Dedup each member, then deliver the frame in one core call.
+
+        The engine's ``remote_batch`` enqueues every member before a
+        single drain; like every apply, the ones it makes are acked by
+        the commit.  Stale members (chanseq <= cursor) still go to the
+        core: its discard path re-confirms them so the sender trims its
+        outbox.
+        """
         cursor = self.recv_cursor(src)
         enqueued = self._enqueued.setdefault(src, set())
         # Applied seqs fall out of the guard as the cursor advances.
         enqueued.difference_update(
             {seq for seq in enqueued if seq <= cursor}
         )
-        if chanseq > cursor and chanseq in enqueued:
-            # Already enqueued (a replay overlapped the live stream);
-            # applying is what will ACK it.
-            self.stats.duplicates_dropped += 1
-            return
-        update = self._decode_update(src, raw)
-        self._update_bytes[update.uid] = raw
-        if chanseq > cursor:
-            enqueued.add(chanseq)
-        # Stale frames (chanseq <= cursor) still go to the core: its
-        # discard path re-confirms them so the sender trims its outbox.
-        self.core.remote_update(src, update)
-
-    def _on_update_batch(
-        self, src: ReplicaId, members: List[Tuple[int, bytes]]
-    ) -> None:
-        """One coalesced frame: dedup each member, deliver in one call.
-
-        The engine's ``remote_batch`` enqueues every member before a
-        single drain; acks emitted during that drain (possibly for other
-        senders, unblocked transitively) are deferred so each affected
-        sender gets one cumulative ACK after one WAL flush.
-        """
-        cursor = self.recv_cursor(src)
-        enqueued = self._enqueued.setdefault(src, set())
-        enqueued.difference_update(
-            {seq for seq in enqueued if seq <= cursor}
-        )
         updates: List[Update] = []
         for chanseq, raw in members:
             if chanseq > cursor and chanseq in enqueued:
+                # Already enqueued (a replay overlapped the live stream);
+                # applying is what will ACK it.
                 self.stats.duplicates_dropped += 1
                 continue
             update = self._decode_update(src, raw)
@@ -1120,23 +1087,10 @@ class TcpReplicaServer(CoreAdapter):
             if chanseq > cursor:
                 enqueued.add(chanseq)
             updates.append(update)
-        if not updates:
-            return
-        self._ack_deferred = True
-        self._ack_owed.clear()
-        try:
+        if len(updates) == 1:
+            self.core.remote_update(src, updates[0])
+        elif updates:
             self.core.remote_batch(src, updates)
-        finally:
-            self._ack_deferred = False
-            owed, self._ack_owed = self._ack_owed, set()
-            if owed and self.wal.buffered:
-                self.wal.flush()  # applies durable before any ack leaves
-            for peer in owed:
-                link = self.links.get(peer)
-                if link is not None:
-                    link.send_bytes(
-                        uvarint_frame(FrameType.ACK, self.recv_cursor(peer))
-                    )
 
     def _stabilize_payload(self, peer: ReplicaId) -> bytes:
         """Heartbeat payload toward ``peer``: the personalized stabilize
@@ -1166,50 +1120,78 @@ class TcpReplicaServer(CoreAdapter):
                 del outbox[chanseq]
 
     async def _replay_outbox(self, link: PeerLink, cursor: int) -> None:
-        """Stream the unacked outbox suffix above ``cursor`` to the peer."""
+        """Stream the unacked outbox suffix above ``cursor`` to the peer.
+
+        The suffix includes what is staged for this peer, so the replay
+        takes it over; the WAL flush that covers it comes with the first
+        frame (:meth:`PeerLink.send_bytes`).
+        """
+        self._staged.pop(link.peer, None)
         floor = max(cursor, self._acked[link.peer])
-        outbox = self._outbox[link.peer]
-        for index, chanseq in enumerate(sorted(outbox)):
-            if chanseq <= floor:
+        await self._stream(link, self._outbox[link.peer], floor)
+
+    async def _stream(
+        self, link: PeerLink, updates: Mapping[int, bytes], floor: int
+    ) -> bool:
+        """Send ``updates`` above ``floor`` one ``UPDATE`` frame each, in
+        chanseq order; False if the link went down on the way.  An entry
+        an ACK trimmed while the stream drained is skipped."""
+        for index, chanseq in enumerate(sorted(updates)):
+            raw = updates.get(chanseq)
+            if chanseq <= floor or raw is None:
                 continue
-            if not link.send_update(chanseq, outbox[chanseq]):
-                return
+            payload = update_payload(chanseq, raw)
+            if not link.send_bytes(encode_frame(FrameType.UPDATE, payload)):
+                return False
             if index % 64 == 63 and link._writer is not None:
                 try:
                     await link._writer.drain()
                 except (ConnectionError, OSError):
-                    return
+                    return False
+        return True
 
     # ------------------------------------------------------------------
     # Client / admin operations
     # ------------------------------------------------------------------
     async def _client_loop(
         self,
-        first: Frame,
-        reader: asyncio.StreamReader,
+        batch: List[Frame],
+        frames: FrameReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        frame: Optional[Frame] = first
+        """Answer the OP frames of one client connection, in order.
+
+        Replies are queued for the commit, which writes each
+        connection's replies once the WAL flush covering them is done;
+        a connection that ends is committed before it is reset.
+        """
         try:
-            while frame is not None:
-                if frame.type is not FrameType.OP:
-                    break
+            while True:
+                queued = self._replies.get(writer)
+                if queued is None:
+                    queued = self._replies[writer] = []
+                for frame in batch:
+                    if frame.type is not FrameType.OP:
+                        return
+                    try:
+                        reply = self._handle_op(frame.json())
+                    except WireDecodeError as exc:
+                        reply = {"ok": False, "error": str(exc)}
+                    queued.append(json_frame(FrameType.OP_REPLY, reply))
+                self._commit_soon()
                 try:
-                    reply = self._handle_op(frame.json())
-                except WireDecodeError as exc:
-                    reply = {"ok": False, "error": str(exc)}
-                writer.write(json_frame(FrameType.OP_REPLY, reply))
-                await writer.drain()
-                try:
-                    frame = await read_frame(reader)
+                    await writer.drain()
+                    batch = await frames.read()
                 except (
                     asyncio.IncompleteReadError,
                     ConnectionError,
                     OSError,
                     WireDecodeError,
                 ):
-                    frame = None
+                    return
         finally:
+            if self._replies.get(writer):
+                self._commit()
             writer.transport.abort()
 
     def _handle_op(self, doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -1254,10 +1236,6 @@ class TcpReplicaServer(CoreAdapter):
                 return {"ok": False, "error": "bad value encoding"}
             self._writing_value = value
             uid = self.core.local_write(register, value)
-            if self.wal.buffered:
-                # The client's ack is a durability promise: flush the
-                # buffered issue record before replying.
-                self.wal.flush()
             reply = {
                 "ok": True,
                 "uid": [str(uid.issuer), uid.seq],
@@ -1337,17 +1315,7 @@ class TcpReplicaServer(CoreAdapter):
                 "stale_discarded": metrics.stale_discarded,
                 "updates_shed": metrics.updates_shed,
                 "pending_high_water": metrics.pending_high_water,
-                "outbox_high_water": self.stats.outbox_high_water,
-                "resyncs_requested": self.stats.resyncs_requested,
-                "resyncs_served": self.stats.resyncs_served,
-                "deep_resyncs_requested": self.stats.deep_resyncs_requested,
-                "deep_resyncs_served": self.stats.deep_resyncs_served,
-                "wal_replayed": self.stats.wal_replayed,
-                "wal_corrupt_records": self.stats.wal_corrupt_records,
-                "wal_quarantines": self.stats.wal_quarantines,
-                "wal_reissued": self.stats.wal_reissued,
-                "wal_lost_records": self.stats.wal_lost_records,
-                "ops_shed": self.stats.ops_shed,
+                **dataclasses.asdict(self.stats),
             },
         }
 
@@ -1359,7 +1327,8 @@ class TcpReplicaServer(CoreAdapter):
         return self.core.timestamp.get((peer, self.replica_id)) or 0
 
     async def write(self, register: RegisterName, value: Any) -> UpdateId:
-        """In-process write entry point (tests, benchmarks)."""
+        """In-process write entry point (tests): commits before it
+        returns, so the update is durable and on the wire."""
         if self._recovery_barrier():
             # The socket path sheds with a typed retryable reply; the
             # in-process path has no retry loop, so refuse loudly --
@@ -1370,7 +1339,9 @@ class TcpReplicaServer(CoreAdapter):
                 "corruption and cannot accept writes yet"
             )
         self._writing_value = value
-        return self.core.local_write(register, value)
+        uid = self.core.local_write(register, value)
+        self._commit()
+        return uid
 
     def _loop_time(self) -> float:
         return asyncio.get_event_loop().time()

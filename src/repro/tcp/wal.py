@@ -3,9 +3,10 @@
 Each replica appends one JSONL record per protocol event -- its own
 issues (register + value + issuer sequence) and its applies of remote
 updates (sender + the exact wire encoding of the update) -- and flushes
-before the event's external consequences (sends, acks) leave the
-process.  A SIGKILL can therefore lose at most work that was never
-acknowledged to anyone.
+before the event's external consequences (sends, acks, client replies)
+leave the process, once per commit for everything the commit covers.
+A SIGKILL can therefore lose at most work that was never acknowledged
+to anyone.
 
 The log serves three masters:
 
@@ -67,6 +68,13 @@ class WalEntry:
     seq: Optional[int] = None  # issue: the issuer sequence of the update
 
 
+def _number(time: float) -> str:
+    """``json.dumps(time)``: a finite float is its ``repr``."""
+    if time.__class__ is float and time - time == 0.0:
+        return float.__repr__(time)
+    return json.dumps(time)
+
+
 def record_crc(doc: dict) -> int:
     """CRC32 over the canonical serialization of ``doc`` minus ``"c"``."""
     body = {key: value for key, value in doc.items() if key != "c"}
@@ -77,18 +85,20 @@ def record_crc(doc: dict) -> int:
 class WriteAheadLog:
     """Append-only JSONL log with flush-before-send semantics.
 
-    ``buffered=True`` amortizes the flush over a batch: appends stay in
-    the userspace buffer until :meth:`flush` is called, which the runtime
-    does once per received batch frame, *before* any ack for the batch
-    leaves the process.  The durability contract is unchanged -- nothing
-    is acknowledged before it is flushed -- only the flush granularity
-    moves from per-event to per-batch.
+    Appends are staged in memory; :meth:`flush` hands every staged
+    record to the kernel in one write.  The runtime flushes once per
+    commit, before any frame or reply that depends on a staged record
+    leaves the process, so the durability contract -- nothing is
+    acknowledged before it is flushed -- holds at commit granularity.
+    What is still staged when the process dies was never acknowledged
+    to anyone; :meth:`discard` is the in-process analogue of that loss.
     """
 
-    def __init__(self, path: str, buffered: bool = False) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.buffered = buffered
         self._fh = None
+        #: Records appended since the last flush, one line each.
+        self.pending: List[str] = []
         self.appended = 0
         self.flushes = 0
 
@@ -97,7 +107,7 @@ class WriteAheadLog:
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = open(self.path, "ab")
 
     def append_issue(
         self,
@@ -106,49 +116,55 @@ class WriteAheadLog:
         time: float,
         seq: Optional[int] = None,
     ) -> None:
-        doc = {
-            "k": "issue",
-            "t": time,
-            "x": register,
-            "v": encode_value(value).hex(),
-        }
-        if seq is not None:
-            doc["q"] = seq
-        self._append(doc)
+        v = encode_value(value).hex()
+        q = "" if seq is None else f'"q": {int(seq)}, '
+        self._append(
+            f'"k": "issue", {q}"t": {_number(time)}, "v": "{v}", '
+            f'"x": {json.dumps(register)}}}'
+        )
 
     def append_apply(self, src: str, update_bytes: bytes, time: float) -> None:
         self._append(
-            {"k": "apply", "t": time, "s": src, "u": update_bytes.hex()}
+            f'"k": "apply", "s": {json.dumps(src)}, "t": {_number(time)}, '
+            f'"u": "{update_bytes.hex()}"}}'
         )
 
-    def _append(self, doc: dict) -> None:
+    def _append(self, tail: str) -> None:
+        """Stage one record from its fields after the opening brace.
+
+        ``tail`` is ``json.dumps(doc, sort_keys=True)`` minus its ``{``:
+        the callers write the keys in sorted order.  Every field name
+        sorts after ``"c"``, so putting the CRC in front gives exactly
+        ``json.dumps(dict(doc, c=crc), sort_keys=True)``, the bytes
+        :func:`record_crc` verifies.
+        """
         if self._fh is None:
             raise ProtocolError(f"WAL {self.path} is not open")
-        # One serialization serves both the checksum and the record:
-        # every field name sorts after "c", so putting the CRC in front
-        # gives exactly ``json.dumps(dict(doc, c=crc), sort_keys=True)``,
-        # the bytes :func:`record_crc` verifies.
-        body = json.dumps(doc, sort_keys=True)
-        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-        self._fh.write(f'{{"c": {crc}, {body[1:]}\n')
-        # flush() hands the bytes to the kernel: they survive SIGKILL of
-        # this process (the failure mode under test), though not a host
-        # crash -- fsync per event would dominate latency for a property
-        # the chaos schedule never exercises.
-        if not self.buffered:
-            self._fh.flush()
-            self.flushes += 1
+        crc = zlib.crc32(b"{" + tail.encode("utf-8")) & 0xFFFFFFFF
+        self.pending.append(f'{{"c": {crc}, {tail}\n')
         self.appended += 1
 
     def flush(self) -> None:
-        """Hand buffered records to the kernel (no-op when unbuffered)."""
-        if self._fh is not None:
+        """Hand every staged record to the kernel (no-op when none are).
+
+        The write reaches the kernel, so it survives SIGKILL of this
+        process (the failure mode under test), though not a host crash
+        -- fsync per commit would dominate latency for a property the
+        chaos schedule never exercises.
+        """
+        if self.pending and self._fh is not None:
+            self._fh.write("".join(self.pending).encode("utf-8"))
             self._fh.flush()
+            self.pending.clear()
             self.flushes += 1
+
+    def discard(self) -> None:
+        """Drop the staged records, as a crash of the process would."""
+        self.pending.clear()
 
     def close(self) -> None:
         if self._fh is not None:
-            self._fh.flush()
+            self.flush()
             self._fh.close()
             self._fh = None
 
@@ -204,12 +220,6 @@ def _classify_line(line: str) -> tuple:
     if "c" in doc and doc["c"] != record_crc(doc):
         return _CORRUPT, None
     return _OK, doc
-
-
-def _decode_line(line: str) -> Optional[dict]:
-    """Parse + checksum one WAL line; ``None`` means it is not usable."""
-    status, doc = _classify_line(line)
-    return doc if status == _OK else None
 
 
 def _wal_lines(path: str) -> List[str]:

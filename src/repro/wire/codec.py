@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Sequence, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.core.engine.stabilization import StabilizeFrame
 
+from repro.core.edge_index import EdgeIndex
 from repro.core.timestamp import Timestamp
 from repro.errors import ProtocolError, WireDecodeError
 from repro.types import Edge, Update, UpdateId
@@ -32,17 +33,52 @@ def canonical_edge_order(edges) -> Tuple[Edge, ...]:
     return tuple(sorted(edges, key=lambda e: (str(e[0]), str(e[1]))))
 
 
+#: Edge orders resolved to ``(order, EdgeIndex, positions)``, keyed by
+#: ``id(order)``: ``positions[k]`` is where ``order[k]`` sits in the
+#: index.  Each entry holds its order, so the id is not reused while the
+#: entry lives.  Runtimes pass a few long-lived orders; a caller that
+#: builds a fresh order per call only refills the table, which is
+#: emptied when it reaches :data:`_COMPILED_MAX`.
+_COMPILED: Dict[int, Tuple[Sequence[Edge], EdgeIndex, Tuple[int, ...]]] = {}
+_COMPILED_MAX = 1024
+
+
+def _compile(order: Sequence[Edge]) -> Tuple[EdgeIndex, Tuple[int, ...]]:
+    entry = _COMPILED.get(id(order))
+    if entry is None or entry[0] is not order:
+        if len(_COMPILED) >= _COMPILED_MAX:
+            _COMPILED.clear()
+        eindex = EdgeIndex.of(order)
+        position = eindex.position
+        entry = (order, eindex, tuple(position[e] for e in order))
+        _COMPILED[id(order)] = entry
+    return entry[1], entry[2]
+
+
 def encode_timestamp(ts: Timestamp, order: Sequence[Edge] = None) -> bytes:
     """Encode counters in canonical (or supplied) edge order."""
     if order is None:
         order = canonical_edge_order(ts.index)
-    out = bytearray(encode_uvarint(len(order)))
-    values, position = ts.values_array, ts.edge_index.position
-    for e in order:
-        pos = position.get(e)
-        if pos is None:
-            raise ProtocolError(f"timestamp missing edge {e!r}")
-        out += encode_uvarint(values[pos])
+    eindex, positions = _compile(order)
+    if ts.edge_index is not eindex:
+        # The order names a different edge set: place each of its edges
+        # in the timestamp's own index, refusing one it lacks.
+        position = ts.edge_index.position
+        for e in order:
+            if e not in position:
+                raise ProtocolError(f"timestamp missing edge {e!r}")
+        positions = tuple(position[e] for e in order)
+    out = bytearray(encode_uvarint(len(positions)))
+    append = out.append
+    values = ts.values_array
+    for pos in positions:
+        value = values[pos]
+        if value < 0:
+            raise ProtocolError(f"cannot varint-encode negative value {value}")
+        while value > 0x7F:
+            append((value & 0x7F) | 0x80)
+            value >>= 7
+        append(value)
     return bytes(out)
 
 
@@ -52,20 +88,42 @@ def decode_timestamp(
     """Decode counters against the shared edge order.
 
     A counter above ``2**63 - 1`` is refused: a ten-byte varint can carry
-    up to ``2**70 - 1``, and the format's counters are int64.
+    up to ``2**70 - 1``, and the format's counters are int64.  The varint
+    loop is :func:`~repro.wire.varint.decode_uvarint`'s, inlined.
     """
+    eindex, positions = _compile(order)
     count, offset = decode_uvarint(data, offset)
-    if count != len(order):
+    if count != len(positions):
         raise WireDecodeError(
             f"timestamp length {count} does not match index of {len(order)}"
         )
-    counters: Dict[Edge, int] = {}
-    for e in order:
-        value, offset = decode_uvarint(data, offset)
+    values = [0] * len(eindex)
+    end = len(data)
+    for pos in positions:
+        if offset >= end:
+            raise WireDecodeError("truncated varint")
+        byte = data[offset]
+        offset += 1
+        if byte < 0x80:
+            values[pos] = byte
+            continue
+        value = byte & 0x7F
+        shift = 7
+        while True:
+            if offset >= end:
+                raise WireDecodeError("truncated varint")
+            byte = data[offset]
+            offset += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+            if shift > 63:
+                raise WireDecodeError("varint too long")
         if value >> 63:
             raise WireDecodeError(f"timestamp counter {value} exceeds int64")
-        counters[e] = value
-    return Timestamp(counters), offset
+        values[pos] = value
+    return Timestamp.from_array(eindex, values), offset
 
 
 def timestamp_wire_bytes(ts: Timestamp) -> int:

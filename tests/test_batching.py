@@ -534,24 +534,16 @@ def test_aio_batched_write_propagates():
 
 
 # ----------------------------------------------------------------------
-# TCP runtime: Nagle-style windows and the pipelined client
+# TCP runtime: commit-coalesced frames and the pipelined client
 # ----------------------------------------------------------------------
 class TestTcpBatched:
     PLACEMENTS = {"a": {"x", "y"}, "b": {"x", "z"}, "c": {"y", "z"}}
 
     def test_batched_cluster_converges(self, tmp_path):
-        from repro.tcp import TcpCluster, TcpConfig
-
-        config = TcpConfig(
-            heartbeat_interval=0.05,
-            heartbeat_timeout=0.25,
-            batch_window=0.01,
-        )
+        from repro.tcp import TcpCluster
 
         async def scenario():
-            async with TcpCluster(
-                self.PLACEMENTS, str(tmp_path), config=config
-            ) as cluster:
+            async with TcpCluster(self.PLACEMENTS, str(tmp_path)) as cluster:
                 for n in range(8):
                     await cluster.replica("a").write("x", f"x{n}")
                 await cluster.replica("b").write("z", "vz")
@@ -564,19 +556,11 @@ class TestTcpBatched:
         asyncio.run(scenario())
 
     def test_pipelined_client_window(self, tmp_path):
-        from repro.tcp import TcpCluster, TcpConfig
+        from repro.tcp import TcpCluster
         from repro.tcp.client import ClusterClient
 
-        config = TcpConfig(
-            heartbeat_interval=0.05,
-            heartbeat_timeout=0.25,
-            batch_window=0.005,
-        )
-
         async def scenario():
-            async with TcpCluster(
-                self.PLACEMENTS, str(tmp_path), config=config
-            ) as cluster:
+            async with TcpCluster(self.PLACEMENTS, str(tmp_path)) as cluster:
                 client = ClusterClient(
                     "pipe", cluster.addresses, op_timeout=5.0
                 )

@@ -12,26 +12,37 @@ from __future__ import annotations
 
 import asyncio
 import io
+import json
+import tempfile
+from collections import Counter
+from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.core.share_graph import ShareGraph
 from repro.errors import ProtocolError, RetryExhaustedError, WireDecodeError
+from repro.harness.process_chaos import audit_cluster
 from repro.tcp import ClusterClient, TcpCluster, TcpConfig
 from repro.tcp.client import _Deadline
 from repro.tcp.framing import (
     MAX_FRAME,
     Frame,
+    FrameReader,
     FrameType,
     decode_frame,
     encode_frame,
     json_frame,
     read_frame,
+    split_batch_payload,
     split_update_payload,
+    update_frames,
     update_payload,
     uvarint_frame,
 )
 from repro.tcp.runtime import DEDUP_WINDOW, TcpReplicaServer
-from repro.tcp.wal import WalEntry, WriteAheadLog, read_wal
+from repro.tcp.wal import WalEntry, WriteAheadLog, read_wal, record_crc
 from repro.wire.codec import encode_value
 
 PLACEMENTS = {"a": {"x", "y"}, "b": {"x", "z"}, "c": {"y", "z"}}
@@ -106,6 +117,60 @@ class TestFraming:
 
         drive(scenario())
 
+    def test_frame_reader_returns_every_complete_frame(self):
+        async def scenario():
+            wire = b"".join(
+                uvarint_frame(FrameType.ACK, n) for n in range(5)
+            )
+            reader = asyncio.StreamReader()
+            reader.feed_data(wire[:-2])  # the last frame arrives split
+            frames = FrameReader(reader)
+            assert [f.uvarint() for f in await frames.read()] == [0, 1, 2, 3]
+            reader.feed_data(wire[-2:])
+            assert [f.uvarint() for f in await frames.read()] == [4]
+            reader.feed_data(wire[:3])
+            reader.feed_eof()
+            with pytest.raises(asyncio.IncompleteReadError):
+                await frames.read()  # end of stream mid-frame
+
+        drive(scenario())
+
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            (MAX_FRAME + 1).to_bytes(4, "big") + b"\x04",  # length bound
+            (0).to_bytes(4, "big"),  # empty body
+            (1).to_bytes(4, "big") + b"\xff",  # unknown frame type
+        ],
+    )
+    def test_frame_reader_refuses_a_poisoned_read(self, poison):
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(uvarint_frame(FrameType.ACK, 7) + poison)
+            with pytest.raises(WireDecodeError):
+                await FrameReader(reader).read()
+
+        drive(scenario())
+
+    def test_update_frames_split_only_past_max_frame(self):
+        members = [(n, bytes([n]) * 40) for n in range(1, 6)]
+        (single,) = update_frames(members[:1])
+        assert decode_frame(single[4:]).type is FrameType.UPDATE
+        (batch,) = update_frames(members)
+        frame = decode_frame(batch[4:])
+        assert frame.type is FrameType.UPDATE_BATCH
+        assert split_batch_payload(frame.payload) == members
+        big = [(n, b"u" * (MAX_FRAME // 3)) for n in range(1, 5)]
+        frames = update_frames(big)
+        assert len(frames) == 2  # three members fill a frame, not four
+        assert all(len(f) - 4 <= MAX_FRAME for f in frames)
+        rejoined = [
+            member
+            for f in frames
+            for member in split_batch_payload(decode_frame(f[4:]).payload)
+        ]
+        assert rejoined == big
+
 
 # ----------------------------------------------------------------------
 # Write-ahead log
@@ -151,6 +216,62 @@ class TestWal:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert list(read_wal(str(tmp_path / "absent.wal"))) == []
+
+    def test_records_wait_for_the_flush(self, tmp_path):
+        path = str(tmp_path / "r.wal")
+        wal = WriteAheadLog(path)
+        wal.open()
+        wal.append_issue("x", 1, 1.0, seq=1)
+        wal.append_apply("b", b"\x01", 2.0)
+        assert len(wal.pending) == 2 and list(read_wal(path)) == []
+        wal.flush()
+        wal.flush()  # nothing staged: no write, not counted
+        assert wal.flushes == 1 and len(list(read_wal(path))) == 2
+        wal.append_issue("x", 2, 3.0, seq=2)
+        wal.discard()  # what a crash does to staged records
+        wal.close()
+        assert [e.seq for e in read_wal(path)] == [1, None]
+
+    @given(
+        names=st.lists(st.text(), min_size=2, max_size=2),
+        value=st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(min_value=0, max_value=2**63 - 1),
+            st.text(),
+            st.binary(),
+        ),
+        time=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False), st.integers()
+        ),
+        seq=st.one_of(st.none(), st.integers(min_value=0, max_value=2**63)),
+        update=st.binary(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lines_are_the_canonical_serialization(
+        self, names, value, time, seq, update
+    ):
+        # Names with quotes, backslashes and non-ASCII characters, every
+        # value type the codec takes: the one-pass line must be what a
+        # sorted dump of its own parse gives, CRC included.
+        register, src = names
+        with tempfile.TemporaryDirectory() as scratch:
+            path = f"{scratch}/r.wal"
+            wal = WriteAheadLog(path)
+            wal.open()
+            wal.append_issue(register, value, time, seq=seq)
+            wal.append_apply(src, update, time)
+            for line in wal.pending:
+                doc = json.loads(line)
+                assert line == json.dumps(doc, sort_keys=True) + "\n"
+                assert doc["c"] == record_crc(doc)
+            wal.close()
+            issue, apply = read_wal(path)
+        assert (issue.register, issue.value, issue.seq) == (
+            register, value, seq
+        )
+        assert issue.time == apply.time == float(time)
+        assert (apply.src, apply.update_bytes) == (src, update)
 
 
 # ----------------------------------------------------------------------
@@ -708,6 +829,178 @@ class TestCrashDuringSyncTransfer:
                 assert rb.store["x"] == f"v{total - 1}"
 
         drive(scenario())
+
+
+# ----------------------------------------------------------------------
+# The commit: one WAL flush, then everything it covers
+# ----------------------------------------------------------------------
+def _wal_audit(wal_dir):
+    """The merged-WAL audit over an in-process cluster's logs."""
+    logs = SimpleNamespace(
+        placements=PLACEMENTS,
+        wal_path=lambda replica: f"{wal_dir}/replica-{replica}.wal",
+    )
+    return audit_cluster(logs, ShareGraph(PLACEMENTS))
+
+
+class TestCommit:
+    def test_no_frame_leaves_before_the_flush_that_covers_it(
+        self, tmp_path, monkeypatch
+    ):
+        """Every frame a replica writes -- peer or client -- finds its
+        WAL with no staged record, across pipelined writes, a RESYNC
+        served mid-stream and a HELLO reconnect."""
+        written = Counter()
+        stale = []
+        write = asyncio.StreamWriter.write
+
+        async def scenario():
+            async with TcpCluster(
+                PLACEMENTS, str(tmp_path), config=FAST
+            ) as cluster:
+
+                def owner(writer):
+                    for server in cluster.servers.values():
+                        if writer in server._accepted or any(
+                            link._writer is writer
+                            for link in server.links.values()
+                        ):
+                            return server
+                    return None
+
+                def checked_write(writer, data):
+                    server = owner(writer)
+                    offset = 0
+                    while server is not None and offset < len(data):
+                        kind = FrameType(data[offset + 4])
+                        written[kind] += 1
+                        if server.wal.pending:
+                            stale.append((server.replica_id, kind))
+                        offset += 4 + int.from_bytes(
+                            data[offset : offset + 4], "big"
+                        )
+                    return write(writer, data)
+
+                monkeypatch.setattr(
+                    asyncio.StreamWriter, "write", checked_write
+                )
+                ra, rb = cluster.replica("a"), cluster.replica("b")
+                client = ClusterClient("pipe", cluster.addresses)
+                ops = [("x", f"p{n}") for n in range(512)]
+                load = asyncio.ensure_future(
+                    client.write_pipelined(ops, ["a"], window=16)
+                )
+                while rb.recv_cursor("a") < 32:
+                    await asyncio.sleep(0)
+                rb._request_resync(rb.links["a"], "mid-stream")
+                while not ra.stats.resyncs_served:
+                    await asyncio.sleep(0)
+                rb.links["a"].abort()  # "a" dials again: HELLO both ways
+                assert len(await load) == 512
+                await client.close()
+                while not rb.links["a"].connected:
+                    await asyncio.sleep(0.01)
+                await cluster.settle(timeout=15)
+                assert rb.store["x"] == "p511"
+
+        drive(scenario())
+        assert stale == []
+        for kind in (FrameType.ACK, FrameType.OP_REPLY, FrameType.HELLO):
+            assert written[kind] > 0, kind
+        assert written[FrameType.UPDATE] + written[FrameType.UPDATE_BATCH] > 0
+
+    def test_kill_between_staging_and_commit_loses_no_acked_write(
+        self, tmp_path, monkeypatch
+    ):
+        """Killed with issues staged and their replies queued: restart,
+        and every write the client saw acknowledged is in the WAL."""
+        handle_op = TcpReplicaServer._handle_op
+        staged_at_kill = []
+
+        def kill_mid_commit(server, doc):
+            reply = handle_op(server, doc)
+            if (
+                server.replica_id == "a"
+                and not staged_at_kill
+                and server.core.seq == 40
+            ):
+                staged_at_kill.append(len(server.wal.pending))
+                server.kill()
+            return reply
+
+        monkeypatch.setattr(TcpReplicaServer, "_handle_op", kill_mid_commit)
+
+        async def scenario():
+            async with TcpCluster(
+                PLACEMENTS, str(tmp_path), config=FAST
+            ) as cluster:
+                client = ClusterClient(
+                    "pipe", cluster.addresses, op_timeout=1.0, retry_delay=0.05
+                )
+                ops = [("x", f"p{n}") for n in range(64)]
+                load = asyncio.ensure_future(
+                    client.write_pipelined(ops, ["a"], window=16)
+                )
+                while not staged_at_kill:
+                    await asyncio.sleep(0)
+                await cluster.restart("a")
+                results = await load
+                await client.close()
+                await cluster.settle(timeout=15)
+                return results
+
+        results = drive(scenario())
+        assert staged_at_kill and staged_at_kill[0] > 0
+        assert len(results) == 64
+        durable = {
+            (entry.seq, entry.value)
+            for entry in read_wal(str(tmp_path / "replica-a.wal"))
+            if entry.kind == "issue"
+        }
+        assert {(r.uid[1], r.value) for r in results} <= durable
+        violations, events = _wal_audit(str(tmp_path))
+        assert violations == [] and events > 0
+
+    def test_replay_skips_entries_acked_while_it_drained(self, tmp_path):
+        server = TcpReplicaServer(
+            "a", PLACEMENTS, {}, wal_path=str(tmp_path / "a.wal")
+        )
+        outbox = server._outbox["b"]
+        for chanseq in range(1, 201):
+            outbox[chanseq] = b"u%d" % chanseq
+        sent = []
+
+        class Writer:
+            def is_closing(self):
+                return False
+
+            def write(self, data):
+                payload = decode_frame(data[4:]).payload
+                sent.append(split_update_payload(payload)[0])
+
+            async def drain(self):
+                server._note_acked("b", 100)  # an ACK lands mid-replay
+
+        server.links["b"]._writer = Writer()
+        drive(server._replay_outbox(server.links["b"], 0))
+        assert sent == list(range(1, 65)) + list(range(101, 201))
+
+    def test_pipelined_window_costs_one_flush_per_commit(self, tmp_path):
+        async def scenario():
+            async with TcpCluster(PLACEMENTS, str(tmp_path)) as cluster:
+                ra = cluster.replica("a")
+                client = ClusterClient("pipe", cluster.addresses)
+                before = ra.wal.flushes
+                ops = [("x", f"p{n}") for n in range(64)]
+                results = await client.write_pipelined(ops, ["a"], window=16)
+                flushes = ra.wal.flushes - before
+                await client.close()
+                await cluster.settle(timeout=15)
+                return results, flushes
+
+        results, flushes = drive(scenario())
+        assert len(results) == 64
+        assert 1 <= flushes <= 8  # one per issue would be 64
 
 
 # ----------------------------------------------------------------------

@@ -172,6 +172,108 @@ def test_timestamp_roundtrip_property(counters):
     assert decoded == ts
 
 
+def reference_encode_timestamp(ts, order):
+    """The edge-by-edge codec the compiled one replaced."""
+    out = bytearray(encode_uvarint(len(order)))
+    values, position = ts.values_array, ts.edge_index.position
+    for e in order:
+        pos = position.get(e)
+        if pos is None:
+            raise ProtocolError(f"timestamp missing edge {e!r}")
+        out += encode_uvarint(values[pos])
+    return bytes(out)
+
+
+def reference_decode_timestamp(data, order, offset=0):
+    count, offset = decode_uvarint(data, offset)
+    if count != len(order):
+        raise WireDecodeError("timestamp length mismatch")
+    counters = {}
+    for e in order:
+        value, offset = decode_uvarint(data, offset)
+        if value >> 63:
+            raise WireDecodeError("timestamp counter exceeds int64")
+        counters[e] = value
+    return Timestamp(counters), offset
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the class is what must agree
+        return "raised", type(exc)
+
+
+_EDGES = [(a, b) for a in "pqrs" for b in "pqrs" if a != b]
+
+
+@st.composite
+def timestamps_and_orders(draw):
+    """A timestamp, and an order over its edges: permuted, sometimes
+    with an edge it lacks, a repeated edge or a dropped one."""
+    edges = draw(st.lists(st.sampled_from(_EDGES), min_size=1, unique=True))
+    counter = st.one_of(
+        st.integers(0, 300),
+        st.integers(0, 2**70),
+        st.sampled_from([2**63 - 1, 2**63, 2**70 - 1]),  # the int64 bound
+        st.integers(-5, -1),
+    )
+    ts = Timestamp({e: draw(counter) for e in edges})
+    order = draw(st.permutations(edges))
+    mangle = draw(st.sampled_from(["none", "foreign", "repeat", "drop"]))
+    if mangle == "foreign":
+        order = order + [draw(st.sampled_from(_EDGES))]
+    elif mangle == "repeat":
+        order = order + [order[0]]
+    elif mangle == "drop" and len(order) > 1:
+        order = order[1:]
+    return ts, tuple(order)
+
+
+@given(timestamps_and_orders(), st.binary(max_size=4), st.data())
+@settings(max_examples=400, deadline=None)
+def test_compiled_codec_matches_the_varint_reference(case, junk, data):
+    ts, order = case
+    encoded = _outcome(encode_timestamp, ts, order)
+    assert encoded == _outcome(reference_encode_timestamp, ts, order)
+    if encoded[0] == "ok":
+        wire = encoded[1]
+    else:  # refused on encode: decode what the counters would be
+        wire = encode_uvarint(len(order)) + b"".join(
+            encode_uvarint(abs(ts[e]) if e in ts.index else 1) for e in order
+        )
+    # Mangled inputs: truncated, a byte overwritten (over-long varints,
+    # counts that disagree), bytes inserted; decoded past a prefix.
+    edit = data.draw(st.sampled_from(["none", "truncate", "set", "insert"]))
+    at = data.draw(st.integers(0, len(wire)))
+    byte = data.draw(st.sampled_from([0x00, 0x01, 0x7F, 0x80, 0xFF]))
+    if edit == "truncate":
+        wire = wire[:at]
+    elif edit == "set" and at < len(wire):
+        wire = wire[:at] + bytes([byte]) + wire[at + 1 :]
+    elif edit == "insert":
+        run = bytes([byte]) * data.draw(st.integers(1, 11))
+        wire = wire[:at] + run + wire[at:]
+    wire = junk + wire
+    new = _outcome(decode_timestamp, wire, order, len(junk))
+    old = _outcome(reference_decode_timestamp, wire, order, len(junk))
+    assert new == old
+    if new[0] == "ok":
+        assert new[1][0].edge_index is old[1][0].edge_index
+
+
+def test_compiled_codec_refusals_on_the_ring():
+    order = canonical_edge_order(Timestamp({(1, 2): 0, (2, 1): 0}).index)
+    with pytest.raises(WireDecodeError, match="varint too long"):
+        decode_timestamp(b"\x02" + b"\xff" * 10 + b"\x01", order)
+    with pytest.raises(WireDecodeError, match="truncated varint"):
+        decode_timestamp(b"\x02\x05\x80", order)
+    with pytest.raises(ProtocolError, match="negative"):
+        encode_timestamp(Timestamp({(1, 2): -1, (2, 1): 0}), order)
+    with pytest.raises(ProtocolError, match="missing edge"):
+        encode_timestamp(Timestamp({(1, 2): 1}), order)
+
+
 # ----------------------------------------------------------------------
 # Defensive decoding: mutated bytes never crash with a builtin exception
 # ----------------------------------------------------------------------
