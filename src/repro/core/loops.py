@@ -24,6 +24,8 @@ the "sacrificing causality" optimization of Appendix D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.core.share_graph import ShareGraph
@@ -126,25 +128,25 @@ def simple_cycles_through(
     limit = max_len if max_len is not None else len(graph)
     if limit < 3:
         return
+    # Depth first in neighbour order with one iterator per path vertex:
+    # a recursive closure would leave a reference cycle per walk for the
+    # cyclic collector, which costs more than the walk on a small graph.
     path: List[ReplicaId] = [anchor]
     on_path: Set[ReplicaId] = {anchor}
-
-    def extend() -> Iterator[Tuple[ReplicaId, ...]]:
-        current = path[-1]
-        for nxt in graph.neighbors(current):
+    stack = [iter(graph.neighbors(anchor))]
+    while stack:
+        for nxt in stack[-1]:
             if nxt == anchor:
                 if len(path) >= 3:
                     yield tuple(path)
-                continue
-            if nxt in on_path or len(path) >= limit:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            yield from extend()
-            path.pop()
-            on_path.remove(nxt)
-
-    yield from extend()
+            elif nxt not in on_path and len(path) < limit:
+                path.append(nxt)
+                on_path.add(nxt)
+                stack.append(iter(graph.neighbors(nxt)))
+                break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
 
 
 def loop_decompositions(cycle: Tuple[ReplicaId, ...]) -> Iterator[Loop]:
@@ -162,6 +164,9 @@ def loop_decompositions(cycle: Tuple[ReplicaId, ...]) -> Iterator[Loop]:
 
 class LoopFinder:
     """Cached (i, e_jk)-loop search over one share graph.
+
+    An edge's witness is its first loop, shortest cycles first, then in
+    :func:`simple_cycles_through` order, kept as the split ``s`` and cycle.
 
     Parameters
     ----------
@@ -181,38 +186,60 @@ class LoopFinder:
         self.graph = graph
         self.max_loop_len = max_loop_len
         self._loop_edges: Dict[ReplicaId, FrozenSet[Edge]] = {}
-        self._witnesses: Dict[ReplicaId, Dict[Edge, Loop]] = {}
+        self._witnesses: Dict[ReplicaId, Dict[Edge, Tuple[int, Tuple]]] = {}
+        # X_r as a bitmask, so Definition 4's set algebra is ``|`` and ``& ~``.
+        bits: Dict = {}
+        self._masks: Dict[ReplicaId, int] = {
+            r: sum(1 << bits.setdefault(x, len(bits)) for x in graph.registers_at(r))
+            for r in graph.replicas
+        }
 
     def _compute(self, anchor: ReplicaId) -> None:
-        # Every directed edge between two non-anchor replicas is a
-        # candidate; once all have witnesses there is no point enumerating
-        # further cycles, which matters enormously on dense share graphs
-        # (a clique's witnesses are all found at cycle length 3).
-        candidates = {
-            e for e in self.graph.edges if anchor not in e
+        graph = self.graph
+        near = graph.neighbors(anchor)
+        closing = frozenset(near)
+        # Every triangle (i, a, b) is an (i, e_ba)-loop: conditions (i) and
+        # (ii) read X_ab and X_bi, which the cycle's own edges make
+        # non-empty, and (iii) is vacuous.
+        found = {
+            (b, a): (1, None)
+            for a in near for b in graph.neighbors(a) if b in closing
         }
-        witnesses: Dict[Edge, Loop] = {}
-        limit = (
-            self.max_loop_len
-            if self.max_loop_len is not None
-            else len(self.graph)
-        )
-        for length in range(3, limit + 1):
-            if len(witnesses) == len(candidates):
+        # The candidates are the edges between non-anchor replicas; a
+        # clique's witnesses are all triangles, so its search ends here.
+        wanted = len(graph.edges) - 2 * len(near)
+        limit = len(graph) if self.max_loop_len is None else self.max_loop_len
+        for length in range(4, limit + 1):
+            if len(found) == wanted:
                 break
-            for cycle in simple_cycles_through(self.graph, anchor, length):
-                if len(cycle) != length:
-                    continue
-                for loop in loop_decompositions(cycle):
-                    e = loop.edge
-                    if e in witnesses:
-                        continue
-                    if is_i_ejk_loop(self.graph, loop):
-                        witnesses[e] = loop
-                if len(witnesses) == len(candidates):
-                    break
-        self._witnesses[anchor] = witnesses
-        self._loop_edges[anchor] = frozenset(witnesses)
+            for cycle in simple_cycles_through(graph, anchor, length):
+                if len(cycle) == length:
+                    self._judge(cycle, found)
+                    if len(found) == wanted:
+                        break
+        self._witnesses[anchor] = found
+        self._loop_edges[anchor] = frozenset(found)
+
+    def _judge(self, cycle: Tuple[ReplicaId, ...], found: Dict) -> None:
+        """Record each split of ``cycle`` that is the first (i, e_jk)-loop
+        found for its edge."""
+        masks = self._masks
+        # left[s] = X_{v_1} | ... | X_{v_s}; shared[p] = X_{v_p v_{p+1}},
+        # where v_{m+1} is the anchor.
+        left = list(accumulate((masks[v] for v in cycle[1:]), or_, initial=0))
+        ring = cycle[1:] + cycle[:1]
+        shared = [0] + [masks[a] & masks[b] for a, b in zip(ring, ring[1:])]
+        for s in range(1, len(cycle) - 1):
+            e = (cycle[s + 1], cycle[s])
+            # (i) X_jk and (ii) X_{j r_2} escape X_{l_1} .. X_{l_{s-1}};
+            # (iii) each later right-side edge escapes X_{l_1} .. X_{l_s}.
+            if (
+                e not in found
+                and shared[s] & ~left[s - 1]
+                and shared[s + 1] & ~left[s - 1]
+                and all(shared[p] & ~left[s] for p in range(s + 2, len(cycle)))
+            ):
+                found[e] = (s, cycle)
 
     def loop_edges(self, anchor: ReplicaId) -> FrozenSet[Edge]:
         """All edges ``e_jk`` (j != anchor != k) with an (anchor, e_jk)-loop."""
@@ -224,8 +251,12 @@ class LoopFinder:
         """A concrete (anchor, e)-loop, or ``None`` when no loop exists."""
         if anchor not in self._witnesses:
             self._compute(anchor)
-        return self._witnesses[anchor].get(e)
+        s, cycle = self._witnesses[anchor].get(e, (0, None))
+        if not s:
+            return None
+        cycle = cycle or (anchor, e[1], e[0])  # a triangle, kept as (1, None)
+        return Loop(anchor, cycle[1 : s + 1], cycle[s + 1 :])
 
     def has_loop(self, anchor: ReplicaId, e: Edge) -> bool:
         """True when an (anchor, e)-loop exists."""
-        return self.witness(anchor, e) is not None
+        return e in self.loop_edges(anchor)

@@ -501,14 +501,15 @@ class EdgeIndexedPolicy:
         self._zero: Timestamp = Timestamp.from_array(
             eindex, (0,) * len(eindex)
         )
-        # advance: register -> positions of out-edges (i, k) with x in X_ik.
+        # advance: register -> sorted positions of out-edges (i, k), x in X_ik.
         bumps: Dict[RegisterName, List[int]] = {}
-        for e in eindex.order:
-            if isinstance(e, tuple) and len(e) == 2 and e[0] == i:
-                for x in self.graph.shared(i, e[1]):
-                    bumps.setdefault(x, []).append(eindex.position[e])
+        for k in self.graph.neighbors(i):
+            pos = eindex.position.get((i, k))
+            if pos is not None:
+                for x in self.graph.shared(i, k):
+                    bumps.setdefault(x, []).append(pos)
         self._bumps: Dict[RegisterName, Tuple[int, ...]] = {
-            x: tuple(ps) for x, ps in bumps.items()
+            x: tuple(sorted(ps)) for x, ps in bumps.items()
         }
         # The same bumps as lane-packed addends (one per bumped lane),
         # built on a register's first advance of a packed timestamp.

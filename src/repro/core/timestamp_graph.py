@@ -67,7 +67,6 @@ def timestamp_graph(
     graph: ShareGraph,
     replica: ReplicaId,
     max_loop_len: Optional[int] = None,
-    finder: Optional[LoopFinder] = None,
 ) -> TimestampGraph:
     """Compute ``G_i`` for one replica.
 
@@ -80,19 +79,20 @@ def timestamp_graph(
     max_loop_len:
         Optional cap on (i, e_jk)-loop length; ``None`` is exact.  A cap
         implements the Appendix D "sacrificing causality" variant.
-    finder:
-        Optionally share one :class:`LoopFinder` across calls to reuse its
-        cycle cache.
     """
-    if finder is None:
-        finder = LoopFinder(graph, max_loop_len=max_loop_len)
+    return _from_finder(LoopFinder(graph, max_loop_len=max_loop_len), replica)
+
+
+def _from_finder(finder: LoopFinder, replica: ReplicaId) -> TimestampGraph:
     incident = frozenset(
-        e for n in graph.neighbors(replica) for e in ((replica, n), (n, replica))
+        e
+        for n in finder.graph.neighbors(replica)
+        for e in ((replica, n), (n, replica))
     )
-    loops = frozenset(
-        e for e in finder.loop_edges(replica) if e not in incident
+    # Loop edges never touch the anchor, so they are disjoint from incident.
+    return TimestampGraph(
+        replica=replica, incident=incident, loop_edges=finder.loop_edges(replica)
     )
-    return TimestampGraph(replica=replica, incident=incident, loop_edges=loops)
 
 
 def all_timestamp_graphs(
@@ -100,6 +100,4 @@ def all_timestamp_graphs(
 ) -> Dict[ReplicaId, TimestampGraph]:
     """Timestamp graphs of every replica, sharing one loop-finder cache."""
     finder = LoopFinder(graph, max_loop_len=max_loop_len)
-    return {
-        r: timestamp_graph(graph, r, finder=finder) for r in graph.replicas
-    }
+    return {r: _from_finder(finder, r) for r in graph.replicas}

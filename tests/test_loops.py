@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
+import gc
+import random
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from bench import gen
 from repro import LoopFinder, ShareGraph, is_i_ejk_loop
 from repro.core.loops import Loop, loop_decompositions, simple_cycles_through
 from repro.errors import ConfigurationError
+from repro.workloads import clique_placements, fig5_placements, ring_placements
+from tests.loops_reference import reference_cycles, reference_witnesses
 
 
 def _loop(anchor, left, right):
@@ -123,3 +131,90 @@ def test_loop_finder_line_no_loops(line4_graph):
     finder = LoopFinder(line4_graph)
     for r in line4_graph.replicas:
         assert finder.loop_edges(r) == frozenset()
+
+
+def test_loop_finder_unknown_anchor(ring6_graph):
+    with pytest.raises(ConfigurationError):
+        LoopFinder(ring6_graph).loop_edges(99)
+
+
+# ----------------------------------------------------------------------
+# The finder against the enumerate-then-validate reference
+# ----------------------------------------------------------------------
+def _assert_matches_reference(graph, max_loop_len=None):
+    """Same loop edges and the same witness for every anchor and every
+    candidate edge; every witness passes the full validator."""
+    finder = LoopFinder(graph, max_loop_len=max_loop_len)
+    for anchor in graph.replicas:
+        expected = reference_witnesses(graph, anchor, max_loop_len)
+        assert finder.loop_edges(anchor) == frozenset(expected)
+        for e in graph.edges:
+            if anchor in e:
+                continue
+            witness = finder.witness(anchor, e)
+            assert witness == expected.get(e), (anchor, e)
+            assert finder.has_loop(anchor, e) == (witness is not None)
+            if witness is not None:
+                assert is_i_ejk_loop(graph, witness)
+
+
+@st.composite
+def capped_placements(draw, max_replicas=7, max_registers=8):
+    """Small register sets over a few registers: rings, chords, pendant
+    trees and isolated replicas all come up.  The cap is ``None`` or
+    3..R for R replicas."""
+    n = draw(st.integers(min_value=2, max_value=max_replicas))
+    registers = [f"x{m}" for m in range(draw(st.integers(1, max_registers)))]
+    placements = {
+        r: draw(st.sets(st.sampled_from(registers), max_size=3))
+        for r in range(1, n + 1)
+    }
+    cap = draw(st.none() | st.integers(min_value=3, max_value=max(3, n)))
+    return placements, cap
+
+
+@given(capped_placements())
+@settings(max_examples=300, deadline=None)
+def test_finder_matches_reference(case):
+    placements, cap = case
+    graph = ShareGraph(placements)
+    _assert_matches_reference(graph, cap)
+    for anchor in graph.replicas:
+        assert list(simple_cycles_through(graph, anchor, cap)) == list(
+            reference_cycles(graph, anchor, cap)
+        )
+
+
+def _bench_placements(generate):
+    """A benchmark placement (``bench/gen.py``) at seed 1."""
+    return {r: set(regs) for r, regs in generate(random.Random(1)).items()}
+
+
+@pytest.mark.parametrize(
+    "placements",
+    [
+        pytest.param(_bench_placements(gen.dense_placements), id="sim-dense-seed1"),
+        pytest.param(_bench_placements(gen.tree_placements), id="sim-sparse-seed1"),
+        pytest.param(fig5_placements(), id="fig5"),
+        pytest.param(ring_placements(6), id="ring6"),
+        pytest.param(clique_placements(24), id="clique24"),
+    ],
+)
+def test_finder_matches_reference_fixed(placements):
+    _assert_matches_reference(ShareGraph(placements))
+
+
+def test_loop_search_leaves_no_cyclic_garbage():
+    """A search frees what it allocates by reference counting; garbage
+    for the cyclic collector would be paid for at every set-up."""
+    graph = ShareGraph(_bench_placements(gen.tree_placements))
+    gc.collect()
+    gc.disable()
+    try:
+        finder = LoopFinder(graph)
+        for anchor in graph.replicas:
+            finder.loop_edges(anchor)
+        del finder
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro import ShareGraph, all_timestamp_graphs, timestamp_graph
 from repro.workloads import (
     clique_placements,
@@ -115,3 +117,13 @@ def test_str_rendering(fig5_graph):
     text = str(timestamp_graph(fig5_graph, 1))
     assert "G_1" in text
     assert "e(4,3)" in text
+
+
+@pytest.mark.parametrize("cap", [None, 3, 4, 5, 6])
+def test_shared_finder_keeps_the_cap(ring6_graph, cap):
+    """One finder shared across replicas gives each replica the graph it
+    would get alone, under the same cap (ring6 has loops only at 6)."""
+    graphs = all_timestamp_graphs(ring6_graph, max_loop_len=cap)
+    for r in ring6_graph.replicas:
+        assert graphs[r] == timestamp_graph(ring6_graph, r, max_loop_len=cap)
+        assert bool(graphs[r].loop_edges) == (cap in (None, 6))
