@@ -29,19 +29,20 @@ Package map
 ``repro.optimizations``
     Compression, dummy registers, tree overlays, bounded loops (App. D).
 ``repro.gst``
-    The GST global-stabilization policy and the adaptive hybrid.
+    The GST global-stabilization policy.
 ``repro.clientserver`` / ``repro.multicast``
     The client-server architecture (Sec. 6 / App. E); causal group
     multicast with overlapping groups (Sec. 2.2).
 ``repro.shard``
     Multicast groups joined by tree overlays (Sec. 5).
 ``repro.baselines``
-    Vector clocks (full replication), Full-Track, Hoop-Track.
+    Vector clocks (full replication), Full-Track, predicate ablations.
 ``repro.sim`` / ``repro.network`` / ``repro.sync`` / ``repro.wire``
     Discrete-event kernel; channels, delays and faults; anti-entropy;
     wire formats and byte accounting.
-``repro.aio`` / ``repro.tcp``
-    The protocol on asyncio tasks; a real-socket TCP cluster with a WAL.
+``repro.tcp``
+    A real-socket TCP cluster with a WAL, on one asyncio event loop per
+    replica process.
 ``repro.adversary`` / ``repro.modelcheck``
     Theorem 8 schedule synthesis; exhaustive model checking.
 ``repro.workloads`` / ``repro.harness``

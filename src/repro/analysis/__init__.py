@@ -8,7 +8,6 @@ sharing density, and how long the dependency-carrying loops are.
 from repro.analysis.stability import StabilityReport, stability_report
 from repro.analysis.structure import (
     density_sweep,
-    edge_class_breakdown,
     loop_length_histogram,
     tracking_fraction,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "StabilityReport",
     "stability_report",
     "density_sweep",
-    "edge_class_breakdown",
     "loop_length_histogram",
     "tracking_fraction",
 ]

@@ -29,18 +29,6 @@ def tracking_fraction(graph: ShareGraph) -> Dict[ReplicaId, float]:
     return {r: len(graphs[r].edges) / total for r in graph.replicas}
 
 
-def edge_class_breakdown(graph: ShareGraph) -> Dict[ReplicaId, Dict[str, int]]:
-    """Incident vs loop counters per replica."""
-    graphs = all_timestamp_graphs(graph)
-    return {
-        r: {
-            "incident": len(graphs[r].incident),
-            "loop": len(graphs[r].loop_edges),
-        }
-        for r in graph.replicas
-    }
-
-
 def loop_length_histogram(
     graph: ShareGraph, anchor: ReplicaId
 ) -> Dict[int, int]:

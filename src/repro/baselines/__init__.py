@@ -6,22 +6,12 @@
 * :func:`full_track_policy` -- partial replication that tracks *every*
   share-graph edge (the safe-but-wasteful upper bound; cf. Full-Track in
   Section 7).
-* :func:`hoop_track_policy` -- edge sets derived from Helary & Milani's
-  minimal-hoop condition, used by the Section 3.2 comparison.
-* :class:`LegacyEdgeIndexedPolicy` -- the original dictionary-walking
-  implementation of the paper's algorithm, kept as the differential
-  reference for the array-backed performance engine.
 """
 
 from repro.baselines.full_replication import VectorClockPolicy
 from repro.baselines.full_track import full_track_policy
-from repro.baselines.hoop_track import hoop_track_policy
-from repro.baselines.legacy import LegacyEdgeIndexedPolicy, legacy_policy_factory
 
 __all__ = [
     "VectorClockPolicy",
     "full_track_policy",
-    "hoop_track_policy",
-    "LegacyEdgeIndexedPolicy",
-    "legacy_policy_factory",
 ]

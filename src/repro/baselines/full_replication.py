@@ -89,7 +89,7 @@ class VectorClockPolicy:
     # (``T[sender] == tau[sender] + 1``), like the edge-indexed J.
     exact_sender_fifo = True
 
-    # Policy-layer identification (see repro.core.policy_registry).
+    # Policy-layer identification.
     policy_tag = "vc"
     stabilizing = False
 

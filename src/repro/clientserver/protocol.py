@@ -59,7 +59,7 @@ from repro.network.delays import DelayModel
 from repro.network.faults import FaultPlan, ReliableNetwork
 from repro.network.transport import Network
 from repro.sim.kernel import EventHandle, Simulator
-from repro.types import ClientId, Edge, RegisterName, ReplicaId, Update, UpdateId
+from repro.types import ClientId, Edge, RegisterName, ReplicaId, UpdateId
 
 
 # ----------------------------------------------------------------------
@@ -203,11 +203,6 @@ class CSReplica(CoreAdapter):
 
     def _call_later(self, delay: float, fn: Callable[[], None]) -> Any:
         return self.network.simulator.schedule(delay, fn)
-
-    @property
-    def pending_updates(self) -> List[Tuple[ReplicaId, Update]]:
-        """Buffered inter-replica updates as ``(sender, update)`` pairs."""
-        return [(src, update) for src, update, _ in self.core.pending]
 
     # -- session predicate (Appendix E.5) --------------------------------
     def _session_ready(self, mu: Timestamp) -> bool:
@@ -663,10 +658,6 @@ class ClientServerSystem(_AdapterSet):
         return all(c.done for c in self.clients.values())
 
     # -- global stabilization (repro.gst plumbing) -----------------------
-    def schedule_stabilize(self, time: float) -> None:
-        """Schedule a cluster-wide stabilization round at ``time``."""
-        self.simulator.schedule_at(time, self.stabilize_all)
-
     def metadata_counters(self) -> Dict[ReplicaId, int]:
         """Timestamp length per replica under the augmented timestamp graph."""
         return {rid: len(r.edges) for rid, r in self.replicas.items()}

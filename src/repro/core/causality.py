@@ -20,7 +20,7 @@ long the run.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.types import RegisterName, ReplicaId, UpdateId
@@ -350,10 +350,6 @@ class History:
             return ()
         order = self.order
         return tuple(order[i] for i in self._chains[s])
-
-    def events_at(self, replica: ReplicaId) -> Iterator[HistoryEvent]:
-        """The replica's local event sequence, in execution order."""
-        return (e for e in self.events if e.replica == replica)
 
     def __len__(self) -> int:
         return len(self.events)

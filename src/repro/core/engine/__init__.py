@@ -10,8 +10,7 @@ everything the outside world must do in response is emitted as a typed
 effect (:mod:`repro.core.engine.effects`) through a callback the adapter
 supplies.
 
-The simulator (:class:`repro.core.replica.Replica`), asyncio
-(:class:`repro.aio.runtime.AioReplica`), client-server
+The simulator (:class:`repro.core.replica.Replica`), client-server
 (:class:`repro.clientserver.protocol.CSReplica`) and TCP
 (:class:`repro.tcp.runtime.TcpReplicaServer`) runtimes are subclasses of
 one skeleton, :class:`CoreAdapter`, which owns the effect dispatcher,

@@ -109,14 +109,6 @@ class StabilizationState:
         """The Global Stable Time this replica currently knows."""
         return min(self.table.values())
 
-    def snapshot(self) -> Dict[str, Dict[ReplicaId, int]]:
-        """Copyable state for crash/recovery snapshots."""
-        return {"heard": dict(self.heard), "table": dict(self.table)}
-
-    def restore(self, state: Dict[str, Dict[ReplicaId, int]]) -> None:
-        self.heard = dict(state["heard"])
-        self.table = dict(state["table"])
-
     def __repr__(self) -> str:
         return (
             f"StabilizationState({self.replica_id!r}, cut={self.cut()}, "

@@ -31,7 +31,7 @@ updates arrive as metadata-only messages and never touch the store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Any,
@@ -402,11 +402,6 @@ class Replica(CoreAdapter):
     @property
     def crashed(self) -> bool:
         return self._crashed
-
-    @property
-    def last_durable_snapshot(self) -> ReplicaSnapshot:
-        """The state recovery resumes from: everything but ``pending``."""
-        return replace(self.snapshot(), pending=())
 
     def _require_up(self) -> None:
         if self._crashed:

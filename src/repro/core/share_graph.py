@@ -184,12 +184,6 @@ class ShareGraph:
             placements[r] |= set(regs)
         return ShareGraph(placements)
 
-    def without_register(self, x: RegisterName) -> "ShareGraph":
-        """A new share graph with register *x* removed everywhere."""
-        return ShareGraph(
-            {r: regs - {x} for r, regs in self._placements.items()}
-        )
-
     def induced(self, replicas: Iterable[ReplicaId]) -> "ShareGraph":
         """The subgraph induced by ``replicas``, with full register sets.
 

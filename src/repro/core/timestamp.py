@@ -301,10 +301,8 @@ class TimestampPolicy(Protocol):
     optional, and a policy that omits one gets the documented fallback:
 
     Identification
-        ``policy_tag: str`` -- short stable name used by the registry,
-        the versioned wire frames
-        (:data:`repro.wire.codec.TIMESTAMP_POLICY_TAGS`), and the bench
-        rows.  Fallback: ``"edge"`` (the paper's algorithm).
+        ``policy_tag: str`` -- short stable name of the policy.
+        Fallback: ``"edge"`` (the paper's algorithm).
 
     Hot-path deltas
         ``advance_delta(ts, register)`` / ``merge_delta(ts, k, T)``

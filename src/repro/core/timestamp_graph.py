@@ -13,6 +13,7 @@ Section 3.3 (see :mod:`repro.core.timestamp`) shows it is *sufficient*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Optional
 
 from repro.core.loops import LoopFinder
@@ -33,9 +34,9 @@ class TimestampGraph:
     incident: FrozenSet[Edge]
     loop_edges: FrozenSet[Edge]
 
-    @property
+    @cached_property
     def edges(self) -> FrozenSet[Edge]:
-        """``E_i``: all tracked directed edges."""
+        """``E_i``: all tracked directed edges, built once per graph."""
         return self.incident | self.loop_edges
 
     @property

@@ -116,10 +116,3 @@ class ConsistencyViolation(ReproError):
 class CompressionError(ReproError):
     """A timestamp could not be compressed or decompressed."""
 
-
-class InconsistentCountsError(CompressionError):
-    """Edge counters do not satisfy the linear dependencies of the placement.
-
-    Appendix D notes that compression is only possible when the per-edge
-    update counts are *consistent*; this error signals the fallback path.
-    """

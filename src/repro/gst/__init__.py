@@ -12,16 +12,13 @@ is visibility latency, which the conflict-graph lower bounds in
 favor GST's O(1) metadata, sparse ones favor edge-indexed's zero lag.
 
 :class:`GstPolicy` is the protocol behind the unchanged delivery
-engine; :func:`AdaptivePolicy` picks per share-graph.
+engine.
 """
 
-from repro.gst.adaptive import AdaptivePolicy, choose_policy_tag
 from repro.gst.policy import CLOCK, GstPolicy, gst_wire_order
 
 __all__ = [
-    "AdaptivePolicy",
     "CLOCK",
     "GstPolicy",
-    "choose_policy_tag",
     "gst_wire_order",
 ]

@@ -23,7 +23,6 @@ from repro.harness.soak import (
 from repro.harness.sweeps import (
     metadata_comparison,
     protocol_run,
-    run_summary,
 )
 from repro.harness.timeline import (
     FaultAction,
@@ -49,7 +48,6 @@ __all__ = [
     "run_chaos_campaign",
     "run_chaos_trial",
     "run_soak",
-    "run_summary",
     "store_divergence",
     "timeline_for",
 ]

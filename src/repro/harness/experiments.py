@@ -209,7 +209,7 @@ def e6_conflict_graph_bounds(m: int = 2) -> Table:
         lb = clique_number_bound(g)
         ub = greedy_chromatic_upper_bound(g)
         table.add_row(
-            name, replica, g.number_of_nodes(), lb, ub, m**exponent
+            name, replica, len(g), lb, ub, m**exponent
         )
     return table
 

@@ -55,15 +55,6 @@ def protocol_run(
     return system, summary
 
 
-def run_summary(system: DSMSystem) -> RunSummary:
-    """Summarize an already-driven system."""
-    return RunSummary(
-        metrics=system.metrics(),
-        check=system.check(),
-        quiescent=system.quiescent(),
-    )
-
-
 def metadata_comparison(
     name: str,
     placement_families: Mapping[str, Callable[[int], Mapping]],

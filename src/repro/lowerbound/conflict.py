@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.core.loops import loop_decompositions, simple_cycles_through
 from repro.core.share_graph import ShareGraph
@@ -161,20 +161,22 @@ def enumerate_vectors(
     yield from itertools.product(range(1, m + 1), repeat=n)
 
 
+#: A conflict graph as adjacency sets, nodes in enumeration order.
+ConflictGraph = Dict[CausalPastVector, Set[CausalPastVector]]
+
+
 def conflict_graph(
     graph: ShareGraph,
     anchor: ReplicaId,
     m: int,
     max_vectors: int = 4096,
-):
+) -> ConflictGraph:
     """The conflict graph ``H_i`` over count-abstracted causal pasts.
 
-    Returns a ``networkx.Graph``.  Raises when the vector space exceeds
-    ``max_vectors`` (the construction is exponential by nature; Theorem 15
-    is exercised on tiny share graphs).
+    Returns ``{vector: set of conflicting vectors}``.  Raises when the
+    vector space exceeds ``max_vectors`` (the construction is exponential
+    by nature; Theorem 15 is exercised on tiny share graphs).
     """
-    import networkx as nx
-
     vectors = list(enumerate_vectors(graph, m))
     if len(vectors) > max_vectors:
         raise ConfigurationError(
@@ -182,37 +184,47 @@ def conflict_graph(
             f"{max_vectors}; use a smaller graph or m"
         )
     oracle = ConflictOracle(graph, anchor)
-    g = nx.Graph()
-    g.add_nodes_from(vectors)
+    g: ConflictGraph = {v: set() for v in vectors}
     for a, b in itertools.combinations(vectors, 2):
         if oracle.conflicts(a, b):
-            g.add_edge(a, b)
+            g[a].add(b)
+            g[b].add(a)
     return g
 
 
-def clique_number_bound(conflict_g) -> int:
+def clique_number_bound(conflict_g: ConflictGraph) -> int:
     """Clique number of the conflict graph: a valid bound on sigma^i(m).
 
-    Uses networkx's exact branch-and-bound (``max_weight_clique`` with
-    unit weights); fine for the tiny instances Theorem 15 is checked on.
+    Exact Bron--Kerbosch with pivoting; fine for the tiny instances
+    Theorem 15 is checked on.
     """
-    import networkx as nx
+    best = 0
+    # (clique size, candidates that extend it), expanded depth first.
+    todo = [(0, set(conflict_g))]
+    while todo:
+        size, p = todo.pop()
+        if size + len(p) <= best:
+            continue
+        if not p:
+            best = size
+            continue
+        pivot = max(p, key=lambda u: len(p & conflict_g[u]))
+        for v in list(p - conflict_g[pivot]):
+            todo.append((size + 1, p & conflict_g[v]))
+            p.remove(v)
+    return best
 
-    if conflict_g.number_of_nodes() == 0:
-        return 0
-    _, weight = nx.max_weight_clique(conflict_g, weight=None)
-    return weight
 
+def greedy_chromatic_upper_bound(conflict_g: ConflictGraph) -> int:
+    """Greedy colouring, largest degree first: a chromatic-number bound.
 
-def greedy_chromatic_upper_bound(conflict_g) -> int:
-    """Greedy coloring: an upper bound on the chromatic number.
-
+    Nodes are coloured in descending degree, ties kept in insertion
+    order; each takes the smallest colour no coloured neighbour holds.
     When this equals :func:`clique_number_bound`, the chromatic number is
     determined exactly.
     """
-    import networkx as nx
-
-    if conflict_g.number_of_nodes() == 0:
-        return 0
-    coloring = nx.coloring.greedy_color(conflict_g, strategy="largest_first")
-    return 1 + max(coloring.values())
+    colours: Dict[CausalPastVector, int] = {}
+    for u in sorted(conflict_g, key=lambda v: len(conflict_g[v]), reverse=True):
+        taken = {colours[v] for v in conflict_g[u] if v in colours}
+        colours[u] = next(c for c in itertools.count() if c not in taken)
+    return 1 + max(colours.values(), default=-1)

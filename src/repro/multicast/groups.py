@@ -163,29 +163,9 @@ class CausalGroupMulticast:
         """Timestamp counters per process for this group structure.
 
         Counts tracked counters (the paper's metadata measure: how many
-        integers a process carries), not their encoded size; use
-        :meth:`metadata_wire_bytes` for byte-denominated numbers
-        comparable across structures and with the bench.
+        integers a process carries), not their encoded size.
         """
         return {
             rid: r.policy.counters()
-            for rid, r in self.system.replicas.items()
-        }
-
-    def metadata_wire_bytes(self) -> Dict[ProcessId, int]:
-        """Serialized timestamp size per process, in bytes.
-
-        Uses the same varint codec the bench's ``metadata_bytes_per_op``
-        column prices (:func:`repro.wire.codec.timestamp_wire_bytes`), so
-        a multicast group structure's metadata cost is directly
-        comparable to the DSM bench rows and to other group structures
-        with different counter-value magnitudes -- a counter count weighs
-        a 1-bit counter and a million-update counter equally, the wire
-        does not.
-        """
-        from repro.wire.codec import timestamp_wire_bytes
-
-        return {
-            rid: timestamp_wire_bytes(r.timestamp)
             for rid, r in self.system.replicas.items()
         }

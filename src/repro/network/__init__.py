@@ -30,7 +30,6 @@ from repro.network.faults import (
 )
 from repro.network.partitions import (
     Partition,
-    PartitionSchedule,
     split_channels,
 )
 from repro.network.transport import ChannelStats, Network, NetworkStats
@@ -43,7 +42,6 @@ __all__ = [
     "PerEdgeDelay",
     "UniformDelay",
     "Partition",
-    "PartitionSchedule",
     "split_channels",
     "AckSegment",
     "ChannelFaults",

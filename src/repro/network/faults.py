@@ -115,15 +115,14 @@ class FaultPlan:
     blackouts:
         :class:`~repro.network.partitions.Partition` episodes during which
         every physical copy crossing a cut channel is *dropped* (data,
-        duplicates, and acks alike).  Unlike the hold-and-release
-        :class:`~repro.network.partitions.PartitionSchedule` delay model,
-        a blackout models a real outage: nothing survives the window, and
-        recovering what was lost is the reliability/anti-entropy layers'
-        job.  Blackout decisions themselves are deterministic (they
-        consume no randomness), but messages inside the window skip the
-        loss/duplication draws entirely -- so adding a blackout shifts
-        which RNG samples later messages see, and a plan is only
-        replayable against the same blackout schedule.
+        duplicates, and acks alike).  A blackout models a real outage:
+        nothing survives the window, and recovering what was lost is the
+        reliability/anti-entropy layers' job.  Blackout decisions
+        themselves are deterministic (they consume no randomness), but
+        messages inside the window skip the loss/duplication draws
+        entirely -- so adding a blackout shifts which RNG samples later
+        messages see, and a plan is only replayable against the same
+        blackout schedule.
     """
 
     def __init__(
@@ -176,16 +175,6 @@ class FaultPlan:
         if faults.duplication == 0.0 or now >= self.horizon:
             return False
         return self._rng.random() < faults.duplication
-
-    def fresh(self) -> "FaultPlan":
-        """An identically configured plan with its RNG re-seeded (replay)."""
-        return FaultPlan(
-            seed=self.seed,
-            default=self.default,
-            per_channel=self.per_channel,
-            horizon=self.horizon,
-            blackouts=self.blackouts,
-        )
 
     def __repr__(self) -> str:
         return (
@@ -390,9 +379,6 @@ class ReliableNetwork(FaultyNetwork):
     @property
     def unacked_segments(self) -> int:
         return sum(len(ch.unacked) for ch in self._out.values())
-
-    def is_down(self, node: ReplicaId) -> bool:
-        return node in self._down
 
     def _out_channel(self, src: ReplicaId, dst: ReplicaId) -> _OutChannel:
         key = (src, dst)

@@ -1,25 +1,18 @@
-"""Network partition injection.
+"""Network partition episodes.
 
-Channels in the paper's model are reliable but arbitrarily slow, so a
-*partition* is just a period during which messages on some channels are
-held and released at heal time.  :class:`PartitionSchedule` wraps a base
-delay model: a message sent on a cut channel -- or sent just *before* the
-cut with a delivery that would land inside it -- is delayed until the
-partition heals (plus a fresh base delay); everything else is untouched.
-
-This is fault injection, not message loss -- liveness must still hold
-after the last heal, which the partition tests verify.
+A :class:`Partition` names the directed channels cut during one window
+of virtual time; :func:`split_channels` builds the cut for a two-sided
+split.  :class:`~repro.network.faults.FaultPlan` takes them as
+``blackouts`` (every copy crossing a cut channel inside the window is
+dropped), which is how the fault timeline's ``partition`` action runs.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet, List, Optional
+from typing import AbstractSet, FrozenSet
 
 from repro.errors import ConfigurationError
-from repro.network.delays import DelayModel, UniformDelay
-from repro.sim.kernel import Simulator
 from repro.types import Edge, ReplicaId
 
 
@@ -38,19 +31,6 @@ class Partition:
     def cuts(self, src: ReplicaId, dst: ReplicaId, now: float) -> bool:
         return self.start <= now < self.end and (src, dst) in self.channels
 
-    def holds(
-        self, src: ReplicaId, dst: ReplicaId, sent: float, deliver: float
-    ) -> bool:
-        """True when a message sent at ``sent`` with nominal delivery time
-        ``deliver`` must be held by this episode: the channel is cut and
-        either the send or the delivery falls inside ``[start, end)``."""
-        if (src, dst) not in self.channels:
-            return False
-        return (
-            self.start <= sent < self.end
-            or self.start <= deliver < self.end
-        )
-
 
 def split_channels(
     side_a: AbstractSet[ReplicaId], side_b: AbstractSet[ReplicaId]
@@ -64,66 +44,3 @@ def split_channels(
             channels.add((a, b))
             channels.add((b, a))
     return frozenset(channels)
-
-
-class PartitionSchedule:
-    """A delay model that injects scheduled partitions.
-
-    Needs the simulator clock to decide whether a send falls inside a
-    partition; :class:`~repro.network.transport.Network` calls
-    :meth:`bind` automatically when the model exposes it.
-    """
-
-    def __init__(
-        self,
-        partitions: List[Partition],
-        base: Optional[DelayModel] = None,
-    ) -> None:
-        self.partitions = sorted(partitions, key=lambda p: p.start)
-        self.base = base if base is not None else UniformDelay(0.5, 2.0)
-        self._simulator: Optional[Simulator] = None
-        self.held_messages = 0
-
-    def bind(self, simulator: Simulator) -> None:
-        self._simulator = simulator
-
-    def sample(
-        self, src: ReplicaId, dst: ReplicaId, rng: random.Random
-    ) -> float:
-        if self._simulator is None:
-            raise ConfigurationError(
-                "PartitionSchedule must be bound to a simulator (pass it "
-                "as the delay model of a Network)"
-            )
-        now = self._simulator.now
-        base_delay = self.base.sample(src, dst, rng)
-        # A cut channel holds a message when its *send or its delivery*
-        # falls inside the episode -- a message sent just before the cut
-        # must not sail through mid-partition.  Held messages are released
-        # a fresh base delay after the heal; the sweep repeats because the
-        # release may land inside a later episode (each episode can hold a
-        # message at most once, so this terminates).
-        deliver_at = now + base_delay
-        send_checked = False
-        held = True
-        while held:
-            held = False
-            for partition in self.partitions:
-                if (src, dst) not in partition.channels:
-                    continue
-                cut_at_send = (
-                    not send_checked and partition.start <= now < partition.end
-                )
-                lands_inside = partition.start <= deliver_at < partition.end
-                if cut_at_send or lands_inside:
-                    self.held_messages += 1
-                    deliver_at = partition.end + base_delay
-                    held = True
-            send_checked = True
-        return deliver_at - now
-
-    def __repr__(self) -> str:
-        return (
-            f"PartitionSchedule({len(self.partitions)} episodes, "
-            f"base={self.base})"
-        )

@@ -215,9 +215,6 @@ class Network:
     ) -> None:
         self.simulator = simulator
         self.delay_model = delay_model if delay_model is not None else UniformDelay()
-        bind = getattr(self.delay_model, "bind", None)
-        if callable(bind):
-            bind(simulator)
         self.stats = NetworkStats()
         self._handlers: Dict[ReplicaId, Handler] = {}
 

@@ -17,7 +17,6 @@ from repro.optimizations.compression import (
     CompressedCodec,
     CompressedTimestamp,
     compressed_length,
-    independent_edge_count,
     register_classes,
 )
 from repro.optimizations.dummy import (
@@ -37,7 +36,6 @@ __all__ = [
     "CompressedCodec",
     "CompressedTimestamp",
     "compressed_length",
-    "independent_edge_count",
     "register_classes",
     "add_dummy_registers",
     "emulate_full_replication",

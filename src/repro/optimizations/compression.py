@@ -208,13 +208,6 @@ class CompressedCodec:
         return Timestamp(counters)
 
 
-def independent_edge_count(
-    graph: ShareGraph, replica_id: ReplicaId, edges: FrozenSet[Edge]
-) -> int:
-    """``I(E_i) = sum_j I(E_i, j)``: best-case compressed length."""
-    return CompressedCodec(graph, replica_id, edges).compressed_length()
-
-
 def compressed_length(
     graph: ShareGraph, replica_id: ReplicaId, edges: FrozenSet[Edge]
 ) -> Tuple[int, int]:

@@ -31,11 +31,6 @@ def edge(j: ReplicaId, k: ReplicaId) -> Edge:
     return (j, k)
 
 
-def reverse(e: Edge) -> Edge:
-    """Return the opposite-direction edge (``e_jk`` -> ``e_kj``)."""
-    return (e[1], e[0])
-
-
 @dataclasses.dataclass(frozen=True, order=True)
 class UpdateId:
     """Globally unique identity of one write (issuer + per-issuer sequence).

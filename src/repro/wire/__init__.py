@@ -6,46 +6,33 @@ package provides a compact varint encoding for timestamps and update
 messages so experiments can report real bytes on the wire, including the
 effect of Appendix D compression.
 
-The policy layer adds versioned, policy-tagged timestamp frames
-(``encode_tagged_timestamp``) so edge-indexed, vector-clock, and GST
-metadata share one framing, plus the GST stabilize-frame codec.
+It also holds the GST stabilize-frame codec and the state-snapshot
+codec anti-entropy ships.
 """
 
 from repro.wire.codec import (
-    TIMESTAMP_FRAME_VERSION,
-    TIMESTAMP_POLICY_TAGS,
     decode_stabilize_frame,
     decode_state_snapshot,
-    decode_tagged_timestamp,
     decode_timestamp,
     decode_update,
-    decode_update_batch,
     encode_stabilize_frame,
     encode_state_snapshot,
-    encode_tagged_timestamp,
     encode_timestamp,
     encode_update,
-    encode_update_batch,
     stabilize_frame_wire_bytes,
     timestamp_wire_bytes,
 )
 from repro.wire.varint import decode_uvarint, encode_uvarint
 
 __all__ = [
-    "TIMESTAMP_FRAME_VERSION",
-    "TIMESTAMP_POLICY_TAGS",
     "decode_stabilize_frame",
     "decode_state_snapshot",
-    "decode_tagged_timestamp",
     "decode_timestamp",
     "decode_update",
-    "decode_update_batch",
     "encode_stabilize_frame",
     "encode_state_snapshot",
-    "encode_tagged_timestamp",
     "encode_timestamp",
     "encode_update",
-    "encode_update_batch",
     "stabilize_frame_wire_bytes",
     "timestamp_wire_bytes",
     "decode_uvarint",

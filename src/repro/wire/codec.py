@@ -349,116 +349,6 @@ def decode_update(
 
 
 # ----------------------------------------------------------------------
-# Batch frames: one wire message carrying many updates
-# ----------------------------------------------------------------------
-def encode_update_batch(
-    updates: Sequence[Update], order: Sequence[Edge] = None
-) -> bytes:
-    """Encode a coalesced frame of updates from one issuer.
-
-    Layout: count varint | (length varint | update bytes)*.  Members are
-    length-prefixed so a receiver can delimit them without re-parsing,
-    and each member is exactly the :func:`encode_update` form -- the
-    batched wire cost is the unbatched cost plus the small per-member
-    length prefix, minus the per-message framing the transport saves.
-    """
-    out = bytearray(encode_uvarint(len(updates)))
-    for update in updates:
-        encoded = encode_update(update, order)
-        out += encode_uvarint(len(encoded))
-        out += encoded
-    return bytes(out)
-
-
-def decode_update_batch(
-    data: bytes, issuer, order: Sequence[Edge]
-) -> Tuple[Update, ...]:
-    """Decode a batch frame from a channel with a known issuer.
-
-    Defensive against corrupt input: the member count is bounds-checked
-    before looping, each member length must fit the remaining bytes, and
-    trailing bytes after the last member are rejected.
-    """
-    count, offset = decode_uvarint(data, 0)
-    _check_count(count, data, offset, "update batch")
-    updates = []
-    for _ in range(count):
-        length, offset = decode_uvarint(data, offset)
-        if length > len(data) - offset:
-            raise WireDecodeError(
-                f"batch member claims {length} bytes, "
-                f"{len(data) - offset} remain"
-            )
-        updates.append(
-            decode_update(data[offset : offset + length], issuer, order)
-        )
-        offset += length
-    if offset != len(data):
-        raise WireDecodeError("trailing bytes in update batch")
-    return tuple(updates)
-
-
-# ----------------------------------------------------------------------
-# Versioned, policy-tagged timestamp frames (the policy layer's codec)
-# ----------------------------------------------------------------------
-#: Version byte of the tagged-timestamp framing below.
-TIMESTAMP_FRAME_VERSION = 1
-
-#: Wire identity of each registered timestamp policy.  Values are part
-#: of the protocol: peers negotiate edge orders out of band per policy,
-#: and the tag byte says which policy's order a frame was encoded
-#: against, so edge-indexed and GST metadata share one framing layer.
-TIMESTAMP_POLICY_TAGS: Dict[str, int] = {"edge": 0, "vc": 1, "gst": 2}
-
-_TAG_TO_POLICY = {tag: name for name, tag in TIMESTAMP_POLICY_TAGS.items()}
-
-
-def encode_tagged_timestamp(
-    policy_tag: str, ts: Timestamp, order: Sequence[Edge] = None
-) -> bytes:
-    """Encode ``version byte | policy tag byte | plain timestamp``.
-
-    The payload is exactly :func:`encode_timestamp`, so a tagged frame
-    costs two bytes over the legacy form and lets one channel carry
-    timestamps from different policies unambiguously.
-    """
-    tag = TIMESTAMP_POLICY_TAGS.get(policy_tag)
-    if tag is None:
-        raise ProtocolError(f"unregistered timestamp policy {policy_tag!r}")
-    return (
-        bytes([TIMESTAMP_FRAME_VERSION, tag]) + encode_timestamp(ts, order)
-    )
-
-
-def decode_tagged_timestamp(
-    data: bytes, orders: Mapping[str, Sequence[Edge]], offset: int = 0
-) -> Tuple[str, Timestamp, int]:
-    """Decode a tagged frame against per-policy edge orders.
-
-    ``orders`` maps policy names (``"edge"``/``"vc"``/``"gst"``) to the
-    edge order that policy's timestamps use on this channel.  Returns
-    ``(policy_name, timestamp, next_offset)``.
-    """
-    if len(data) - offset < 2:
-        raise WireDecodeError("truncated tagged timestamp header")
-    version = data[offset]
-    if version != TIMESTAMP_FRAME_VERSION:
-        raise WireDecodeError(
-            f"unsupported timestamp frame version {version}"
-        )
-    name = _TAG_TO_POLICY.get(data[offset + 1])
-    if name is None:
-        raise WireDecodeError(f"unknown timestamp policy tag {data[offset + 1]}")
-    order = orders.get(name)
-    if order is None:
-        raise WireDecodeError(
-            f"no edge order negotiated for policy {name!r}"
-        )
-    ts, offset = decode_timestamp(data, order, offset + 2)
-    return name, ts, offset
-
-
-# ----------------------------------------------------------------------
 # Stabilize frames (the GST policy's periodic min-gossip traffic)
 # ----------------------------------------------------------------------
 def encode_stabilize_frame(frame: "StabilizeFrame") -> bytes:

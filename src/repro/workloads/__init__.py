@@ -23,7 +23,6 @@ from repro.workloads.topologies import (
 from repro.workloads.operations import (
     OperationStream,
     WriteOp,
-    bursty_writes,
     run_workload,
     uniform_writes,
     zipf_writes,
@@ -44,7 +43,6 @@ __all__ = [
     "tree_placements",
     "OperationStream",
     "WriteOp",
-    "bursty_writes",
     "run_workload",
     "uniform_writes",
     "zipf_writes",

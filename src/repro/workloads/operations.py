@@ -133,49 +133,6 @@ def zipf_writes(
     return OperationStream(tuple(ops))
 
 
-def bursty_writes(
-    graph: ShareGraph,
-    bursts: int,
-    burst_size: int = 10,
-    gap: float = 50.0,
-    seed: int = 0,
-) -> OperationStream:
-    """Bursts of back-to-back writes separated by quiet gaps.
-
-    Within a burst all writes land within one time unit, maximizing
-    reordering pressure on the pending buffers; the gaps let the system
-    quiesce in between, which makes per-burst behaviour comparable.
-    """
-    if bursts < 0 or burst_size <= 0 or gap <= 0:
-        raise ConfigurationError("need bursts >= 0, burst_size > 0, gap > 0")
-    rng = random.Random(seed)
-    replicas = [
-        r
-        for r in graph.replicas
-        if graph.registers_at(r)
-    ]
-    if not replicas:
-        raise ConfigurationError("no replica has a register")
-    ops: List[WriteOp] = []
-    counter = 0
-    for burst in range(bursts):
-        start = burst * gap
-        for _ in range(burst_size):
-            replica = rng.choice(replicas)
-            register = rng.choice(
-                sorted(
-                    graph.registers_at(replica),
-                    key=lambda v: (str(type(v)), repr(v)),
-                )
-            )
-            ops.append(
-                WriteOp(start + rng.random(), replica, register, f"b{counter}")
-            )
-            counter += 1
-    ops.sort(key=lambda op: op.time)
-    return OperationStream(tuple(ops))
-
-
 def run_workload(
     system: DSMSystem,
     stream: OperationStream,

@@ -10,12 +10,10 @@ step or event loop is involved.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import get_args
 
 import pytest
 
-from repro.aio.runtime import AioReplica
 from repro.clientserver.protocol import CSReplica
 from repro.core.causality import History
 from repro.core.engine import (
@@ -41,8 +39,8 @@ from repro.types import Update, UpdateId
 from repro.wire.codec import decode_stabilize_frame
 
 TRIANGLE = {1: {"x", "y"}, 2: {"x", "z"}, 3: {"y", "z"}}
-RUNTIMES = ["sim", "aio", "cs", "tcp"]
-WINDOWED = ["sim", "aio", "cs"]  # tcp stages wire bytes, not objects
+RUNTIMES = ["sim", "cs", "tcp"]
+WINDOWED = ["sim", "cs"]  # tcp stages wire bytes, not objects
 
 
 class Fakes:
@@ -75,19 +73,6 @@ def make_adapter(
             history=history,
             batch_window=batch_window,
             batch_max=batch_max,
-        )
-    elif runtime == "aio":
-        system = SimpleNamespace(
-            clock=lambda: 0.0,
-            history=history,
-            batch_window=batch_window,
-            batch_max=batch_max,
-        )
-        adapter = AioReplica(
-            replica_id,
-            graph,
-            EdgeIndexedPolicy(graph, replica_id, edges=edges),
-            system,
         )
     elif runtime == "cs":
         adapter = CSReplica(

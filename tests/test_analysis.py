@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro import DSMSystem, ShareGraph
 from repro.analysis import (
     density_sweep,
-    edge_class_breakdown,
     loop_length_histogram,
     tracking_fraction,
 )
@@ -43,13 +42,6 @@ def test_tracking_fraction_extremes():
 def test_tracking_fraction_isolated():
     graph = ShareGraph({1: {"a"}, 2: {"b"}})
     assert tracking_fraction(graph) == {1: 0.0, 2: 0.0}
-
-
-def test_edge_class_breakdown(fig5_graph):
-    breakdown = edge_class_breakdown(fig5_graph)
-    assert breakdown[1] == {"incident": 4, "loop": 4}
-    for r in fig5_graph.replicas:
-        assert breakdown[r]["incident"] == 2 * fig5_graph.degree(r)
 
 
 def test_loop_length_histogram_triangle(triangle_graph):

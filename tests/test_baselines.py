@@ -8,14 +8,12 @@ from repro import DSMSystem, ShareGraph
 from repro.baselines import (
     VectorClockPolicy,
     full_track_policy,
-    hoop_track_policy,
 )
 from repro.errors import ConfigurationError
 from repro.network.delays import UniformDelay
 from repro.workloads import (
     clique_placements,
     fig5_placements,
-    fig6_counterexample_placements,
     run_workload,
     uniform_writes,
 )
@@ -103,40 +101,3 @@ def test_full_track_never_smaller_than_ours(fig5_graph, fig6_graph):
             ours = len(timestamp_graph(graph, r).edges)
             theirs = full_track_policy(graph, r).counters()
             assert theirs >= ours
-
-
-# ----------------------------------------------------------------------
-# Hoop-Track
-# ----------------------------------------------------------------------
-def test_hoop_track_edges_cover_incident(fig6_graph):
-    policy = hoop_track_policy(fig6_graph, "i")
-    for n in fig6_graph.neighbors("i"):
-        assert ("i", n) in policy.edges
-        assert (n, "i") in policy.edges
-
-
-def test_hoop_track_overtracks_on_fig6(fig6_graph):
-    from repro import timestamp_graph
-
-    policy = hoop_track_policy(fig6_graph, "i")
-    ours = timestamp_graph(fig6_graph, "i").edges
-    assert ("j", "k") in policy.edges
-    assert policy.counters() > len(ours)
-
-
-def test_hoop_track_end_to_end():
-    system = DSMSystem(
-        fig6_counterexample_placements(),
-        policy_factory=lambda g, r: hoop_track_policy(g, r),
-        seed=23,
-        delay_model=UniformDelay(0.1, 4.0),
-    )
-    stream = uniform_writes(system.graph, 150, seed=24)
-    run_workload(system, stream)
-    assert system.quiescent()
-    assert system.check().ok
-
-
-def test_modified_hoop_track_drops_required_edge(fig8b_graph):
-    policy = hoop_track_policy(fig8b_graph, "i", modified=True)
-    assert ("k", "j") not in policy.edges

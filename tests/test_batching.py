@@ -10,7 +10,7 @@ picks per frame from the timestamps' width.  On top of that sit the
 adapter invariants: a flush window reduces message count without
 breaking the causal checker, rejects configurations it cannot honour
 (ARQ fault plans ack individual updates), and converges under the
-asyncio and TCP runtimes.
+TCP runtime.
 """
 
 from __future__ import annotations
@@ -507,30 +507,6 @@ class TestSimulatedSystems:
         assert system.all_clients_done()
         result = system.check()
         assert result.ok, str(result)
-
-
-# ----------------------------------------------------------------------
-# Asyncio runtime with a live flush window
-# ----------------------------------------------------------------------
-def test_aio_batched_write_propagates():
-    from repro.aio import AioDSMSystem
-
-    async def scenario():
-        system = AioDSMSystem(
-            fig5_placements(),
-            seed=11,
-            batch_window=0.005,
-        )
-        async with system:
-            for n in range(10):
-                await system.replica(2).write("y", f"v{n}")
-            await system.settle()
-            assert system.replica(1).read("y") == "v9"
-            assert system.replica(4).read("y") == "v9"
-        result = system.check()
-        assert result.ok, str(result)
-
-    asyncio.run(scenario())
 
 
 # ----------------------------------------------------------------------

@@ -87,14 +87,6 @@ def test_updates_by_and_order():
     assert h.all_updates() == (u(1, 1), u(2, 1), u(1, 2))
 
 
-def test_events_at_replica():
-    h = History()
-    h.record_issue(1, u(1, 1), "x", 0.0)
-    h.record_apply(2, u(1, 1), 1.0)
-    kinds = [e.kind for e in h.events_at(2)]
-    assert kinds == ["apply"]
-
-
 def test_client_access_propagates_dependencies():
     """Definition 25 (ii): client carries dependencies across replicas."""
     h = History()

@@ -11,7 +11,6 @@ from repro.errors import CompressionError
 from repro.optimizations import (
     CompressedCodec,
     compressed_length,
-    independent_edge_count,
     register_classes,
 )
 from repro.optimizations import linalg
@@ -99,13 +98,6 @@ def test_clique_compresses_to_vector_clock():
     comp, raw = compressed_length(graph, 1, tg.edges)
     assert raw == 20
     assert comp == 5  # one counter per source replica = length-R VC
-
-
-def test_independent_edge_count_matches_codec(fig5_graph):
-    tg = timestamp_graph(fig5_graph, 1)
-    assert independent_edge_count(
-        fig5_graph, 1, tg.edges
-    ) == CompressedCodec(fig5_graph, 1, tg.edges).compressed_length()
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Cross-runtime differential tests over the shared protocol core.
 
 The same seeded workload runs through the simulator runtime
-(:class:`~repro.core.system.DSMSystem`), the asyncio runtime
-(:class:`~repro.aio.runtime.AioDSMSystem`), and the real-socket TCP
+(:class:`~repro.core.system.DSMSystem`), the client-server runtime
+(:class:`~repro.clientserver.protocol.ClientServerSystem`, one client
+per replica issuing that replica's writes), and the real-socket TCP
 runtime (:class:`~repro.tcp.runtime.TcpCluster`, loopback, no faults).
 Registers are placed pairwise (every register is shared by exactly two
 replicas), so each update has exactly one recipient and the *global*
@@ -24,7 +25,6 @@ import random
 
 import pytest
 
-from repro.aio.runtime import AioDSMSystem
 from repro.clientserver import ClientServerSystem
 from repro.core.system import DSMSystem
 from repro.tcp.runtime import TcpCluster
@@ -63,27 +63,26 @@ def _run_simulator(ops, settle_each):
     return applied, stores
 
 
-def _run_aio(ops, settle_each):
-    async def scenario():
-        applied = []
-        system = AioDSMSystem(PLACEMENTS, seed=5, delay_range=(0.0005, 0.005))
-        async with system:
-            for rid in PLACEMENTS:
-                system.replica(rid).on_apply = (
-                    lambda replica, src, update: applied.append(
-                        (replica.replica_id, update.uid)
-                    )
-                )
-            for writer, register, value in ops:
-                await system.replica(writer).write(register, value)
-                if settle_each:
-                    await system.settle()
-            await system.settle()
-        assert system.check().ok
-        stores = {rid: dict(system.replica(rid).store) for rid in PLACEMENTS}
-        return applied, stores
-
-    return asyncio.run(scenario())
+def _run_clientserver(ops, settle_each):
+    applied = []
+    system = ClientServerSystem(
+        PLACEMENTS, {f"c{rid}": {rid} for rid in PLACEMENTS}, seed=3
+    )
+    for rid in PLACEMENTS:
+        system.replica(rid).on_apply = (
+            lambda replica, src, update: applied.append(
+                (replica.replica_id, update.uid)
+            )
+        )
+    for writer, register, value in ops:
+        system.client(f"c{writer}").enqueue_write(register, value)
+        if settle_each:
+            system.run()
+    system.run()
+    assert system.all_clients_done()
+    assert system.check().ok
+    stores = {rid: dict(system.replica(rid).store) for rid in PLACEMENTS}
+    return applied, stores
 
 
 def _run_tcp(ops, settle_each, wal_dir):
@@ -113,11 +112,11 @@ def _run_tcp(ops, settle_each, wal_dir):
 def test_runtimes_agree_on_sequential_workload(seed, tmp_path):
     ops = _sequential_workload(seed, steps=24)
     sim_applied, sim_stores = _run_simulator(ops, settle_each=True)
-    aio_applied, aio_stores = _run_aio(ops, settle_each=True)
+    cs_applied, cs_stores = _run_clientserver(ops, settle_each=True)
     tcp_applied, tcp_stores = _run_tcp(ops, settle_each=True, wal_dir=str(tmp_path))
-    assert sim_applied == aio_applied  # identical global apply order
+    assert sim_applied == cs_applied  # identical global apply order
     assert sim_applied == tcp_applied
-    assert sim_stores == aio_stores
+    assert sim_stores == cs_stores
     assert sim_stores == tcp_stores
     assert len(sim_applied) == len(ops)  # every update applied exactly once
 
@@ -132,9 +131,9 @@ def test_runtimes_converge_on_concurrent_workload(tmp_path):
         for register, owner in sorted(owners.items()):
             ops.append((owner, register, f"r{round_no}"))
     _, sim_stores = _run_simulator(ops, settle_each=False)
-    _, aio_stores = _run_aio(ops, settle_each=False)
+    _, cs_stores = _run_clientserver(ops, settle_each=False)
     _, tcp_stores = _run_tcp(ops, settle_each=False, wal_dir=str(tmp_path))
-    assert sim_stores == aio_stores
+    assert sim_stores == cs_stores
     assert sim_stores == tcp_stores
     assert sim_stores[1]["x"] == "r7"
 

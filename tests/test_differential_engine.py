@@ -1,6 +1,6 @@
 """Differential test: optimized engine vs the pre-optimization baseline.
 
-:class:`~repro.baselines.legacy.LegacyEdgeIndexedPolicy` is the verbatim
+:class:`tests.engine_reference.LegacyEdgeIndexedPolicy` is the verbatim
 dict-walking policy from before the plan-compiled fast paths, and --
 because it defines none of the optional engine hooks (``*_delta``,
 ``blocking_edge``, ``sender_seq``) -- it also drives the replica's
@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.baselines.legacy import legacy_policy_factory
 from repro.core.system import DSMSystem
 from repro.network.faults import ChannelFaults, FaultPlan
 from repro.workloads import (
@@ -32,6 +31,7 @@ from repro.workloads import (
     tree_placements,
     uniform_writes,
 )
+from tests.engine_reference import legacy_policy_factory
 
 Trace = Tuple[
     Tuple[Tuple[str, object, object, float], ...],  # history events

@@ -4,7 +4,7 @@ The unit half drives :class:`~repro.core.engine.ProtocolCore` directly
 with typed events and asserts on the emitted effect stream; the
 differential half runs randomized multi-replica traces through the
 engine and through the naive flat-list oracle
-(:class:`~repro.baselines.legacy.LegacyReplicaCore`, the pre-engine
+(:class:`tests.engine_reference.LegacyReplicaCore`, the pre-engine
 O(pending^2) loop) and requires identical apply orders, stores, and
 timestamps.
 """
@@ -23,7 +23,6 @@ from repro.baselines.ablations import (
     LaxSenderEdgePolicy,
     NoThirdPartyCheckPolicy,
 )
-from repro.baselines.legacy import LegacyEdgeIndexedPolicy, LegacyReplicaCore
 from repro.core.engine import (
     Applied,
     ConfirmApplied,
@@ -41,6 +40,7 @@ from repro.network.faults import ChannelFaults, FaultPlan, FaultyNetwork
 from repro.network.transport import Network
 from repro.sim import Simulator
 from repro.workloads import clique_placements, random_placements
+from tests.engine_reference import LegacyEdgeIndexedPolicy, LegacyReplicaCore
 
 
 class Harness:

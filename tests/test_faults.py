@@ -50,14 +50,6 @@ def test_fault_plan_is_deterministic():
     assert any(d for _, d in decisions[0])
 
 
-def test_fault_plan_fresh_replays():
-    plan = FaultPlan(seed=3, default=ChannelFaults(loss=0.4))
-    first = [plan.drops(1, 2, t) for t in range(100)]
-    fresh = plan.fresh()  # same seed, RNG rewound
-    again = [fresh.drops(1, 2, t) for t in range(100)]
-    assert first == again
-
-
 def test_fault_plan_horizon_stops_faults():
     plan = FaultPlan(
         seed=0, default=ChannelFaults(loss=0.9, duplication=0.9), horizon=50.0

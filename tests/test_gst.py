@@ -3,9 +3,9 @@
 Covers: end-to-end visibility-cut runs over every topology shape
 (including a shard-plan placement), the property that a GST run passes
 causal checking at *every* stabilization cut (not only the final one),
-the regression that a deliberately-early cut is caught, the adaptive
-edge/GST crossover against seeded edge and GST runs on five placements,
-and GST over the real-socket TCP runtime where stabilize frames
+the regression that a deliberately-early cut is caught, the edge/GST
+crossover measured by seeded edge and GST runs on five placements, and
+GST over the real-socket TCP runtime where stabilize frames
 piggyback on heartbeats.
 """
 
@@ -20,7 +20,6 @@ from repro.core.share_graph import ShareGraph
 from repro.core.system import DSMSystem
 from repro.errors import ProtocolError
 from repro.gst import GstPolicy
-from repro.gst.adaptive import AdaptivePolicy, choose_policy_tag
 from repro.types import UpdateId
 from repro.workloads import (
     clique_placements,
@@ -161,12 +160,11 @@ def test_visible_before_apply_is_rejected():
 
 
 # ----------------------------------------------------------------------
-# Adaptive crossover: prediction == measurement
+# Edge/GST crossover on live runs
 # ----------------------------------------------------------------------
-#: The placements ``choose_policy_tag`` must tell apart -- trees and
-#: rings where edge-indexed metadata is near-free, dense graphs where
-#: GST's two-counter updates win bytes, and a shard-plan placement --
-#: each as ``(placements, writes, rate)``.
+#: Trees and rings where edge-indexed metadata is near-free, dense
+#: graphs where GST's two-counter updates win bytes, and a shard-plan
+#: placement -- each as ``(placements, writes, rate)``.
 POLICY_MATRIX = {
     "tree-16": (lambda: tree_placements(16), 300, 20.0),
     "ring-12": (lambda: ring_placements(12), 300, 20.0),
@@ -200,12 +198,11 @@ def _policy_run(placements, writes, rate, policy_factory=None):
 
 @pytest.fixture(scope="module")
 def policy_matrix():
-    """Per placement of :data:`POLICY_MATRIX`: the predicted policy tag
-    and the measured ``(bytes per write, mean lag)`` of edge and GST."""
+    """Per placement of :data:`POLICY_MATRIX`: the measured
+    ``(bytes per write, mean lag)`` of edge and GST."""
     rows = {}
     for name, (placements, writes, rate) in POLICY_MATRIX.items():
         rows[name] = (
-            choose_policy_tag(ShareGraph(placements())),
             _policy_run(placements(), writes, rate),
             _policy_run(placements(), writes, rate, GstPolicy),
         )
@@ -216,32 +213,10 @@ def test_adaptive_crossover_live(policy_matrix):
     """The two seeded facts of arXiv:1803.05575's trade hold on live
     runs: edge-indexed wins visibility lag on every placement, GST wins
     metadata bytes on the dense graph."""
-    for name, (_, (_, edge_lag), (_, gst_lag)) in policy_matrix.items():
+    for name, ((_, edge_lag), (_, gst_lag)) in policy_matrix.items():
         assert edge_lag < gst_lag, (name, edge_lag, gst_lag)
-    _, (edge_bytes, _), (gst_bytes, _) = policy_matrix["dense-24"]
+    (edge_bytes, _), (gst_bytes, _) = policy_matrix["dense-24"]
     assert gst_bytes < edge_bytes
-
-
-def test_adaptive_matches_committed_bench(policy_matrix):
-    """On every placement of the committed :data:`POLICY_MATRIX`, the §4
-    lower-bound prediction names the measured metadata-bytes winner."""
-    predicted, measured = {}, {}
-    for name, (tag, (edge_bytes, _), (gst_bytes, _)) in policy_matrix.items():
-        predicted[name] = tag
-        measured[name] = "gst" if gst_bytes < edge_bytes else "edge"
-    assert len(measured) == 5
-    assert predicted == measured
-
-
-def test_adaptive_policy_materializes_the_prediction():
-    dense = ShareGraph(random_placements(12, 40, 6, seed=4))
-    tree = ShareGraph(tree_placements(9))
-    rid_dense = sorted(dense.replicas, key=str)[0]
-    rid_tree = sorted(tree.replicas, key=str)[0]
-    assert AdaptivePolicy(dense, rid_dense).policy_tag == choose_policy_tag(
-        dense
-    )
-    assert AdaptivePolicy(tree, rid_tree).policy_tag == "edge"
 
 
 # ----------------------------------------------------------------------

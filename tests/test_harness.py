@@ -12,14 +12,12 @@ from repro.workloads import line_placements
 # ----------------------------------------------------------------------
 # Table rendering
 # ----------------------------------------------------------------------
-def test_table_render_and_csv():
+def test_table_render_and_column():
     table = Table("demo", ["a", "b"])
     table.add_row(1, 2.5)
     table.add_row("x", "y")
     text = table.render()
     assert "demo" in text and "2.500" in text
-    csv = table.to_csv()
-    assert csv.splitlines()[0] == "a,b"
     assert table.column("a") == ["1", "x"]
 
 

@@ -41,7 +41,6 @@ from repro.baselines.ablations import (
     LaxSenderEdgePolicy,
     NoThirdPartyCheckPolicy,
 )
-from repro.baselines.legacy import legacy_policy_factory
 from repro.core.share_graph import ShareGraph
 from repro.core.system import DSMSystem
 from repro.core.timestamp import LANE_MIN_WIDTH, EdgeIndexedPolicy, Timestamp
@@ -63,6 +62,7 @@ from tests import (
     test_policy_conformance,
     test_vectorized,
 )
+from tests.engine_reference import legacy_policy_factory
 
 # Replica 1 shares x with 2 and y with 2 and 3, so advancing on x bumps
 # e(1,2) and on y bumps e(1,2) and e(1,3); padding edges between
@@ -691,7 +691,7 @@ def test_runtimes_agree_with_lanes_and_without(force_lane_merge, tmp_path):
         wal_dir.mkdir()
         outcomes += [
             test_cross_runtime._run_simulator(ops, settle_each=True),
-            test_cross_runtime._run_aio(ops, settle_each=True),
+            test_cross_runtime._run_clientserver(ops, settle_each=True),
             test_cross_runtime._run_tcp(ops, True, wal_dir=str(wal_dir)),
         ]
     assert len(outcomes[0][0]) == len(ops)

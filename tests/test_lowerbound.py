@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro import ShareGraph
@@ -186,11 +189,30 @@ def test_oracle_reuse(triangle_graph):
 
 
 def test_empty_conflict_graph_bounds():
-    import networkx as nx
-
-    empty = nx.Graph()
+    empty = {}
     assert clique_number_bound(empty) == 0
     assert greedy_chromatic_upper_bound(empty) == 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_conflict_graph_bounds_match_networkx(seed):
+    """Bron--Kerbosch and largest-first greedy agree with networkx's
+    exact clique search and ``strategy_largest_first`` colouring."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    nodes = rng.sample(range(100), rng.randint(1, 24))
+    density = rng.random()
+    g = {v: set() for v in nodes}
+    for a, b in itertools.combinations(nodes, 2):
+        if rng.random() < density:
+            g[a].add(b)
+            g[b].add(a)
+    ref = nx.Graph()
+    ref.add_nodes_from(nodes)
+    ref.add_edges_from((a, b) for a in g for b in g[a])
+    assert clique_number_bound(g) == nx.max_weight_clique(ref, weight=None)[1]
+    colouring = nx.coloring.greedy_color(ref, strategy="largest_first")
+    assert greedy_chromatic_upper_bound(g) == 1 + max(colouring.values())
 
 
 def test_distinct_timestamps_respect_bound():

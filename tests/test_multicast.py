@@ -107,27 +107,3 @@ def test_schedule_multicast_and_counts():
     assert mc.check().ok
     # 2 is in both groups; it locally delivers all 9 of its own messages.
     assert len(mc.deliveries_at(2)) == 9
-
-
-def test_metadata_wire_bytes_prices_the_encoded_timestamp():
-    """Byte-denominated metadata matches the bench's wire codec."""
-    from repro.wire.codec import timestamp_wire_bytes
-
-    mc = make_mc(seed=97)
-    for n in range(6):
-        mc.schedule_multicast(float(n), 2, "g1" if n % 2 else "g2", n)
-    mc.run()
-    assert mc.check().ok
-    sizes = mc.metadata_wire_bytes()
-    assert set(sizes) == set(mc.system.replicas)
-    for rid, size in sizes.items():
-        assert size == timestamp_wire_bytes(mc.system.replica(rid).timestamp)
-        assert size > 0
-    # Counters and bytes measure different things: a process tracking
-    # more counters also ships at least as many varints, so the byte
-    # ordering never contradicts the counter ordering by more than the
-    # per-counter encoding variance (sanity: the max-counter process is
-    # within the byte spread).
-    counters = mc.metadata_counters()
-    heaviest = max(counters, key=lambda rid: counters[rid])
-    assert sizes[heaviest] >= min(sizes.values())

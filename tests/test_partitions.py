@@ -1,19 +1,14 @@
-"""Tests for partition injection: safety during, liveness after heal."""
+"""Tests for partition episodes and two-sided channel cuts.
+
+A blackout run through a partition lives in ``tests/test_fault_timeline.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import DSMSystem, ShareGraph
 from repro.errors import ConfigurationError
-from repro.network import Partition, PartitionSchedule, split_channels
-from repro.network.delays import FixedDelay
-from repro.workloads import (
-    fig5_placements,
-    ring_placements,
-    run_workload,
-    uniform_writes,
-)
+from repro.network import Partition, split_channels
 
 
 def test_partition_validation():
@@ -26,115 +21,3 @@ def test_partition_validation():
 def test_split_channels_bidirectional():
     channels = split_channels({1}, {2, 3})
     assert channels == {(1, 2), (2, 1), (1, 3), (3, 1)}
-
-
-def test_unbound_schedule_rejected():
-    import random
-
-    schedule = PartitionSchedule([Partition(0.0, 1.0, frozenset({(1, 2)}))])
-    with pytest.raises(ConfigurationError):
-        schedule.sample(1, 2, random.Random(0))
-
-
-def test_messages_held_until_heal():
-    """A write during the partition reaches the other side only after it
-    heals; afterwards everything is consistent."""
-    graph = ShareGraph({1: {"x"}, 2: {"x"}})
-    schedule = PartitionSchedule(
-        [Partition(0.0, 100.0, split_channels({1}, {2}))],
-        base=FixedDelay(1.0),
-    )
-    system = DSMSystem(graph, seed=1, delay_model=schedule)
-    system.schedule_write(5.0, 1, "x", "during")
-    system.run(until=50.0)
-    # Still cut: replica 2 has not seen the write.
-    assert system.replica(2).read("x") is None
-    assert schedule.held_messages == 1
-    system.run()  # past the heal
-    assert system.replica(2).read("x") == "during"
-    assert system.check().ok
-
-
-def test_message_sent_just_before_cut_is_held():
-    """Regression: a message sent moments before the partition starts,
-    whose delivery would land inside the episode, must not sail through
-    the cut -- it is held until the heal like any other cut message."""
-    graph = ShareGraph({1: {"x"}, 2: {"x"}})
-    schedule = PartitionSchedule(
-        [Partition(10.0, 100.0, split_channels({1}, {2}))],
-        base=FixedDelay(5.0),
-    )
-    system = DSMSystem(graph, seed=1, delay_model=schedule)
-    # Sent at t=8, nominal delivery t=13 -- inside [10, 100).
-    system.schedule_write(8.0, 1, "x", "almost")
-    system.run(until=50.0)
-    assert system.replica(2).read("x") is None  # held, not delivered
-    assert schedule.held_messages == 1
-    system.run()
-    assert system.replica(2).read("x") == "almost"
-    assert system.check().ok
-
-
-def test_delivery_landing_after_heal_sails_through():
-    """The complement: sent before the cut with a delivery landing after
-    the heal -- nothing to hold."""
-    schedule = PartitionSchedule(
-        [Partition(10.0, 12.0, frozenset({(1, 2)}))],
-        base=FixedDelay(5.0),
-    )
-    import random
-
-    class _Clock:
-        now = 8.0
-
-    schedule.bind(_Clock())
-    # Delivery at 13.0 >= 12.0: untouched.
-    assert schedule.sample(1, 2, random.Random(0)) == 5.0
-    assert schedule.held_messages == 0
-
-
-def test_consistency_through_partition_episodes():
-    """Random workload over a ring with two partition episodes: safety
-    always, liveness at quiescence."""
-    graph = ShareGraph(ring_placements(6))
-    schedule = PartitionSchedule(
-        [
-            Partition(10.0, 60.0, split_channels({1, 2, 3}, {4, 5, 6})),
-            Partition(90.0, 130.0, split_channels({1, 6}, {2, 3, 4, 5})),
-        ],
-        base=FixedDelay(1.0),
-    )
-    system = DSMSystem(graph, seed=2, delay_model=schedule)
-    stream = uniform_writes(graph, 200, rate=1.5, seed=3)
-    run_workload(system, stream)
-    assert system.quiescent()
-    assert system.check().ok
-    assert schedule.held_messages > 0  # the partitions actually bit
-
-
-def test_pending_buffer_grows_during_partition():
-    """Updates that causally depend on cut-off updates buffer at the
-    receiver until the partition heals."""
-    graph = ShareGraph(fig5_placements())
-    # Cut 3 off from 1 only; 3's updates still reach 2 and 4.
-    schedule = PartitionSchedule(
-        [Partition(0.0, 200.0, frozenset({(2, 1)}))],
-        base=FixedDelay(1.0),
-    )
-    system = DSMSystem(graph, seed=4, delay_model=schedule)
-    # Replica 2 writes y twice; both messages to 1 are held, so 1 buffers
-    # nothing (it never receives them) -- but a subsequent write from 4
-    # that causally depends on them must buffer at 1.
-    system.schedule_write(1.0, 2, "y", "a")
-    system.schedule_write(2.0, 2, "y", "b")
-    # 4 applies 2's writes, then writes w (shared with 1 only).
-    system.simulator.schedule_at(
-        20.0, lambda: system.client(4).write("w", system.client(4).read("y"))
-    )
-    system.run(until=100.0)
-    # The w-update from 4 depends on y-updates 1 has not seen: buffered.
-    assert system.replica(1).pending_count >= 1
-    assert system.replica(1).read("w") is None
-    system.run()
-    assert system.replica(1).read("w") == "b"
-    assert system.check().ok

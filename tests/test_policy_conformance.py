@@ -1,6 +1,6 @@
 """Conformance of every registered timestamp policy to the policy layer.
 
-Parametrizes over :func:`repro.core.policy_registry.registered_policies`
+Parametrizes over :func:`tests.policy_registry.registered_policies`
 so a policy added to the registry is automatically held to the extended
 surface documented on :class:`repro.core.timestamp.TimestampPolicy`:
 identification, delta hooks consistent with their plain counterparts,
@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.core.policy_registry import policy_entry, registered_policies
 from repro.core.share_graph import ShareGraph
 from repro.core.system import DSMSystem
 from repro.workloads import (
@@ -24,6 +23,7 @@ from repro.workloads import (
     run_workload,
     uniform_writes,
 )
+from tests.policy_registry import policy_entry, registered_policies
 
 ENTRIES = registered_policies()
 TAGS = [e.tag for e in ENTRIES]

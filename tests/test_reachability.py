@@ -1,29 +1,108 @@
-"""Every module under ``src/repro`` is reached from a real entry point.
+"""Every module and definition under ``src/repro`` is reached from a real entry point.
 
 The roots are the package, its CLI, and every ``repro.*`` import in
 ``bench/``, ``benchmarks/`` and ``examples/``; from there the imports
 inside ``src/repro`` are followed (function-level imports included).  A
 module nothing reaches is dead weight that only its own tests keep alive:
-delete it, or give it a caller.  Parsed with :mod:`ast`, nothing imported.
+delete it, or give it a caller.
+
+The same holds one level down.  Every top-level function and class of a
+reached module, and every method of a top-level class, must be named
+somewhere in a reached module or a root file -- as a bare name, an
+attribute, or a string constant -- other than in its own body, a
+package re-export or an ``__all__`` entry.  Dunder methods and methods
+that override a base-class method of the same name count as reached.
+Parsed with :mod:`ast`, nothing imported.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+ROOT_FOLDERS = ("bench", "benchmarks", "examples")
 
 #: Modules kept although no entry point imports them, each for a reason.
-ALLOWED_UNREACHED = {
-    # The asyncio reference runtime: test_cross_runtime and
-    # test_adapter_skeleton compare the other runtimes against it.
-    "repro.aio",
-    # Enumerates every timestamp policy to parametrize
-    # test_policy_conformance.
-    "repro.core.policy_registry",
+ALLOWED_UNREACHED: Dict[str, str] = {}
+
+#: Definitions (``"module:qualname"``) kept although nothing outside
+#: their own body names them, each for a reason.
+ALLOWED_UNREACHED_SYMBOLS: Dict[str, str] = {
+    # Paper-definition oracles.
+    "repro.core.loops:is_i_ejk_loop": (
+        "Definition 4 checked literally; test_loops judges the finder by it"
+    ),
+    "repro.core.loops:LoopFinder.has_loop": (
+        "Definition 4 as a query: whether an (i, e)-loop exists"
+    ),
+    "repro.core.causality:History.concurrent": (
+        "Definition 1 happened-before, negated both ways; test_causality"
+    ),
+    "repro.core.causality:History.causal_past": (
+        "Definition 1 causal past; test_history_reference compares it"
+    ),
+    "repro.core.causality:History.replica_causal_past": (
+        "Definition 2 replica-centric causal past; test_history_reference"
+    ),
+    "repro.core.causality:History.client_causal_past": (
+        "Definition 25 client causal past; test_history_reference"
+    ),
+    "repro.core.timestamp:Timestamp.dominates": (
+        "the timestamp partial order advance must respect; test_property"
+    ),
+    "repro.core.replica:Replica.restore": (
+        "Lemma 7: a replica is (store, timestamp, seq, pending) and nothing "
+        "more; test_recovery restores one from exactly those fields"
+    ),
+    "repro.lowerbound.closed_form:is_clique": (
+        "precondition of the Theorem 15 clique bound"
+    ),
+    "repro.lowerbound.closed_form:tree_lower_bound_bits": (
+        "Theorem 4 tree bound; the planned per-run lower-bound column"
+    ),
+    "repro.lowerbound.closed_form:cycle_lower_bound_bits": (
+        "Theorem 6 cycle bound; test_lowerbound"
+    ),
+    "repro.lowerbound.closed_form:clique_timestamp_space": (
+        "Theorem 15 clique bound; test_lowerbound"
+    ),
+    # Round-trip inverses of encoders an entry point runs.
+    "repro.optimizations.compression:CompressedCodec.decompress": (
+        "inverse of compress, which the experiments run; round-trip tests"
+    ),
+    # Read-only inspection existing tests assert through.
+    "repro.core.timestamp:Timestamp.to_dict": "lane-merge and batching tests",
+    "repro.core.engine.adapter:CoreAdapter.queue_stats": (
+        "per-runtime delivery-queue view; test_cross_runtime, test_batching"
+    ),
+    "repro.core.engine.core:ProtocolCore.blocked_on": (
+        "which counter each sender waits on; test_engine_core, test_batching"
+    ),
+    "repro.core.replica:Replica.timestamps_used": "test_replica_system",
+    "repro.core.system:SystemMetrics.total_counters": "test_replica_system",
+    "repro.optimizations.compression:CompressedTimestamp.fallback_sources": (
+        "test_compression"
+    ),
+    "repro.sim.kernel:Simulator.pending_events": "test_sim_kernel",
+    "repro.sim.kernel:Simulator.live_events": "test_sim_kernel",
+    "repro.sim.kernel:Simulator.drained": "test_sim_kernel",
+    "repro.tcp.runtime:TcpCluster.visible_stores": (
+        "the stores GST reads serve; test_gst on TCP"
+    ),
+    # Drivers of the GST visibility cut, which no entry point runs.
+    "repro.core.system:DSMSystem.settle_visibility": (
+        "GST liveness: test_gst and test_policy_conformance settle through it"
+    ),
+    "repro.tcp.runtime:TcpCluster.settle_visibility": (
+        "GST liveness on sockets: test_gst"
+    ),
+    "repro.core.system:DSMSystem.schedule_stabilize": (
+        "mid-run GST rounds; test_gst measures visibility lag through them"
+    ),
 }
 
 
@@ -37,11 +116,15 @@ def _modules() -> Dict[str, Path]:
     return out
 
 
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _imports(path: Path, module: str) -> Iterator[str]:
     """Dotted names ``path`` imports; a ``from`` import also yields
     ``package.name`` for each name, which may be a submodule."""
     package = module if path.name == "__init__.py" else module.rpartition(".")[0]
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -61,11 +144,20 @@ def _imports(path: Path, module: str) -> Iterator[str]:
             yield str(node.args[0].value)
 
 
+def _root_files() -> List[Path]:
+    return [
+        path
+        for folder in ROOT_FOLDERS
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+
+
 def _roots() -> Set[str]:
     roots = {"repro", "repro.cli", "repro.__main__"}
-    for folder in ("bench", "benchmarks", "examples"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            roots.update(n for n in _imports(path, folder) if n.startswith("repro"))
+    for path in _root_files():
+        roots.update(
+            n for n in _imports(path, path.parent.name) if n.startswith("repro")
+        )
     return roots
 
 
@@ -84,13 +176,126 @@ def _reached(modules: Dict[str, Path], extra: Iterable[str] = ()) -> Set[str]:
     return seen
 
 
+# -- definitions -------------------------------------------------------------
+
+def _is_all(node: ast.AST) -> bool:
+    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+    return any(getattr(t, "id", None) == "__all__" for t in targets)
+
+
+def _uses(node: ast.AST) -> Iterator[str]:
+    """Names ``node`` mentions, leaving out ``__all__`` entries."""
+    todo = [node]
+    while todo:
+        here = todo.pop()
+        if _is_all(here):
+            continue
+        if isinstance(here, ast.Name):
+            yield here.id
+        elif isinstance(here, ast.Attribute):
+            yield here.attr
+        elif isinstance(here, ast.Constant) and isinstance(here.value, str):
+            yield here.value
+        todo.extend(ast.iter_child_nodes(here))
+
+
+def _definitions(
+    tree: ast.Module,
+) -> Iterator[Tuple[str, ast.AST, Optional[ast.ClassDef]]]:
+    """``(qualname, node, owner)`` for each top-level def and each method."""
+    for node in tree.body:
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        yield node.name, node, None
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{child.name}", child, node
+
+
+def _base_names(cls: ast.ClassDef) -> Iterator[str]:
+    for base in cls.bases:
+        if isinstance(base, ast.Subscript):
+            base = base.value
+        name = getattr(base, "id", getattr(base, "attr", None))
+        if name:
+            yield name
+
+
+def _unreached_symbols(modules: Dict[str, Path]) -> List[str]:
+    reached = sorted(_reached(modules))
+    trees = {m: _parse(modules[m]) for m in reached}
+    roots = [_parse(p) for p in _root_files()]
+    defs = {m: list(_definitions(trees[m])) for m in reached}
+    # Methods and bases of each top-level class, by class name, to tell
+    # an override (reached through its base) from a new method.
+    methods: Dict[str, Set[str]] = {}
+    bases: Dict[str, Set[str]] = {}
+    for items in defs.values():
+        for _, node, owner in items:
+            if owner is not None:
+                methods.setdefault(owner.name, set()).add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(_base_names(node))
+
+    def inherited(cls: str) -> Set[str]:
+        out: Set[str] = set()
+        todo, seen = list(bases.get(cls, ())), set()
+        while todo:
+            base = todo.pop()
+            if base in seen:
+                continue
+            seen.add(base)
+            out |= methods.get(base, set())
+            todo.extend(bases.get(base, ()))
+        return out
+
+    named: Counter = Counter()
+    for tree in [*trees.values(), *roots]:
+        named.update(_uses(tree))
+    missing: List[str] = []
+    for module, items in defs.items():
+        for qualname, node, owner in items:
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if owner is not None and name in inherited(owner.name):
+                continue
+            # Uses inside the definition's own body do not count.
+            if named[name] <= sum(1 for n in _uses(node) if n == name):
+                missing.append(f"{module}:{qualname}")
+    return missing
+
+
 def test_every_module_is_reached():
     modules = _modules()
     assert len(modules) > 80
     # What an allowlisted module imports counts as reached through it.
-    assert sorted(set(modules) - _reached(modules, ALLOWED_UNREACHED)) == []
+    missing = sorted(set(modules) - _reached(modules, ALLOWED_UNREACHED))
+    assert not missing, "unreached: " + ", ".join(missing)
 
 
 def test_allowlist_names_only_unreached_modules():
     modules = _modules()
-    assert ALLOWED_UNREACHED <= set(modules) - _reached(modules)
+    assert set(ALLOWED_UNREACHED) <= set(modules) - _reached(modules)
+
+
+def test_no_module_is_allowlisted():
+    """``src/`` ships no module that only tests run; test oracles live in
+    ``tests/``."""
+    assert ALLOWED_UNREACHED == {}
+
+
+def test_every_definition_is_reached():
+    unreached = _unreached_symbols(_modules())
+    missing = sorted(set(unreached) - set(ALLOWED_UNREACHED_SYMBOLS))
+    assert not missing, "unreached: " + ", ".join(missing)
+
+
+def test_symbol_allowlist_names_only_unreached_definitions():
+    unreached = set(_unreached_symbols(_modules()))
+    assert set(ALLOWED_UNREACHED_SYMBOLS) <= unreached
+    for key, reason in ALLOWED_UNREACHED_SYMBOLS.items():
+        assert ":" in key and reason.strip(), key

@@ -215,15 +215,6 @@ def test_crash_during_pending_apply_regression():
     system.network.stats.assert_consistent()
 
 
-def test_durable_snapshot_excludes_pending():
-    system = DSMSystem({1: {"x"}, 2: {"x"}}, seed=0, fault_plan=FaultPlan())
-    system.replica(1).write("x", 41)
-    system.run()
-    snap = system.replica(2).last_durable_snapshot
-    assert snap.pending == ()
-    assert dict(snap.store)["x"] == 41
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_crash_recovery_under_faults(seed):
     """Crash + loss + duplication together: safety throughout, liveness

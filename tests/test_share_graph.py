@@ -93,12 +93,6 @@ def test_with_additional_placements_unknown_replica(fig3_graph):
         fig3_graph.with_additional_placements({99: {"x"}})
 
 
-def test_without_register(fig3_graph):
-    reduced = fig3_graph.without_register("y")
-    assert not reduced.is_edge(2, 3)
-    assert reduced.is_edge(1, 2)
-
-
 def test_equality_and_hash():
     a = ShareGraph(fig3_placements())
     b = ShareGraph(fig3_placements())

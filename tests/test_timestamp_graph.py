@@ -44,6 +44,14 @@ def test_incident_and_loop_edges_disjoint(fig5_graph):
         assert len(g) == len(g.incident) + len(g.loop_edges)
 
 
+def test_edges_built_once(fig5_graph):
+    """``E_i`` is one frozenset per graph, not a fresh union per read:
+    every policy keys its interned edge index on it."""
+    tg = timestamp_graph(fig5_graph, 1)
+    assert tg.edges is tg.edges
+    assert tg.edges == tg.incident | tg.loop_edges
+
+
 def test_fig6_counterexample(fig6_graph):
     """The x-edge between j and k is NOT in G_i (Section 3.2)."""
     gi = timestamp_graph(fig6_graph, "i")

@@ -12,11 +12,9 @@ from repro.types import Update, UpdateId
 from repro.wire import (
     decode_timestamp,
     decode_update,
-    decode_update_batch,
     decode_uvarint,
     encode_timestamp,
     encode_update,
-    encode_update_batch,
     encode_uvarint,
     timestamp_wire_bytes,
 )
@@ -358,71 +356,3 @@ def test_fuzz_mutated_frames_never_crash_decoder():
                 except ProtocolError:
                     pass  # semantic rejection (still typed) is fine too
 
-
-# ----------------------------------------------------------------------
-# Batch frames (one frame, many updates)
-# ----------------------------------------------------------------------
-def _issue_updates(count):
-    graph = ShareGraph(fig5_placements())
-    policy = EdgeIndexedPolicy(graph, 1)
-    order = canonical_edge_order(policy.edges)
-    ts = policy.initial()
-    updates = []
-    for seq in range(1, count + 1):
-        ts = policy.advance(ts, "y")
-        updates.append(Update(UpdateId(1, seq), "y", f"v{seq}", ts))
-    return updates, order
-
-
-def test_update_batch_roundtrip():
-    updates, order = _issue_updates(5)
-    encoded = encode_update_batch(updates, order)
-    decoded = decode_update_batch(encoded, 1, order)
-    assert decoded == tuple(updates)
-
-
-def test_update_batch_single_member_and_empty():
-    updates, order = _issue_updates(1)
-    assert decode_update_batch(
-        encode_update_batch(updates, order), 1, order
-    ) == tuple(updates)
-    assert decode_update_batch(encode_update_batch([], order), 1, order) == ()
-
-
-def test_update_batch_truncation_always_typed():
-    updates, order = _issue_updates(4)
-    encoded = encode_update_batch(updates, order)
-    for cut in range(len(encoded)):
-        with pytest.raises(WireDecodeError):
-            decode_update_batch(encoded[:cut], 1, order)
-
-
-def test_update_batch_trailing_bytes_rejected():
-    updates, order = _issue_updates(2)
-    encoded = encode_update_batch(updates, order)
-    with pytest.raises(WireDecodeError):
-        decode_update_batch(encoded + b"\x00", 1, order)
-
-
-def test_update_batch_member_length_overrun_rejected():
-    updates, order = _issue_updates(2)
-    member = encode_update(updates[0], order)
-    # count=2 but only one member present, whose declared length spills
-    # past the end of the frame.
-    bogus = encode_uvarint(2) + encode_uvarint(len(member) + 99) + member
-    with pytest.raises(WireDecodeError):
-        decode_update_batch(bogus, 1, order)
-
-
-def test_fuzz_mutated_batch_frames_never_crash_decoder():
-    rng = random.Random(0xBA7C4)
-    updates, order = _issue_updates(3)
-    blob = encode_update_batch(updates, order)
-    for _ in range(600):
-        mutated = _mutate(rng, blob)
-        try:
-            decode_update_batch(mutated, 1, order)
-        except WireDecodeError:
-            pass
-        except ProtocolError:
-            pass

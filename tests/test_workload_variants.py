@@ -1,4 +1,4 @@
-"""Tests for the Zipf and bursty workload generators."""
+"""Tests for the Zipf workload generator."""
 
 from __future__ import annotations
 
@@ -10,9 +10,7 @@ from repro import DSMSystem, ShareGraph
 from repro.errors import ConfigurationError
 from repro.network.delays import UniformDelay
 from repro.workloads import (
-    bursty_writes,
     fig5_placements,
-    ring_placements,
     run_workload,
     zipf_writes,
 )
@@ -58,33 +56,3 @@ def test_zipf_run_consistent(graph):
     assert system.quiescent()
     assert system.check().ok
 
-
-# ----------------------------------------------------------------------
-# Bursty
-# ----------------------------------------------------------------------
-def test_bursty_shape(graph):
-    stream = bursty_writes(graph, bursts=4, burst_size=8, gap=100.0, seed=6)
-    assert len(stream) == 32
-    times = [op.time for op in stream]
-    assert times == sorted(times)
-    # Each burst fits within one time unit of its start.
-    for op in stream:
-        burst_index = int(op.time // 100.0)
-        assert op.time - burst_index * 100.0 <= 1.0
-
-
-def test_bursty_validation(graph):
-    with pytest.raises(ConfigurationError):
-        bursty_writes(graph, bursts=1, burst_size=0)
-    with pytest.raises(ConfigurationError):
-        bursty_writes(graph, bursts=1, gap=0)
-
-
-def test_bursty_run_consistent():
-    graph = ShareGraph(ring_placements(6))
-    system = DSMSystem(graph, seed=7, delay_model=UniformDelay(0.5, 30.0))
-    run_workload(system, bursty_writes(graph, bursts=6, burst_size=12, seed=8))
-    assert system.quiescent()
-    assert system.check().ok
-    # Bursts under slow delivery must actually stress the buffers.
-    assert system.metrics().pending_high_water >= 2
